@@ -1,90 +1,58 @@
-"""Hot inner loops: numba-jitted by default, pure-NumPy fallback on request.
-
-Set ``PHIMP_PURE_NUMPY=1`` in the environment before import to skip JIT
-compilation; every kernel then runs its NumPy/Python implementation instead.
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+"""Hot inner loops, one plain NumPy/Python implementation each.
 
 All kernels take plain int64/float64 arrays; wrapping, validation and RNG
 live in the calling modules. Samplers consume pre-drawn uniforms and
-pre-computed CDF rows, so both paths make bit-identical draws.
+pre-computed CDF rows, so a seed fixes every draw.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-PURE_NUMPY = os.environ.get("PHIMP_PURE_NUMPY", "").strip().lower() in {"1", "true", "yes"}
-
-if not PURE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        PURE_NUMPY = True
-
-NUMBA_ENABLED = not PURE_NUMPY
+# read by the benchmark's metadata line; there is no jitted backend
+NUMBA_ENABLED = False
 
 
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compilable)
-
-
-def _walk_states_impl(step_table, start, symbols):
+def walk_states(step_table, start, symbols):
     # states[t] = state after consuming symbols[:t]; length n+1
-    n = symbols.shape[0]
-    states = np.empty(n + 1, dtype=np.int64)
-    states[0] = start
-    s = start
-    for t in range(n):
-        s = step_table[s, symbols[t]]
-        states[t + 1] = s
-    return states
+    rows = step_table.tolist()
+    s = int(start)
+    states = [s]
+    append = states.append
+    for y in symbols.tolist():
+        s = rows[s][y]
+        append(s)
+    return np.array(states, dtype=np.int64)
 
 
-def _count_path_impl(step_table, start, drive, emit, n_states, n_emit):
+def count_path(step_table, start, drive, emit, n_states, n_emit):
     # transition counts over consecutive states, emission counts over the
     # state entered at t paired with emit[t]; drive and emit have equal length
-    trans = np.zeros((n_states, n_states), dtype=np.int64)
-    emis = np.zeros((n_states, n_emit), dtype=np.int64)
-    s = start
-    for t in range(drive.shape[0]):
-        nxt = step_table[s, drive[t]]
-        trans[s, nxt] += 1
-        emis[nxt, emit[t]] += 1
-        s = nxt
-    return trans, emis
+    states = walk_states(step_table, start, drive)
+    trans = np.bincount(states[:-1] * n_states + states[1:],
+                        minlength=n_states * n_states)
+    emis = np.bincount(states[1:] * n_emit + emit, minlength=n_states * n_emit)
+    return trans.reshape(n_states, n_states), emis.reshape(n_states, n_emit)
 
 
-def _forward_nll_steps_impl(transition, emission, initial, symbols):
+def forward_nll_steps(transition, emission, initial, symbols):
     # out[t] = -log of the per-step normalizer; sum(out) = -log likelihood.
     # A zero normalizer floods the remaining steps with +inf.
     n = symbols.shape[0]
-    n_states = transition.shape[0]
     out = np.empty(n, dtype=np.float64)
     alpha = initial.astype(np.float64)
-    scratch = np.empty(n_states, dtype=np.float64)
     for t in range(n):
-        y = symbols[t]
-        norm = 0.0
-        for j in range(n_states):
-            acc = 0.0
-            for i in range(n_states):
-                acc += alpha[i] * transition[i, j]
-            acc *= emission[j, y]
-            scratch[j] = acc
-            norm += acc
+        alpha = (alpha @ transition) * emission[:, symbols[t]]
+        norm = float(alpha.sum())
         if norm <= 0.0:
-            for k in range(t, n):
-                out[k] = np.inf
+            out[t:] = np.inf
             return out
-        for j in range(n_states):
-            alpha[j] = scratch[j] / norm
+        alpha /= norm
         out[t] = -np.log(norm)
     return out
 
 
-def _sample_symbols_impl(step_table, start, emit_cdf, u):
+def sample_symbols(step_table, start, emit_cdf, u):
     # emit_cdf rows are cumulative distributions conditioned on the current
     # state; u holds pre-drawn uniforms, one per output symbol
     n = u.shape[0]
@@ -103,7 +71,7 @@ def _sample_symbols_impl(step_table, start, emit_cdf, u):
     return out
 
 
-def _sample_hmm_impl(transition_cdf, emission_cdf, start, u_state, u_emit):
+def sample_hmm_symbols(transition_cdf, emission_cdf, start, u_state, u_emit):
     n = u_state.shape[0]
     n_states = transition_cdf.shape[1]
     n_symbols = emission_cdf.shape[1]
@@ -127,7 +95,7 @@ def _sample_hmm_impl(transition_cdf, emission_cdf, start, u_state, u_emit):
     return out
 
 
-def _rollout_impl(step_table, start, policy_cdf, pair_cdf, u_action, u_pair,
+def rollout_steps(step_table, start, policy_cdf, pair_cdf, u_action, u_pair,
                   n_actions, n_rewards):
     # pair_cdf[s, a] is cumulative over joint (observation, reward) indices
     # o * n_rewards + r; the event symbol fed to the map is
@@ -161,42 +129,8 @@ def _rollout_impl(step_table, start, policy_cdf, pair_cdf, u_action, u_pair,
     return actions, observations, rewards
 
 
-def _match_positions_impl(seq, pattern):
+def match_positions(seq, pattern):
     # 1 where pattern starts at position t, over t = 0 .. n-m
-    n = seq.shape[0]
-    m = pattern.shape[0]
-    k = n - m + 1
-    out = np.zeros(k, dtype=np.int64)
-    for t in range(k):
-        hit = 1
-        for j in range(m):
-            if seq[t + j] != pattern[j]:
-                hit = 0
-                break
-        out[t] = hit
-    return out
-
-
-# ---------------------------------------------------------------------------
-# NumPy fallbacks where vectorization beats the interpreted loop
-
-
-def _forward_nll_steps_numpy(transition, emission, initial, symbols):
-    n = symbols.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    alpha = initial.astype(np.float64)
-    for t in range(n):
-        alpha = (alpha @ transition) * emission[:, symbols[t]]
-        norm = float(alpha.sum())
-        if norm <= 0.0:
-            out[t:] = np.inf
-            return out
-        alpha /= norm
-        out[t] = -np.log(norm)
-    return out
-
-
-def _match_positions_numpy(seq, pattern):
     n = seq.shape[0]
     m = pattern.shape[0]
     k = n - m + 1
@@ -204,51 +138,3 @@ def _match_positions_numpy(seq, pattern):
     for j in range(m):
         hits &= seq[j:j + k] == pattern[j]
     return hits.astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# path selection
-
-if NUMBA_ENABLED:
-    walk_states = njit(cache=True)(_walk_states_impl)
-    count_path = njit(cache=True)(_count_path_impl)
-    forward_nll_steps = njit(cache=True)(_forward_nll_steps_impl)
-    sample_symbols = njit(cache=True)(_sample_symbols_impl)
-    sample_hmm_symbols = njit(cache=True)(_sample_hmm_impl)
-    rollout_steps = njit(cache=True)(_rollout_impl)
-    match_positions = njit(cache=True)(_match_positions_impl)
-else:
-    walk_states = _walk_states_impl
-    count_path = _count_path_impl
-    forward_nll_steps = _forward_nll_steps_numpy
-    sample_symbols = _sample_symbols_impl
-    sample_hmm_symbols = _sample_hmm_impl
-    rollout_steps = _rollout_impl
-    match_positions = _match_positions_numpy
-
-# selected path first, pure fallback second; used by tests and the benchmark
-IMPL_PAIRS = {
-    "walk_states": (walk_states, _walk_states_impl),
-    "count_path": (count_path, _count_path_impl),
-    "forward_nll_steps": (forward_nll_steps, _forward_nll_steps_numpy),
-    "sample_symbols": (sample_symbols, _sample_symbols_impl),
-    "sample_hmm_symbols": (sample_hmm_symbols, _sample_hmm_impl),
-    "rollout_steps": (rollout_steps, _rollout_impl),
-    "match_positions": (match_positions, _match_positions_numpy),
-}
-
-
-def warm_up():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    table = np.zeros((1, 2), dtype=np.int64)
-    symbols = np.array([0, 1], dtype=np.int64)
-    uniform = np.array([0.3, 0.7])
-    half = np.array([[0.5, 1.0]])
-    walk_states(table, 0, symbols)
-    count_path(table, 0, symbols, symbols, 1, 2)
-    forward_nll_steps(np.eye(1), np.array([[0.5, 0.5]]), np.array([1.0]), symbols)
-    sample_symbols(table, 0, half, uniform)
-    sample_hmm_symbols(np.array([[1.0]]), half, 0, uniform, uniform)
-    rollout_steps(np.zeros((1, 2), dtype=np.int64), 0,
-                  np.array([[1.0]]), np.array([[[0.5, 1.0]]]), uniform, uniform, 1, 2)
-    match_positions(symbols, symbols[:1])

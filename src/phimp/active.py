@@ -23,7 +23,7 @@ from .errors import InputError
 from .estimation import PenaltyScheme
 from .fmaps import FeatureMap, memory_bound
 from .selection import SelectionResult, select, with_baseline
-from .sequences import Alphabet, PairedSequence
+from .sequences import Alphabet, PairedSequence, _read_json, _write_json
 from .sources import rng_stream
 
 ROW_SUM_TOL = 1e-12
@@ -77,7 +77,10 @@ class Policy:
     probs: np.ndarray  # (states, actions)
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
+        try:
+            self.probs = np.asarray(self.probs, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"policy table must hold numbers: {exc}") from exc
         if self.probs.ndim != 2:
             raise InputError("policy table must be states-by-actions")
         if np.any(self.probs < 0):
@@ -203,25 +206,11 @@ def environment_from_json(data: dict) -> Environment:
 
 
 def read_environment(path) -> Environment:
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read environment file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return environment_from_json(data)
+    return environment_from_json(_read_json(path, "environment"))
 
 
 def write_environment(path, env: Environment):
-    import json
-    from pathlib import Path
-
-    Path(path).write_text(json.dumps(environment_to_json(env), indent=2,
-                                     sort_keys=True) + "\n")
+    _write_json(path, environment_to_json(env))
 
 
 def embed_reward_map(reward_map: FeatureMap, action_count: int,

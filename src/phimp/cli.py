@@ -17,16 +17,14 @@ from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .active import (Policy, active_select, read_environment, rollout)
 from .errors import InputError, ResourceError
 from .estimation import PenaltyScheme
 from .fmaps import (enumerate_closed_suffix_maps, maps_from_json, memory_bound,
                     read_maps, write_maps)
 from .selection import (consistency_run, score_map, select, with_baseline)
-from .sequences import (PairedSequence, ergodicity_diagnostic, read_sequence,
-                        write_sequence)
+from .sequences import (PairedSequence, _read_json, _read_text, _write_json,
+                        ergodicity_diagnostic, read_sequence, write_sequence)
 from .sources import (FsmxSource, cross_entropy_exact_markov, cross_entropy_mc,
                       induced_hmm, read_model, sample_fsmx, sample_hmm)
 
@@ -68,10 +66,6 @@ def _score_row(breakdown) -> str:
 
 def _write_lines(path, lines):
     Path(path).write_text("\n".join([_timestamp_line(), *lines]) + "\n")
-
-
-def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_scheme(spec: str, alphabet_size: int) -> PenaltyScheme:
@@ -187,24 +181,29 @@ def _cmd_xent(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_experiment_config(path: Path) -> dict:
-    try:
-        config = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    config = _read_json(path, "config")
+    if not isinstance(config, dict):
+        raise InputError(f"{path}: experiment config must be a JSON object")
     required = {"source", "class", "criterion", "pen", "n_grid", "seeds"}
     missing = required - config.keys()
     if missing:
         raise InputError(f"experiment config missing fields: {sorted(missing)}")
     grid = config["n_grid"]
-    if (not isinstance(grid, list) or not grid
+    if (not isinstance(grid, list) or not grid or not all(map(_is_int, grid))
             or any(b <= a for a, b in zip(grid, grid[1:]))):
-        raise InputError("n_grid must be a non-empty strictly increasing list")
+        raise InputError("n_grid must be a non-empty strictly increasing list of integers")
     seeds = config["seeds"]
-    if not isinstance(seeds, list) or not seeds or len(set(seeds)) != len(seeds):
+    if (not isinstance(seeds, list) or not seeds or not all(map(_is_int, seeds))
+            or len(set(seeds)) != len(seeds)):
         raise InputError("seeds must be a non-empty list of distinct integers")
+    smoothing = config.get("smoothing", 0.0)
+    if not isinstance(smoothing, (int, float)) or isinstance(smoothing, bool):
+        raise InputError("smoothing must be a number")
     return config
 
 
@@ -223,13 +222,14 @@ def _resolve_experiment_inputs(config: dict, base: Path):
     class_spec = config["class"]
     if not isinstance(class_spec, dict):
         raise InputError("class spec must be an object")
-    if "file" in class_spec:
+    if isinstance(class_spec.get("file"), str):
         maps = read_maps(base / class_spec["file"])
-    elif {"alphabet", "max_depth"} <= class_spec.keys():
-        maps = enumerate_closed_suffix_maps(Alphabet(int(class_spec["alphabet"])),
-                                            int(class_spec["max_depth"]))
+    elif _is_int(class_spec.get("alphabet")) and _is_int(class_spec.get("max_depth")):
+        maps = enumerate_closed_suffix_maps(Alphabet(class_spec["alphabet"]),
+                                            class_spec["max_depth"])
     else:
-        raise InputError("class spec needs either 'file' or 'alphabet' + 'max_depth'")
+        raise InputError("class spec needs either a 'file' name or integer "
+                         "'alphabet' + 'max_depth'")
 
     scheme = _load_scheme(config["pen"], model.fmap.alphabet_size)
     return model, maps, scheme
@@ -290,18 +290,13 @@ def _cmd_active(args) -> int:
     if args.policy == "uniform":
         policy = Policy.uniform(env.state_count, env.action_count)
     else:
-        try:
-            table = json.loads(Path(args.policy).read_text())
-        except OSError as exc:
-            raise InputError(f"cannot read policy file {args.policy}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.policy} is not valid JSON: {exc}") from exc
-        policy = Policy(np.array(table, dtype=np.float64))
+        policy = Policy(_read_json(args.policy, "policy"))
     trace = rollout(env, policy, args.n, args.seed)
     maps = read_maps(args.maps)
     scheme = _load_scheme(args.pen, env.reward_count)
     result = active_select(trace, maps, scheme, criterion=args.criterion,
-                           include_baseline=not args.no_baseline)
+                           include_baseline=not args.no_baseline,
+                           smoothing=args.smoothing)
     if args.out:
         _write_lines(args.out, [_score_row(b) for b in result.costs])
     print(f"active: rolled out {args.n} events (seed {args.seed}); "
@@ -350,10 +345,7 @@ def _check_artifact(path: Path) -> str:
         raise InputError(f"{path} does not exist")
     suffix = path.suffix.lower()
     if suffix == ".json":
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        data = _read_json(path, "artifact")
         if isinstance(data, dict) and "maps" in data:
             maps_from_json(data)
             return "map file"
@@ -374,6 +366,8 @@ def _check_artifact(path: Path) -> str:
             if not isinstance(data.get("costs"), list):
                 raise InputError(f"{path}: selection result missing cost rows")
             for row in data["costs"]:
+                if not isinstance(row, dict):
+                    raise InputError(f"{path}: cost row must be a JSON object")
                 missing = set(SCORE_FIELDS) - row.keys()
                 if missing:
                     raise InputError(f"{path}: cost row missing {sorted(missing)}")
@@ -384,19 +378,21 @@ def _check_artifact(path: Path) -> str:
             return "diagnostic report"
         raise InputError(f"{path}: unrecognized JSON artifact")
     if suffix == ".jsonl":
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        for lineno, line in enumerate(_read_text(path, "artifact").splitlines(), 1):
             if not line.strip() or line.startswith("#"):
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise InputError(f"{path}:{lineno}: score row must be a JSON object")
             missing = set(SCORE_FIELDS) - record.keys()
             if missing:
                 raise InputError(f"{path}:{lineno}: score row missing {sorted(missing)}")
         return "score table"
     if suffix == ".csv":
-        lines = [ln for ln in path.read_text().splitlines()
+        lines = [ln for ln in _read_text(path, "artifact").splitlines()
                  if ln.strip() and not ln.startswith("#")]
         if not lines or lines[0] != TRAJECTORY_HEADER:
             raise InputError(f"{path}: first row must be '{TRAJECTORY_HEADER}'")
@@ -404,10 +400,12 @@ def _check_artifact(path: Path) -> str:
             parts = line.split(",")
             if len(parts) != 7:
                 raise InputError(f"{path}:{lineno}: expected 7 columns")
-            int(parts[0]), int(parts[1])
-            for value in parts[3:6]:
-                if value != "inf":
+            try:
+                int(parts[0]), int(parts[1])
+                for value in parts[3:6]:
                     float(value)
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: malformed number: {exc}") from exc
             if parts[6] not in ("true", "false"):
                 raise InputError(f"{path}:{lineno}: stabilized must be true/false")
         return "trajectory table"

@@ -166,6 +166,11 @@ def _normalize_rows(counts: np.ndarray, smoothing: float) -> tuple[np.ndarray, n
     return probs, visited
 
 
+def _check_smoothing(smoothing: float):
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise InputError(f"smoothing must be a finite number >= 0, got {smoothing}")
+
+
 def _estimate_from_counts(trans_counts, emis_counts, n, smoothing) -> EmpiricalHmm:
     transition, trans_visited = _normalize_rows(trans_counts, smoothing)
     emission, emis_visited = _normalize_rows(emis_counts, smoothing)
@@ -187,6 +192,7 @@ def estimate(fmap: FeatureMap, seq: SymbolSequence, smoothing: float = 0.0) -> E
     """Estimate transition and emission frequencies of the induced state path."""
     if len(seq) < 1:
         raise InputError("cannot estimate from an empty sequence")
+    _check_smoothing(smoothing)
     if seq.alphabet.size != fmap.alphabet_size:
         raise InputError(
             f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
@@ -202,6 +208,7 @@ def estimate_paired(fmap: FeatureMap, paired: PairedSequence,
     """Drive the state path with pair symbols but count emissions of y only."""
     if len(paired) < 1:
         raise InputError("cannot estimate from an empty sequence")
+    _check_smoothing(smoothing)
     if paired.joint_size != fmap.alphabet_size:
         raise InputError(
             f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
@@ -241,11 +248,17 @@ def log_likelihood(fmap: FeatureMap, emp: EmpiricalHmm, seq: SymbolSequence) -> 
     return counts_nll(trans, emp.transition) + counts_nll(emis, emp.emission)
 
 
+def _self_code_length(emp: EmpiricalHmm) -> float:
+    # the data an estimate was counted on, coded under that estimate: the
+    # counts are already at hand, so no second walk over the data
+    return (counts_nll(emp.transition_counts, emp.transition)
+            + counts_nll(emp.emission_counts, emp.emission))
+
+
 def cost(fmap: FeatureMap, seq: SymbolSequence, scheme: PenaltyScheme,
          smoothing: float = 0.0) -> CostBreakdown:
     """Self-estimated code length plus complexity penalty."""
-    emp = estimate(fmap, seq, smoothing)
-    data = log_likelihood(fmap, emp, seq)
+    data = _self_code_length(estimate(fmap, seq, smoothing))
     pen = scheme.value(len(seq), fmap.state_count)
     return CostBreakdown.build("cost", fmap.map_id, len(seq), data, pen)
 
@@ -279,20 +292,14 @@ def icost(fmap: FeatureMap, paired: PairedSequence, scheme: PenaltyScheme,
 def ocost(fmap: FeatureMap, paired: PairedSequence, scheme: PenaltyScheme,
           smoothing: float = 0.0) -> CostBreakdown:
     """State-path-plus-observations criterion: code the realized path and y."""
-    emp = estimate_paired(fmap, paired, smoothing)
-    drive = paired.joint_sequence().items
-    trans, emis = _kernels.count_path(
-        fmap.step_table, fmap.start_state, drive, paired.ys,
-        fmap.state_count, paired.y_alphabet.size)
-    data = counts_nll(trans, emp.transition) + counts_nll(emis, emp.emission)
+    data = _self_code_length(estimate_paired(fmap, paired, smoothing))
     pen = scheme.value(len(paired), fmap.state_count)
     return CostBreakdown.build("ocost", fmap.map_id, len(paired), data, pen)
 
 
 def ml_cost(fmap: FeatureMap, seq: SymbolSequence, smoothing: float = 0.0) -> CostBreakdown:
     """Pure maximum-likelihood criterion: the cost with a zero penalty."""
-    emp = estimate(fmap, seq, smoothing)
-    data = log_likelihood(fmap, emp, seq)
+    data = _self_code_length(estimate(fmap, seq, smoothing))
     return CostBreakdown.build("ml", fmap.map_id, len(seq), data, 0.0)
 
 

@@ -14,15 +14,14 @@ states from the suffix depth onward do not depend on the padding.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import _kernels
 from .errors import InputError, ResourceError
-from .sequences import Alphabet, SymbolSequence
+from .sequences import (Alphabet, SymbolSequence, _as_symbols, _read_json,
+                        _write_json)
 
 DEFAULT_CONTEXT_CAP = 4096
 
@@ -227,7 +226,7 @@ class FeatureMap:
                     f"sequence has {seq.alphabet.size}")
             symbols = seq.items
         else:
-            symbols = np.asarray(seq, dtype=np.int64)
+            symbols = _as_symbols(seq, self.alphabet_size, "sequence")
         return _kernels.walk_states(self.step_table, self.start_state, symbols)
 
     def state_label(self, state: int) -> str:
@@ -427,15 +426,8 @@ def maps_from_json(data: dict) -> list[FeatureMap]:
 
 
 def read_maps(path) -> list[FeatureMap]:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read map file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return maps_from_json(data)
+    return maps_from_json(_read_json(path, "map"))
 
 
 def write_maps(path, maps: list[FeatureMap]):
-    Path(path).write_text(json.dumps(maps_to_json(maps), indent=2, sort_keys=True) + "\n")
+    _write_json(path, maps_to_json(maps))

@@ -9,6 +9,7 @@ frequency denominator is the full prefix length.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -239,6 +240,30 @@ def ergodicity_diagnostic(seq: SymbolSequence, max_pattern_len: int,
 
 
 # ---------------------------------------------------------------------------
+# every input file is read through _read_text; JSON files (maps, models,
+# environments, configs, policies) share one reader and one writer
+
+
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _read_json(path, what: str):
+    text = _read_text(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _write_json(path, payload):
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
 # file format: header line "alphabet=<Y>" (or "alphabet=<X>,<Y>" for paired
 # data), then whitespace-separated symbol indices ("x,y" tokens when paired);
 # lines starting with '#' are comments
@@ -246,10 +271,7 @@ def ergodicity_diagnostic(seq: SymbolSequence, max_pattern_len: int,
 
 def read_sequence(path) -> SymbolSequence | PairedSequence:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read sequence file {path}: {exc}") from exc
+    text = _read_text(path, "sequence")
 
     header = None
     tokens: list[str] = []

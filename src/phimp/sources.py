@@ -9,8 +9,7 @@ product chain and by Monte Carlo.
 Randomness comes from named counter-based streams: ``rng_stream(seed, k)``
 yields the k-th independent stream of an experiment seed, so parallel runs
 reproduce serial ones bit-exactly. Samplers pre-draw uniforms and feed them
-to the kernels, which makes the jitted and pure paths take identical
-branches.
+to the kernels, so a seed fixes every draw.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from . import _kernels
 from .errors import InputError, ResourceError
 from .estimation import EmpiricalHmm
 from .fmaps import FeatureMap
-from .sequences import Alphabet, SymbolSequence
+from .sequences import Alphabet, SymbolSequence, _read_json, _write_json
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_PATH_CAP = 10_000_000
@@ -33,6 +32,8 @@ DEFAULT_PATH_CAP = 10_000_000
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream index)."""
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise InputError(f"seed and stream must lie in 0..2**64-1, got {seed} and {stream}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -529,21 +530,8 @@ def model_from_json(data: dict) -> Hmm | FsmxSource:
 
 
 def read_model(path) -> Hmm | FsmxSource:
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return model_from_json(data)
+    return model_from_json(_read_json(path, "model"))
 
 
 def write_model(path, model: Hmm | FsmxSource):
-    import json
-    from pathlib import Path
-
-    Path(path).write_text(json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n")
+    _write_json(path, model_to_json(model))

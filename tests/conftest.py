@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-import phimp._kernels as kernels
 from phimp import Alphabet, FsmxSource, SuffixSet, compile_suffix_map
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels once so timing-sensitive tests measure the
-    # algorithms, not compilation
-    kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from phimp import write_environment, write_model
+from phimp import (Alphabet, Environment, SuffixSet, compile_suffix_map,
+                   embed_reward_map, write_environment, write_maps, write_model)
 from phimp.cli import main
 
 
@@ -178,22 +179,78 @@ class TestDiagnose:
         assert run("diagnose", "--check-file", bad) == 2
 
 
+def _written(path, content):
+    path.write_bytes(content.encode() if isinstance(content, str) else content)
+    return path
+
+
+def _active_inputs(workdir):
+    """env.json and emaps.json for a reward chain seen through a 2-action,
+    1-observation event alphabet; returns the embedded reward map."""
+    reward_map = compile_suffix_map(SuffixSet(Alphabet(2), ((0,), (1,))))
+    event_map = embed_reward_map(reward_map, 2, 1)
+    emissions = np.zeros((2, 2, 2))
+    emissions[0, :, :] = [0.9, 0.1]
+    emissions[1, :, :] = [0.2, 0.8]
+    write_environment(workdir / "env.json", Environment(
+        action_count=2, observation_count=1, reward_count=2,
+        event_map=event_map, emissions=emissions))
+    write_maps(workdir / "emaps.json", [event_map])
+    return event_map
+
+
+def _active(workdir, *extra):
+    _active_inputs(workdir)
+    return ["active", "--env", workdir / "env.json", "--n", 100,
+            "--maps", workdir / "emaps.json", *extra]
+
+
+def _experiment(workdir, **overrides):
+    config = {"source": "source.json", "class": {"alphabet": 2, "max_depth": 1},
+              "criterion": "cost", "pen": "bic:markov", "n_grid": [100], "seeds": [0]}
+    config.update(overrides)
+    return ["experiment", "--config", _written(workdir / "exp.json", json.dumps(config)),
+            "--out", workdir / "traj.csv"]
+
+
+BAD_INPUTS = {
+    "negative seed": lambda d: [
+        "sample", "--source", d / "source.json", "--n", 10, "--seed", -1,
+        "--out", d / "out.txt"],
+    "csv seed not an integer": lambda d: [
+        "diagnose", "--check-file", _written(
+            d / "traj.csv", "seed,n,chosen_map_id,total,data_cost,penalty,stabilized\n"
+                            "x,100,trivial,1.0,1.0,0.0,true\n")],
+    "jsonl row not an object": lambda d: [
+        "diagnose", "--check-file", _written(d / "scores.jsonl", "[1,2]\n")],
+    "n_grid entry not a number": lambda d: _experiment(d, n_grid=[100, "x"]),
+    "class depth not an integer": lambda d: _experiment(
+        d, **{"class": {"alphabet": 2, "max_depth": "x"}}),
+    "config smoothing not a number": lambda d: _experiment(d, smoothing="x"),
+    "negative smoothing": lambda d: [
+        "select", "--maps", _written(d / "maps.json", '{"maps": []}'),
+        "--seq", _written(d / "data.txt", "alphabet=2\n0 1 1 0\n"),
+        "--smoothing", -5],
+    "active smoothing not finite": lambda d: _active(d, "--smoothing", "nan"),
+    "policy entry not a number": lambda d: _active(
+        d, "--policy", _written(d / "policy.json", '[["x", 1], [0.5, 0.5]]')),
+    "sequence file not text": lambda d: [
+        "diagnose", "--seq", _written(d / "data.txt", b"alphabet=2\n\xff")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_two_with_one_line(workdir, capsys, case):
+    assert run(*BAD_INPUTS[case](workdir)) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert captured.out == ""
+
+
 class TestActiveCommand:
     def test_rollout_and_select(self, workdir, capsys):
-        from phimp import (Alphabet, SuffixSet, compile_suffix_map,
-                           embed_reward_map, Environment)
-
-        reward_map = compile_suffix_map(SuffixSet(Alphabet(2), ((0,), (1,))))
-        event_map = embed_reward_map(reward_map, 2, 1)
-        emissions = np.zeros((2, 2, 2))
-        emissions[0, :, :] = [0.9, 0.1]
-        emissions[1, :, :] = [0.2, 0.8]
-        env = Environment(action_count=2, observation_count=1, reward_count=2,
-                          event_map=event_map, emissions=emissions)
-        write_environment(workdir / "env.json", env)
-        from phimp import write_maps
-        write_maps(workdir / "emaps.json", [event_map])
-
+        event_map = _active_inputs(workdir)
         assert run("active", "--env", workdir / "env.json", "--policy", "uniform",
                    "--n", 10_000, "--seed", 3, "--maps", workdir / "emaps.json",
                    "--out", workdir / "active.jsonl") == 0

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hand_counts, path_product_nll, path_sum_likelihood
-from phimp import (Alphabet, InputError, PairedSequence, PenaltyScheme,
-                   SuffixSet, SymbolSequence, compile_suffix_map, cost, estimate,
-                   estimate_paired, icost, log_likelihood, ml_cost, ocost,
-                   penalty, sample_fsmx, state_determines_pair, trivial_map)
+from phimp import (Alphabet, FeatureMap, InputError, PairedSequence,
+                   PenaltyScheme, SuffixSet, SymbolSequence, compile_suffix_map,
+                   cost, enumerate_closed_suffix_maps, estimate, estimate_paired,
+                   icost, log_likelihood, ml_cost, ocost, penalty, sample_fsmx,
+                   state_determines_pair, trivial_map)
+from phimp.estimation import counts_nll
 from phimp.sources import FsmxSource, rng_stream
 
 BINARY = Alphabet(2)
@@ -22,6 +24,29 @@ def seq(items, size=2):
 
 def depth_one_map():
     return compile_suffix_map(SuffixSet(BINARY, ((0,), (1,))))
+
+
+def general_fsm(table, start=0):
+    table = np.asarray(table, dtype=np.int64)
+    return FeatureMap(kind="general-fsm", alphabet_size=table.shape[1],
+                      state_count=table.shape[0], start_state=start,
+                      step_table=table)
+
+
+@st.composite
+def paired_fsm_cases(draw):
+    """A general FSM (S <= 6) over a joint alphabet (X <= 3, Y <= 4) and
+    paired data for it."""
+    n_states = draw(st.integers(1, 6))
+    x_size, y_size = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cells = n_states * x_size * y_size
+    table = draw(st.lists(st.integers(0, n_states - 1), min_size=cells, max_size=cells))
+    start = draw(st.integers(0, n_states - 1))
+    n = draw(st.integers(1, 60))
+    xs = draw(st.lists(st.integers(0, x_size - 1), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, y_size - 1), min_size=n, max_size=n))
+    fmap = general_fsm(np.reshape(table, (n_states, x_size * y_size)), start)
+    return fmap, PairedSequence(Alphabet(x_size), Alphabet(y_size), xs, ys)
 
 
 class TestEstimate:
@@ -63,8 +88,9 @@ class TestEstimate:
             estimate(reference_map, seq([]))
 
     @settings(max_examples=40, deadline=None)
-    @given(items=st.lists(st.integers(0, 1), min_size=1, max_size=60))
-    def test_matches_dict_walk_oracle(self, reference_map, items):
+    @given(items=st.lists(st.integers(0, 1), min_size=1, max_size=60),
+           case=paired_fsm_cases())
+    def test_matches_dict_walk_oracle(self, reference_map, items, case):
         data = seq(items)
         emp = estimate(reference_map, data)
         trans, emis = hand_counts(reference_map.step_table, reference_map.start_state,
@@ -76,6 +102,15 @@ class TestEstimate:
                 assert emp.transition[s].sum() == pytest.approx(1.0, abs=1e-12)
             if emp.emission_row_visited[s]:
                 assert emp.emission[s].sum() == pytest.approx(1.0, abs=1e-12)
+
+        # paired data: the joint symbol drives the walk, y alone is emitted
+        fmap, paired = case
+        emp = estimate_paired(fmap, paired)
+        trans, emis = hand_counts(fmap.step_table, fmap.start_state,
+                                  paired.joint_sequence().items, paired.ys,
+                                  fmap.state_count, paired.y_alphabet.size)
+        assert np.array_equal(emp.transition_counts, trans)
+        assert np.array_equal(emp.emission_counts, emis)
 
     def test_smoothing_converges_to_mle(self, reference_map):
         data = seq([0, 1, 1, 0, 1, 1, 1, 0])
@@ -230,10 +265,7 @@ class TestICost:
     def test_forward_matches_path_sum_oracle(self):
         # six-step paired data, all hidden paths enumerated
         rng = rng_stream(13)
-        table = np.array([[0, 1, 1, 0], [1, 0, 0, 1]])
-        fmap = __import__("phimp").FeatureMap(
-            kind="general-fsm", alphabet_size=4, state_count=2, start_state=0,
-            step_table=table, map_id="toy")
+        fmap = general_fsm([[0, 1, 1, 0], [1, 0, 0, 1]])
         for trial in range(5):
             paired = random_paired(rng, 6)
             emp = estimate_paired(fmap, paired, smoothing=1e-3)
@@ -250,10 +282,7 @@ class TestICost:
         xs = rng.integers(0, 2, n)
         ys = (rng.random(n) < 0.3).astype(np.int64)
         paired = PairedSequence(BINARY, BINARY, xs, ys)
-        table = np.array([[0, 0, 1, 1], [0, 0, 1, 1]])
-        fmap = __import__("phimp").FeatureMap(
-            kind="general-fsm", alphabet_size=4, state_count=2, start_state=0,
-            step_table=table, map_id="track-x")
+        fmap = general_fsm([[0, 0, 1, 1], [0, 0, 1, 1]])
         breakdown = icost(fmap, paired, BIC_MARKOV)
         entropy = -(0.3 * math.log(0.3) + 0.7 * math.log(0.7))
         assert abs(breakdown.data_cost / n - entropy) <= 0.01
@@ -294,6 +323,50 @@ class TestOCost:
             emp.transition, np.ones((4, 4)), joint_map.step_table,
             joint_map.start_state, list(paired.joint_sequence().items))
         assert breakdown.data_cost == pytest.approx(transitions_only, abs=1e-9)
+
+
+class TestSingleCountingPass:
+    def test_data_cost_equals_a_separate_walk_exactly(self):
+        # cost, ml_cost and ocost code the data from the counts their
+        # estimate already made; a second, independent count of the same data
+        # must give the very same floats
+        rng = rng_stream(31)
+        suffix_maps = enumerate_closed_suffix_maps(BINARY, 3)
+        for trial in range(40):
+            smoothing = (0.0, 0.5)[trial % 2]
+            if trial % 4 < 2:
+                fmap = suffix_maps[int(rng.integers(len(suffix_maps)))]
+            else:
+                n_states = int(rng.integers(1, 7))
+                fmap = general_fsm(rng.integers(0, n_states, (n_states, 2)),
+                                   int(rng.integers(n_states)))
+            data = seq(rng.integers(0, 2, int(rng.integers(1, 400))))
+            expected = log_likelihood(fmap, estimate(fmap, data, smoothing), data)
+            assert cost(fmap, data, BIC_MARKOV, smoothing).data_cost == expected
+            assert ml_cost(fmap, data, smoothing).data_cost == expected
+
+            x_size, y_size = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            n_states = int(rng.integers(1, 7))
+            fmap = general_fsm(rng.integers(0, n_states, (n_states, x_size * y_size)))
+            paired = random_paired(rng, int(rng.integers(1, 400)), x_size, y_size)
+            emp = estimate_paired(fmap, paired, smoothing)
+            trans, emis = hand_counts(fmap.step_table, fmap.start_state,
+                                      paired.joint_sequence().items, paired.ys,
+                                      n_states, y_size)
+            scheme = PenaltyScheme.from_string("bic:markov", y_size)
+            assert ocost(fmap, paired, scheme, smoothing).data_cost == \
+                counts_nll(trans, emp.transition) + counts_nll(emis, emp.emission)
+
+        # a self-estimate never codes its own data at +inf; an estimate from
+        # other data does, and both ways of counting agree on it
+        fmap = depth_one_map()
+        emp = estimate(fmap, seq([0, 0, 0, 0]))
+        other = seq([0, 1, 0, 1])
+        trans, emis = hand_counts(fmap.step_table, fmap.start_state,
+                                  other.items, other.items, 2, 2)
+        assert log_likelihood(fmap, emp, other) == math.inf
+        assert counts_nll(trans, emp.transition) + counts_nll(emis, emp.emission) \
+            == math.inf
 
 
 class TestPathFormMatchesForward:

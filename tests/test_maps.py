@@ -143,6 +143,9 @@ class TestMapHistory:
     def test_alphabet_mismatch(self, reference_map):
         with pytest.raises(InputError):
             reference_map.walk(SymbolSequence(Alphabet(3), [0]))
+        for raw in ([0, 5], [-1, 0]):
+            with pytest.raises(InputError):
+                reference_map.walk(raw)
 
     def test_padding_independence_after_depth(self):
         rng = np.random.default_rng(3)

@@ -7,7 +7,8 @@ from oracles import binary_entropy
 from phimp import (Alphabet, FeatureMap, FsmxSource, Hmm, InputError,
                    ResourceError, SuffixSet, SymbolSequence, brute_force_loglik,
                    compile_suffix_map, cross_entropy_exact_markov,
-                   cross_entropy_mc, estimate, forward_loglik, induced_hmm,
+                   cross_entropy_mc, estimate, forward_loglik,
+                   forward_loglik_steps, induced_hmm,
                    is_ergodic_chain, limiting_parameters, model_from_json,
                    model_to_json, read_model, sample_fsmx, sample_hmm,
                    stationary, substring_frequency, trivial_map, write_model)
@@ -118,6 +119,9 @@ class TestForwardAndBruteForce:
         hmm = Hmm(np.eye(1), np.array([[1.0, 0.0]]), np.array([1.0]))
         assert forward_loglik(hmm, seq([0, 1])) == -math.inf
         assert brute_force_loglik(hmm, seq([0, 1])) == -math.inf
+        # the first zero-probability step floods every later step with +inf
+        steps = forward_loglik_steps(hmm, np.array([0, 1, 0], dtype=np.int64))
+        assert steps.tolist() == [0.0, math.inf, math.inf]
 
     def test_forward_matches_brute_force_random_instances(self):
         for trial in range(20):
