@@ -23,7 +23,8 @@ from .errors import InputError
 from .estimation import PenaltyScheme
 from .fmaps import FeatureMap, memory_bound
 from .selection import SelectionResult, select, with_baseline
-from .sequences import Alphabet, PairedSequence, _read_json, _write_json
+from .sequences import (Alphabet, PairedSequence, _is_int, _number_table,
+                        _read_json, _write_json)
 from .sources import rng_stream
 
 ROW_SUM_TOL = 1e-12
@@ -52,7 +53,7 @@ class Environment:
             raise InputError(
                 f"event map must read {expected} event symbols, "
                 f"got {self.event_map.alphabet_size}")
-        self.emissions = np.asarray(self.emissions, dtype=np.float64)
+        self.emissions = _number_table(self.emissions, "emissions")
         shape = (self.event_map.state_count, self.action_count,
                  self.observation_count * self.reward_count)
         if self.emissions.shape != shape:
@@ -77,10 +78,7 @@ class Policy:
     probs: np.ndarray  # (states, actions)
 
     def __post_init__(self):
-        try:
-            self.probs = np.asarray(self.probs, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"policy table must hold numbers: {exc}") from exc
+        self.probs = _number_table(self.probs, "policy table")
         if self.probs.ndim != 2:
             raise InputError("policy table must be states-by-actions")
         if np.any(self.probs < 0):
@@ -196,12 +194,15 @@ def environment_from_json(data: dict) -> Environment:
     missing = required - data.keys()
     if missing:
         raise InputError(f"environment file missing fields: {sorted(missing)}")
+    for field in ("action_count", "observation_count", "reward_count"):
+        if not _is_int(data[field]):
+            raise InputError(f"environment field {field!r} must be an integer")
     return Environment(
-        action_count=int(data["action_count"]),
-        observation_count=int(data["observation_count"]),
-        reward_count=int(data["reward_count"]),
+        action_count=data["action_count"],
+        observation_count=data["observation_count"],
+        reward_count=data["reward_count"],
         event_map=load_fsm_map(data["event_map"]),
-        emissions=np.array(data["emissions"], dtype=np.float64),
+        emissions=data["emissions"],
     )
 
 

@@ -23,8 +23,9 @@ from .estimation import PenaltyScheme
 from .fmaps import (enumerate_closed_suffix_maps, maps_from_json, memory_bound,
                     read_maps, write_maps)
 from .selection import (consistency_run, score_map, select, with_baseline)
-from .sequences import (PairedSequence, _read_json, _read_text, _write_json,
-                        ergodicity_diagnostic, read_sequence, write_sequence)
+from .sequences import (PairedSequence, _is_int, _read_json, _read_text,
+                        _write_json, ergodicity_diagnostic, read_sequence,
+                        write_sequence)
 from .sources import (FsmxSource, cross_entropy_exact_markov, cross_entropy_mc,
                       induced_hmm, read_model, sample_fsmx, sample_hmm)
 
@@ -179,10 +180,6 @@ def _cmd_xent(args) -> int:
         })
     print(f"xent: {detail}")
     return 0
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load_experiment_config(path: Path) -> dict:

@@ -20,10 +20,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, ResourceError
-from .sequences import (Alphabet, SymbolSequence, _as_symbols, _read_json,
+from .sequences import (DEFAULT_CONTEXT_CAP, Alphabet, SymbolSequence,
+                        _as_symbols, _is_int, _number_table, _read_json,
                         _write_json)
-
-DEFAULT_CONTEXT_CAP = 4096
 
 
 def _suffix_text(suffix: tuple[int, ...]) -> str:
@@ -390,21 +389,28 @@ def load_fsm_map(description: dict) -> FeatureMap:
     if missing:
         raise InputError(f"map description missing fields: {sorted(missing)}")
 
+    for field in ("alphabet_size", "states", "start_state"):
+        if not _is_int(description[field]):
+            raise InputError(f"map field {field!r} must be an integer")
     kind = description["kind"]
-    alphabet_size = int(description["alphabet_size"])
-    state_count = int(description["states"])
+    alphabet_size = description["alphabet_size"]
+    state_count = description["states"]
     table = description["psi"]
     if (not isinstance(table, list) or len(table) != state_count
             or any(not isinstance(row, list) or len(row) != alphabet_size for row in table)):
         raise InputError("psi must be a full states-by-alphabet table")
 
     suffixes = description.get("suffixes")
+    if suffixes is not None and not (
+            isinstance(suffixes, list)
+            and all(isinstance(s, list) and all(map(_is_int, s)) for s in suffixes)):
+        raise InputError("suffixes must be a list of integer lists")
     fmap = FeatureMap(
         kind=kind,
         alphabet_size=alphabet_size,
         state_count=state_count,
-        start_state=int(description["start_state"]),
-        step_table=np.array(table, dtype=np.int64),
+        start_state=description["start_state"],
+        step_table=_number_table(table, "psi", integer=True),
         suffixes=tuple(tuple(s) for s in suffixes) if suffixes is not None else None,
         map_id=description.get("id"),
     )

@@ -17,7 +17,32 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, ResourceError
+
+
+# the most substring patterns a diagnostic scores, and the most contexts a
+# suffix-set check enumerates
+DEFAULT_CONTEXT_CAP = 4096
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number_table(value, what: str, integer: bool = False) -> np.ndarray:
+    """``value`` (nested lists or an array) as a float64 array, or an int64
+    one when ``integer``; InputError unless the nesting is rectangular and
+    every entry is a finite number (an integer when ``integer``)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise InputError(f"{what} must be a rectangular table of numbers") from exc
+    if arr.dtype.kind not in ("iu" if integer else "iuf"):
+        raise InputError(f"{what} must hold only {'integers' if integer else 'numbers'}")
+    arr = arr.astype(np.int64 if integer else np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise InputError(f"{what} must hold only finite numbers")
+    return arr
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -175,6 +200,10 @@ def frequency_trajectory(seq: SymbolSequence, pattern: SymbolSequence, grid,
     max - min of the window stays within ``tol``.
     """
     _check_same_alphabet(seq, pattern)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be a finite number >= 0, got {tol}")
+    if not 0 < tail_fraction <= 1:
+        raise InputError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     grid = np.asarray(grid, dtype=np.int64)
     if grid.size == 0:
         raise InputError("grid must be non-empty")
@@ -219,14 +248,22 @@ def ergodicity_diagnostic(seq: SymbolSequence, max_pattern_len: int,
 
     A finite-sample heuristic: it reports tail-window spreads against ``tol``,
     not a guaranteed limit. The overall verdict is the conjunction over all
-    patterns.
+    patterns, of which there may be at most ``DEFAULT_CONTEXT_CAP``.
     """
     if max_pattern_len < 1:
         raise InputError("max_pattern_len must be >= 1")
+    size = seq.alphabet.size
+    patterns = 0
+    # counted with an early exit, so a huge max_pattern_len costs nothing
+    for m in range(1, max_pattern_len + 1):
+        patterns += size ** m
+        if patterns > DEFAULT_CONTEXT_CAP:
+            raise ResourceError(
+                f"patterns of length <= {max_pattern_len} over {size} symbols "
+                f"exceed the cap of {DEFAULT_CONTEXT_CAP}")
     if grid is None:
         grid = default_grid(len(seq))
     reports: dict[tuple[int, ...], FrequencyReport] = {}
-    size = seq.alphabet.size
     for m in range(1, max_pattern_len + 1):
         for pat in itertools.product(range(size), repeat=m):
             pattern = SymbolSequence(seq.alphabet, np.array(pat, dtype=np.int64))

@@ -24,9 +24,11 @@ from . import _kernels
 from .errors import InputError, ResourceError
 from .estimation import EmpiricalHmm
 from .fmaps import FeatureMap
-from .sequences import Alphabet, SymbolSequence, _read_json, _write_json
+from .sequences import (Alphabet, SymbolSequence, _number_table, _read_json,
+                        _write_json)
 
 ROW_SUM_TOL = 1e-12
+STATIONARY_TOL = 1e-10
 DEFAULT_PATH_CAP = 10_000_000
 
 
@@ -56,13 +58,13 @@ class Hmm:
     initial: np.ndarray
 
     def __post_init__(self):
-        self.transition = np.asarray(self.transition, dtype=np.float64)
-        self.emission = np.asarray(self.emission, dtype=np.float64)
-        self.initial = np.asarray(self.initial, dtype=np.float64)
-        s = self.transition.shape[0]
-        if self.transition.shape != (s, s):
+        self.transition = _number_table(self.transition, "transition matrix")
+        self.emission = _number_table(self.emission, "emission matrix")
+        self.initial = _number_table(self.initial, "initial distribution")
+        if self.transition.ndim != 2 or self.transition.shape[0] != self.transition.shape[1]:
             raise InputError("transition matrix must be square")
-        if self.emission.shape[0] != s or self.initial.shape != (s,):
+        s = self.transition.shape[0]
+        if self.emission.ndim != 2 or self.emission.shape[0] != s or self.initial.shape != (s,):
             raise InputError("emission and initial shapes must match the state count")
         _check_stochastic(self.transition, "transition matrix")
         _check_stochastic(self.emission, "emission matrix")
@@ -85,7 +87,7 @@ class FsmxSource:
     emit: np.ndarray
 
     def __post_init__(self):
-        self.emit = np.asarray(self.emit, dtype=np.float64)
+        self.emit = _number_table(self.emit, "emit table")
         if self.emit.shape != (self.fmap.state_count, self.fmap.alphabet_size):
             raise InputError("emit table must be states-by-alphabet")
         _check_stochastic(self.emit, "emit table")
@@ -173,35 +175,34 @@ def induced_hmm(source: FsmxSource) -> Hmm:
     return Hmm(transition=transition, emission=emission, initial=initial)
 
 
+def _reachable(support: np.ndarray, seeds) -> np.ndarray:
+    """Boolean mask of the states reachable from ``seeds`` (included) along
+    the edges of a square boolean adjacency matrix, by breadth-first search."""
+    seen = np.zeros(support.shape[0], dtype=bool)
+    seen[seeds] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = support[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
+
+
 def is_ergodic_chain(transition: np.ndarray) -> bool:
     """Whether every state reaches every other along positive-probability edges.
 
     Periodic chains count as ergodic here; only reachability matters.
     """
     support = np.asarray(transition) > 0
-    n = support.shape[0]
-
-    def reachable(adj):
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w in np.nonzero(adj[v])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        return seen
-
-    return bool(reachable(support).all() and reachable(support.T).all())
+    return bool(_reachable(support, 0).all() and _reachable(support.T, 0).all())
 
 
-def stationary(transition: np.ndarray, residual_tol: float = 1e-10,
-               dense_limit: int = 500) -> np.ndarray:
+def stationary(transition: np.ndarray) -> np.ndarray:
     """The unique row vector pi with pi @ T = pi, summing to one.
 
-    Solved densely for moderate state counts; above ``dense_limit`` a damped
-    power iteration (which also handles periodic chains) takes over.
+    Solved densely, with the last balance equation replaced by the
+    normalization. Raises InputError when the chain is not ergodic, or when
+    the solve is singular or leaves a residual above ``STATIONARY_TOL`` (as
+    transition probabilities many orders of magnitude apart can make it).
     """
     transition = np.asarray(transition, dtype=np.float64)
     if not is_ergodic_chain(transition):
@@ -209,28 +210,23 @@ def stationary(transition: np.ndarray, residual_tol: float = 1e-10,
             "transition matrix is not ergodic; run is_ergodic_chain to locate "
             "unreachable states")
     n = transition.shape[0]
-    if n <= dense_limit:
-        system = transition.T - np.eye(n)
-        system[-1, :] = 1.0
-        rhs = np.zeros(n)
-        rhs[-1] = 1.0
+    system = transition.T - np.eye(n)
+    system[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
         pi = np.linalg.solve(system, rhs)
-    else:
-        pi = np.full(n, 1.0 / n)
-        half = 0.5 * (np.eye(n) + transition)
-        for _ in range(1_000_000):
-            nxt = pi @ half
-            nxt /= nxt.sum()
-            if np.abs(nxt - pi).max() < 1e-12:
-                pi = nxt
-                break
-            pi = nxt
+    except np.linalg.LinAlgError as exc:
+        raise InputError(f"stationary distribution cannot be solved: {exc}") from exc
     pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
+    total = pi.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise InputError("stationary distribution cannot be solved: no finite solution")
+    pi /= total
     residual = float(np.abs(pi @ transition - pi).max())
-    if residual > residual_tol:
-        raise RuntimeError(f"stationary solve residual {residual:.3e} exceeds "
-                           f"{residual_tol:.1e}")
+    if not residual <= STATIONARY_TOL:
+        raise InputError(f"stationary solve residual {residual:.3e} exceeds "
+                         f"{STATIONARY_TOL:.1e}")
     return pi
 
 
@@ -279,107 +275,60 @@ def brute_force_loglik(hmm: Hmm, seq: SymbolSequence,
 # the product chain of a source and an evaluation map
 
 
-def _strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    # iterative Tarjan over a dense adjacency matrix
-    n = adj.shape[0]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(np.nonzero(adj[root])[0]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, neighbors = work[-1]
-            advanced = False
-            for w in neighbors:
-                w = int(w)
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(np.nonzero(adj[w])[0])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-    return components
-
-
 def _product_chain(source: FsmxSource, model_map: FeatureMap):
     """Joint chain over (source state, model state) pairs under the source law.
 
-    Returns the recurrent pair states reachable from the two start states and
-    their stationary distribution. The model map must see the same alphabet
-    as the source.
+    Pair (u, v) is state ``u * n1 + v``, with n1 the model's state count.
+    The recurrent class is found by descent: from the start pair, move to any
+    state ahead that cannot get back, until every state ahead returns; those
+    states form a closed class. It must be the only one, so every state
+    reachable from the start must be able to reach it.
+
+    Returns the sorted recurrent pair states and their stationary
+    distribution. The model map must see the same alphabet as the source.
     """
     if model_map.alphabet_size != source.fmap.alphabet_size:
         raise InputError("model map alphabet does not match the source alphabet")
-    s0_table, emit = source.fmap.step_table, source.emit
-    s1_table = model_map.step_table
     n0, n1 = source.fmap.state_count, model_map.state_count
-    total = n0 * n1
+    u, v, y = np.indices((n0, n1, source.fmap.alphabet_size)).reshape(3, -1)
+    transition = np.zeros((n0 * n1, n0 * n1))
+    # one unbuffered scatter in (u, v, y) order: every cell sums as a loop would
+    np.add.at(transition,
+              (u * n1 + v,
+               source.fmap.step_table[u, y] * n1 + model_map.step_table[v, y]),
+              source.emit[u, y])
 
-    transition = np.zeros((total, total))
-    for u in range(n0):
-        for v in range(n1):
-            p = u * n1 + v
-            for y in range(source.fmap.alphabet_size):
-                if emit[u, y] == 0.0:
-                    continue
-                q = s0_table[u, y] * n1 + s1_table[v, y]
-                transition[p, q] += emit[u, y]
-
+    support = transition > 0
     start = source.fmap.start_state * n1 + model_map.start_state
-    reach = np.zeros(total, dtype=bool)
-    stack = [start]
-    reach[start] = True
-    while stack:
-        v = stack.pop()
-        for w in np.nonzero(transition[v] > 0)[0]:
-            if not reach[w]:
-                reach[w] = True
-                stack.append(int(w))
-
-    nodes = np.nonzero(reach)[0]
-    sub = transition[np.ix_(nodes, nodes)]
-    components = _strongly_connected_components(sub > 0)
-    closed = []
-    for component in components:
-        others = [i for i in range(len(nodes)) if i not in set(component)]
-        if not others or not np.any(sub[np.ix_(component, others)] > 0):
-            closed.append(component)
-    if len(closed) != 1:
+    state = start
+    while True:
+        ahead = _reachable(support, state)
+        escapes = np.flatnonzero(ahead & ~_reachable(support.T, state))
+        if escapes.size == 0:
+            break
+        state = escapes[0]
+    if np.any(_reachable(support, start) & ~_reachable(support.T, ahead)):
         raise InputError(
             "the source does not drive the model map into a single recurrent "
             "class; check is_ergodic_chain on the induced transition matrix")
-    recurrent = nodes[sorted(closed[0])]
-    pi = stationary(transition[np.ix_(recurrent, recurrent)])
-    pairs = [(int(p // n1), int(p % n1)) for p in recurrent]
-    return pairs, pi
+    recurrent = np.flatnonzero(ahead)
+    return recurrent, stationary(transition[np.ix_(recurrent, recurrent)])
+
+
+def _stationary_flows(source: FsmxSource, model_map: FeatureMap):
+    """Every (recurrent pair, symbol) the source can emit, in pair-then-symbol
+    order: the model state v, the symbol y, the successor state
+    ``step_table[v, y]`` and the stationary flow pi * emit.
+
+    Pairs with no stationary mass and symbols the source never emits are
+    left out.
+    """
+    recurrent, pi = _product_chain(source, model_map)
+    u, v = np.divmod(recurrent, model_map.state_count)
+    emit = source.emit[u]
+    pair, y = np.nonzero((pi[:, None] > 0) & (emit > 0))
+    v = v[pair]
+    return v, y, model_map.step_table[v, y], pi[pair] * emit[pair, y]
 
 
 def limiting_parameters(source: FsmxSource, model_map: FeatureMap):
@@ -389,27 +338,17 @@ def limiting_parameters(source: FsmxSource, model_map: FeatureMap):
     digests data drawn from the source. Model states with no stationary mass
     keep uniform rows so the result stays a valid parameter set.
     """
-    pairs, pi = _product_chain(source, model_map)
+    v, y, nxt, flow = _stationary_flows(source, model_map)
     n1 = model_map.state_count
-    a_size = source.fmap.alphabet_size
-    emit = source.emit
     trans_flow = np.zeros((n1, n1))
-    emis_flow = np.zeros((n1, a_size))
-    for (u, v), mass in zip(pairs, pi):
-        for y in range(a_size):
-            w = mass * emit[u, y]
-            if w == 0.0:
-                continue
-            nxt = model_map.step_table[v, y]
-            trans_flow[v, nxt] += w
-            emis_flow[nxt, y] += w
+    emis_flow = np.zeros((n1, source.fmap.alphabet_size))
+    np.add.at(trans_flow, (v, nxt), flow)
+    np.add.at(emis_flow, (nxt, y), flow)
 
     def normalize(flow):
-        out = np.empty_like(flow)
-        for i, row in enumerate(flow):
-            s = row.sum()
-            out[i] = row / s if s > 0 else np.full(row.size, 1.0 / row.size)
-        return out
+        sums = flow.sum(axis=1, keepdims=True)
+        out = np.full_like(flow, 1.0 / flow.shape[1])
+        return np.divide(flow, sums, out=out, where=sums > 0)
 
     return normalize(trans_flow), normalize(emis_flow)
 
@@ -427,21 +366,11 @@ def cross_entropy_exact_markov(source: FsmxSource, model_map: FeatureMap,
     """
     transition = np.asarray(transition, dtype=np.float64)
     emission = np.asarray(emission, dtype=np.float64)
-    pairs, pi = _product_chain(source, model_map)
-    emit = source.emit
-    value = 0.0
-    for (u, v), mass in zip(pairs, pi):
-        if mass == 0.0:
-            continue
-        for y in range(source.fmap.alphabet_size):
-            p_true = emit[u, y]
-            if p_true == 0.0:
-                continue
-            nxt = model_map.step_table[v, y]
-            p_model = transition[v, nxt] * emission[nxt, y]
-            if p_model <= 0.0:
-                return CrossEntropyEstimate(value=math.inf, mode="exact-markov")
-            value -= mass * p_true * math.log(p_model)
+    v, y, nxt, flow = _stationary_flows(source, model_map)
+    p_model = transition[v, nxt] * emission[nxt, y]
+    if np.any(p_model <= 0.0):
+        return CrossEntropyEstimate(value=math.inf, mode="exact-markov")
+    value = -float(flow @ np.log(p_model))
     return CrossEntropyEstimate(value=value, mode="exact-markov")
 
 
@@ -515,15 +444,14 @@ def model_from_json(data: dict) -> Hmm | FsmxSource:
     kind = data.get("type")
     if kind == "hmm" or (kind is None and {"T", "E", "initial"} <= data.keys()):
         try:
-            return Hmm(transition=np.array(data["T"], dtype=np.float64),
-                       emission=np.array(data["E"], dtype=np.float64),
-                       initial=np.array(data["initial"], dtype=np.float64))
+            return Hmm(transition=data["T"], emission=data["E"],
+                       initial=data["initial"])
         except KeyError as exc:
             raise InputError(f"hmm model missing field {exc}") from exc
     if kind == "fsmx" or (kind is None and {"map", "emit"} <= data.keys()):
         try:
             fmap = load_fsm_map(data["map"])
-            return FsmxSource(fmap=fmap, emit=np.array(data["emit"], dtype=np.float64))
+            return FsmxSource(fmap=fmap, emit=data["emit"])
         except KeyError as exc:
             raise InputError(f"fsmx model missing field {exc}") from exc
     raise InputError("model type must be 'hmm' (T, E, initial) or 'fsmx' (map, emit)")

@@ -141,3 +141,87 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log(p) - (1 - p) * math.log(1 - p)
+
+
+def product_chain_flows(source_table, source_start, emit, model_table, model_start):
+    """Stationary flows of a map driven by a finite-state source, by loops.
+
+    Pair (u, v) steps to (source_table[u][y], model_table[v][y]) with
+    probability emit[u][y]. A pair is recurrent when every pair it reaches
+    reaches it back; the pairs reachable from the start must hold exactly one
+    such class, or ValueError is raised. The stationary law of that class is
+    a least-squares solve of pi (T - I) = 0 with sum(pi) = 1.
+
+    Returns ({(u, v, y): pi(u, v) * emit[u][y]} over symbols the source can
+    emit, the number of reachable pairs outside the class).
+    """
+    symbols = range(len(emit[0]))
+
+    def successors(pair):
+        u, v = pair
+        return {(int(source_table[u][y]), int(model_table[v][y]))
+                for y in symbols if emit[u][y] > 0}
+
+    def reach(pair):
+        seen, todo = {pair}, [pair]
+        while todo:
+            for nxt in successors(todo.pop()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    reachable = reach((source_start, model_start))
+    ahead = {pair: reach(pair) for pair in reachable}
+    classes = {frozenset(ahead[p]) for p in reachable
+               if all(p in ahead[q] for q in ahead[p])}
+    if len(classes) != 1:
+        raise ValueError(f"{len(classes)} closed classes are reachable")
+    states = sorted(classes.pop())
+    index = {pair: i for i, pair in enumerate(states)}
+    n = len(states)
+    transition = np.zeros((n, n))
+    for (u, v) in states:
+        for y in symbols:
+            if emit[u][y] > 0:
+                nxt = (int(source_table[u][y]), int(model_table[v][y]))
+                transition[index[(u, v)], index[nxt]] += emit[u][y]
+    system = np.vstack([transition.T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    pi = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    flows = {(u, v, y): pi[index[(u, v)]] * emit[u][y]
+             for (u, v) in states for y in symbols if emit[u][y] > 0}
+    return flows, len(reachable) - n
+
+
+def limiting_parameters_from_flows(flows, model_table, n_states, n_symbols):
+    """Row-normalized transition and emission flows; uniform rows where a
+    model state gets no flow."""
+    trans = np.zeros((n_states, n_states))
+    emis = np.zeros((n_states, n_symbols))
+    for (u, v, y), w in flows.items():
+        nxt = int(model_table[v][y])
+        trans[v, nxt] += w
+        emis[nxt, y] += w
+    for table in (trans, emis):
+        for row in table:
+            total = row.sum()
+            if total > 0:
+                row /= total
+            else:
+                row[:] = 1.0 / row.size
+    return trans, emis
+
+
+def cross_entropy_from_flows(flows, model_table, transition, emission) -> float:
+    """Sum of -flow * ln(T[v, v'] E[v', y]); +inf where the model gives a
+    flow probability zero."""
+    total = 0.0
+    for (u, v, y), w in flows.items():
+        nxt = int(model_table[v][y])
+        p = transition[v][nxt] * emission[nxt][y]
+        if p <= 0:
+            return math.inf
+        total -= w * math.log(p)
+    return total

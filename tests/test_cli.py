@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phimp import (Alphabet, Environment, SuffixSet, compile_suffix_map,
                    embed_reward_map, write_environment, write_maps, write_model)
@@ -173,6 +179,11 @@ class TestDiagnose:
         for artifact in ("maps.json", "source.json", "data.txt", "scores.jsonl"):
             assert run("diagnose", "--check-file", workdir / artifact) == 0
 
+    def test_pattern_count_cap_exit_code(self, workdir):
+        # 2 + 4 + ... + 2^20 patterns, far above the 4096 cap
+        data = _written(workdir / "data.txt", "alphabet=2\n" + "0 1 " * 10)
+        assert run("diagnose", "--seq", data, "--max-pattern-len", 20) == 3
+
     def test_check_rejects_corrupt_file(self, workdir):
         bad = workdir / "bad.jsonl"
         bad.write_text('{"map_id": "x"}\n')
@@ -213,7 +224,60 @@ def _experiment(workdir, **overrides):
             "--out", workdir / "traj.csv"]
 
 
+# ergodic by support, but 1e-300 next to 1.0 makes the stationary solve singular
+NEAR_SINGULAR_MODEL = json.dumps({
+    "type": "fsmx",
+    "map": {"kind": "general-fsm", "alphabet_size": 4, "states": 4, "start_state": 0,
+            "psi": [[0, 1, 2, 3]] * 4},
+    "emit": [[1e-20, 1e-20, 0.0, 1.0], [1.0, 1e-200, 1e-300, 0.0],
+             [0.0, 1e-300, 1.0, 2e-300], [1e-20, 0.0, 0.0, 1.0]],
+})
+
+
+def _xent_near_singular(workdir, mode):
+    model = _written(workdir / "m.json", NEAR_SINGULAR_MODEL)
+    return ["xent", "--true", model, "--model", model, "--mode", mode, "--n", 1000]
+
+
+def _env_with_emissions(workdir, emissions):
+    _active_inputs(workdir)
+    env = json.loads((workdir / "env.json").read_text())
+    env["emissions"] = emissions
+    (workdir / "env.json").write_text(json.dumps(env))
+    return ["active", "--env", workdir / "env.json", "--n", 100,
+            "--maps", workdir / "emaps.json"]
+
+
+def _diagnose(workdir, *extra):
+    return ["diagnose", "--seq", _written(workdir / "data.txt", "alphabet=2\n" + "0 1 " * 50),
+            *extra]
+
+
 BAD_INPUTS = {
+    "stationary solve singular (exact)": lambda d: _xent_near_singular(d, "exact"),
+    "stationary solve singular (mc)": lambda d: _xent_near_singular(d, "mc"),
+    "map psi not a number": lambda d: [
+        "maps", "check", _written(d / "maps.json", json.dumps({"maps": [{
+            "kind": "general-fsm", "alphabet_size": 2, "states": 2,
+            "start_state": 0, "psi": [[0, "x"], [1, 0]]}]}))],
+    "model T not a number": lambda d: [
+        "sample", "--source", _written(d / "hmm.json", json.dumps(
+            {"type": "hmm", "T": "x", "E": [[1.0]], "initial": [1.0]})),
+        "--n", 10, "--out", d / "out.txt"],
+    "emit entry not a number": lambda d: [
+        "sample", "--source", _written(d / "fsmx.json", json.dumps({
+            "type": "fsmx", "emit": [["a", 0.5]],
+            "map": {"kind": "general-fsm", "alphabet_size": 2, "states": 1,
+                    "start_state": 0, "psi": [[0, 0]]}})),
+        "--n", 10, "--out", d / "out.txt"],
+    "environment emissions not a number": lambda d: _env_with_emissions(
+        d, [[["x", 0.1], [0.9, 0.1]], [[0.2, 0.8], [0.2, 0.8]]]),
+    "diagnose tol nan": lambda d: _diagnose(d, "--tol", "nan"),
+    "diagnose tol negative": lambda d: _diagnose(d, "--tol", -1),
+    "tail fraction nan": lambda d: _diagnose(d, "--tail-fraction", "nan"),
+    "tail fraction zero": lambda d: _diagnose(d, "--tail-fraction", 0),
+    "tail fraction negative": lambda d: _diagnose(d, "--tail-fraction", -1),
+    "tail fraction above one": lambda d: _diagnose(d, "--tail-fraction", 5),
     "negative seed": lambda d: [
         "sample", "--source", d / "source.json", "--n", 10, "--seed", -1,
         "--out", d / "out.txt"],
@@ -260,3 +324,111 @@ class TestActiveCommand:
                 (workdir / "active.jsonl").read_text().splitlines()
                 if not line.startswith("#")]
         assert {row["map_id"] for row in rows} == {"trivial", event_map.map_id}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the CLI contract: any argv and file contents exit 0, 2 or 3 with no
+# traceback
+
+FUZZ_POOL = ("x", "nan", "-1", "1e309", "0")
+
+# command words -> (file flags -> fixture name, numeric flags -> valid value);
+# the flag "" is a positional file argument and the fixture None any fixture
+FUZZ_COMMANDS = {
+    ("sample",): ({"--source": "source.json"},
+                  {"--n": "200", "--seed": "3", "--stream": "1"}),
+    ("maps", "enumerate"): ({}, {"--alphabet": "2", "--max-depth": "2",
+                                 "--padding": "1", "--cap": "64"}),
+    ("maps", "check"): ({"": "maps.json"}, {}),
+    ("score",): ({"--maps": "maps.json", "--seq": "data.txt"}, {"--smoothing": "0.5"}),
+    ("select",): ({"--maps": "maps.json", "--seq": "data.txt"}, {"--smoothing": "0.5"}),
+    ("xent", "--mode", "exact"): ({"--true": "source.json", "--model": "source.json"}, {}),
+    ("xent", "--mode", "mc"): ({"--true": "source.json", "--model": "source.json"},
+                               {"--n": "1000", "--seed": "2"}),
+    ("experiment",): ({"--config": "exp.json"}, {"--jobs": "1"}),
+    ("active",): ({"--env": "env.json", "--maps": "emaps.json", "--policy": "policy.json"},
+                  {"--n": "200", "--seed": "1", "--smoothing": "0.5"}),
+    ("diagnose",): ({"--seq": "data.txt"},
+                    {"--max-pattern-len": "2", "--tol": "0.05", "--tail-fraction": "0.5"}),
+    ("diagnose", "--check-file"): ({"": None}, {}),
+}
+FUZZ_OUTPUTS = {("sample",), ("maps", "enumerate"), ("score",), ("experiment",)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_fixtures(tmp_path_factory, reference_source):
+    base = tmp_path_factory.mktemp("fixtures")
+    write_model(base / "source.json", reference_source)
+    run("sample", "--source", base / "source.json", "--n", 300, "--seed", 1,
+        "--out", base / "data.txt")
+    run("maps", "enumerate", "--alphabet", 2, "--max-depth", 2, "--out", base / "maps.json")
+    _active_inputs(base)
+    (base / "policy.json").write_text(json.dumps([[0.5, 0.5], [0.3, 0.7]]))
+    (base / "exp.json").write_text(json.dumps({
+        "source": "source.json", "class": {"alphabet": 2, "max_depth": 1},
+        "criterion": "cost", "pen": "bic:markov", "n_grid": [100, 200], "seeds": [0]}))
+    return {path.name: path.read_bytes() for path in base.iterdir()}
+
+
+def _numeric_leaves(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numeric_leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for key, item in enumerate(value):
+            yield from _numeric_leaves(item, path + (key,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+def _malformed(data, name, content: bytes) -> bytes:
+    kind = data.draw(st.sampled_from(("truncated", "non-numeric", "non-utf8")))
+    if kind == "truncated":
+        return content[:data.draw(st.integers(0, len(content) - 1))]
+    if kind == "non-utf8":
+        return b"\xff\xfe" + content
+    if name.endswith(".txt"):
+        return content.replace(b" 1 ", b" x ", 1)
+    parsed = json.loads(content)
+    *parents, last = data.draw(st.sampled_from(list(_numeric_leaves(parsed))))
+    target = parsed
+    for key in parents:
+        target = target[key]
+    target[last] = "x"
+    return json.dumps(parsed).encode()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_fixtures, data):
+    words = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    files, numbers = FUZZ_COMMANDS[words]
+    # at most one malformed file or out-of-pool flag value per run, so that
+    # no fault hides behind another one checked earlier
+    fault = data.draw(st.sampled_from([None, *files, *numbers]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, content in fuzz_fixtures.items():
+            (tmp / name).write_bytes(content)
+        argv = list(words)
+        for flag, name in files.items():
+            if name is None:
+                name = data.draw(st.sampled_from(sorted(fuzz_fixtures)))
+            if flag == fault:
+                (tmp / name).write_bytes(_malformed(data, name, fuzz_fixtures[name]))
+            argv += [flag, str(tmp / name)] if flag else [str(tmp / name)]
+        for flag, valid in numbers.items():
+            pool = FUZZ_POOL if flag == fault else (None, valid)
+            value = data.draw(st.sampled_from(pool))
+            if value is not None:
+                argv += [flag, value]
+        if words in FUZZ_OUTPUTS:
+            argv += ["--out", str(tmp / "out")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in stderr.getvalue()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import binary_entropy
+from oracles import (binary_entropy, cross_entropy_from_flows,
+                     limiting_parameters_from_flows, product_chain_flows)
 from phimp import (Alphabet, FeatureMap, FsmxSource, Hmm, InputError,
                    ResourceError, SuffixSet, SymbolSequence, brute_force_loglik,
                    compile_suffix_map, cross_entropy_exact_markov,
@@ -169,6 +170,20 @@ class TestStationary:
         with pytest.raises(InputError, match="is_ergodic_chain"):
             stationary(np.eye(2))
 
+    @pytest.mark.parametrize("transition", [
+        # ergodic by support, but 1e-300 next to 1.0 leaves the system
+        # numerically singular
+        [[1e-20, 1e-20, 0.0, 1.0], [1.0, 1e-200, 1e-300, 0.0],
+         [0.0, 1e-300, 1.0, 2e-300], [1e-20, 0.0, 0.0, 1.0]],
+        # subnormal exits: the solve returns NaN without raising
+        [[1.0, 0.0, 6.047e-321], [9.501e-321, 1.0, 7.905e-323],
+         [0.0, 6.141e-321, 1.0]],
+    ], ids=["singular", "nan"])
+    def test_unsolvable_chain_rejected(self, transition):
+        assert is_ergodic_chain(np.array(transition))
+        with pytest.raises(InputError, match="stationary"):
+            stationary(np.array(transition))
+
 
 class TestErgodicChain:
     def test_strictly_positive_matrix(self):
@@ -244,6 +259,54 @@ class TestLimitingParameters:
         sample = sample_fsmx(reference_source, 100_000, seed=12)
         emp = estimate(model_map, sample)
         assert np.abs(emp.transition - transition).max() <= 0.01
+
+
+def random_general_fsm(rng, n_states, n_symbols):
+    return FeatureMap(kind="general-fsm", alphabet_size=n_symbols,
+                      state_count=n_states, start_state=int(rng.integers(n_states)),
+                      step_table=rng.integers(0, n_states, size=(n_states, n_symbols)))
+
+
+class TestProductChainOracle:
+    def test_matches_loop_oracle_with_transient_pairs_and_several_classes(self):
+        # sparse emit tables leave pairs that are transient or sit in
+        # several closed classes; both must occur for the test to count
+        transient_cases = multi_class_cases = 0
+        for trial in range(300):
+            rng = rng_stream(9000 + trial)
+            n_symbols = int(rng.integers(1, 4))
+            emit = rng.dirichlet(np.ones(n_symbols), int(rng.integers(1, 7)))
+            emit[rng.random(emit.shape) < 0.4] = 0.0
+            emit[emit.sum(axis=1) == 0, 0] = 1.0
+            emit /= emit.sum(axis=1, keepdims=True)
+            source = FsmxSource(random_general_fsm(rng, emit.shape[0], n_symbols), emit)
+            model_map = random_general_fsm(rng, int(rng.integers(1, 7)), n_symbols)
+            try:
+                flows, transient = product_chain_flows(
+                    source.fmap.step_table, source.fmap.start_state, emit,
+                    model_map.step_table, model_map.start_state)
+            except ValueError:
+                multi_class_cases += 1
+                with pytest.raises(InputError, match="single recurrent class"):
+                    limiting_parameters(source, model_map)
+                continue
+            transient_cases += transient > 0
+            transition, emission = limiting_parameters(source, model_map)
+            want_t, want_e = limiting_parameters_from_flows(
+                flows, model_map.step_table, model_map.state_count, n_symbols)
+            assert np.abs(transition - want_t).max() <= 1e-12
+            assert np.abs(emission - want_e).max() <= 1e-12
+            got = cross_entropy_exact_markov(source, model_map, transition, emission)
+            want = cross_entropy_from_flows(flows, model_map.step_table,
+                                            transition, emission)
+            assert got.value == pytest.approx(want, rel=1e-12, abs=1e-300)
+            # a model that forbids one move of the chain codes it at +inf
+            (_, v, y), _ = next(iter(flows.items()))
+            holed = transition.copy()
+            holed[v, model_map.step_table[v, y]] = 0.0
+            assert cross_entropy_exact_markov(
+                source, model_map, holed, emission).value == math.inf
+        assert transient_cases >= 10 and multi_class_cases >= 5
 
 
 class TestCrossEntropyMc:
