@@ -3,9 +3,15 @@
 All kernels take plain int64/float64 arrays; wrapping, validation and RNG
 live in the calling modules. Samplers consume pre-drawn uniforms and
 pre-computed CDF rows, so a seed fixes every draw.
+
+The forward recursion steps about sqrt(n) blocks of sqrt(n) symbols in
+lockstep, in three phases: scaled block products, alpha at each block start,
+per-step losses (see ``forward_nll_steps``).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,19 +42,76 @@ def count_path(step_table, start, drive, emit, n_states, n_emit):
 
 
 def forward_nll_steps(transition, emission, initial, symbols):
-    # out[t] = -log of the per-step normalizer; sum(out) = -log likelihood.
-    # A zero normalizer floods the remaining steps with +inf.
+    """Per-step negative log normalizers of the forward recursion.
+
+    out[t] = -log of the step-t normalizer and sum(out) = -log likelihood; the
+    first step whose normalizer is zero and every later step are +inf. As in
+    a per-symbol loop, a path that alpha rounds to zero inside a block counts
+    as dead; the per-row scales of phase 1 keep it alive across a block start.
+
+    The n steps are cut into B = ceil(n / L) blocks of L = isqrt(n) steps.
+    Phases 1 and 3 loop over the L offsets within a block, each operation one
+    NumPy call over all blocks at once; phase 2 loops over the B blocks:
+
+    1. Block products in lockstep: P_b is the product of T * E[:, y] over
+       block b's steps. Each row is renormalized after every step and its log
+       scale kept apart, so a row far below the others (the start state's,
+       say) never underflows to zero.
+    2. alpha at each block start, by one pass over the blocks:
+       alpha_{b+1} is proportional to (alpha_b * exp(logscale_b)) @ P_b; the
+       pass stops at the block in which every path dies.
+    3. Per-step losses in lockstep: starting from those alphas, step all
+       blocks by alpha = (alpha @ T) * E[:, y] and take -log of the sums.
+
+    Extra memory is O(B * S^2); no per-step matrix or column is stored.
+    """
     n = symbols.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    alpha = initial.astype(np.float64)
-    for t in range(n):
-        alpha = (alpha @ transition) * emission[:, symbols[t]]
-        norm = float(alpha.sum())
-        if norm <= 0.0:
-            out[t:] = np.inf
-            return out
-        alpha /= norm
-        out[t] = -np.log(norm)
+    out = np.full(n, np.inf)
+    if n == 0:
+        return out
+    n_states = transition.shape[0]
+    length = math.isqrt(n)
+    starts = np.arange(0, n, length)
+    n_blocks = starts.size
+    last = n - int(starts[-1])  # steps in the last block, 1..length
+    columns = np.ascontiguousarray(emission.T, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        # phase 1: per-row scaled block products
+        products = np.broadcast_to(np.eye(n_states), (n_blocks, n_states, n_states)).copy()
+        log_scale = np.zeros((n_blocks, n_states))
+        for j in range(length):
+            k = n_blocks if j < last else n_blocks - 1
+            p = (products[:k].reshape(-1, n_states) @ transition).reshape(k, n_states, n_states)
+            p *= columns[symbols[starts[:k] + j]][:, None, :]
+            sums = p.sum(axis=2)
+            log_scale[:k] += np.log(sums)
+            p /= np.where(sums > 0.0, sums, 1.0)[:, :, None]
+            products[:k] = p
+        # phase 2: alpha at each block start
+        alphas = np.empty((n_blocks, n_states))
+        alphas[0] = initial
+        live = n_blocks
+        for b in range(n_blocks - 1):
+            weights = np.log(alphas[b]) + log_scale[b]
+            top = weights.max()
+            if top == -np.inf:  # every path dies inside block b
+                live = b + 1
+                break
+            alpha = np.exp(weights - top) @ products[b]
+            alphas[b + 1] = alpha / alpha.sum()
+        # phase 3: per-step losses in lockstep
+        alphas = alphas[:live]
+        for j in range(length):
+            k = live if live < n_blocks or j < last else live - 1
+            idx = starts[:k] + j
+            a = (alphas[:k] @ transition) * columns[symbols[idx]]
+            sums = a.sum(axis=1)
+            out[idx] = -np.log(sums)
+            alphas[:k] = a / np.where(sums > 0.0, sums, 1.0)[:, None]
+    end = n if live == n_blocks else live * length
+    dead = out[:end] == np.inf
+    if dead.any():
+        out[int(dead.argmax()):] = np.inf
     return out
 
 

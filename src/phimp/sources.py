@@ -24,8 +24,8 @@ from . import _kernels
 from .errors import InputError, ResourceError
 from .estimation import EmpiricalHmm
 from .fmaps import FeatureMap
-from .sequences import (Alphabet, SymbolSequence, _number_table, _read_json,
-                        _write_json)
+from .sequences import (Alphabet, SymbolSequence, _as_symbols, _number_table,
+                        _read_json, _write_json)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -247,8 +247,12 @@ def forward_loglik(hmm: Hmm, seq: SymbolSequence) -> float:
 
 
 def forward_loglik_steps(hmm: Hmm, items: np.ndarray) -> np.ndarray:
-    """Per-symbol code-length increments (nats); +inf past a zero-probability step."""
-    return _kernels.forward_nll_steps(hmm.transition, hmm.emission, hmm.initial, items)
+    """Per-symbol code-length increments (nats); +inf past a zero-probability step.
+
+    Raises InputError when ``items`` holds a symbol outside the model's alphabet.
+    """
+    symbols = _as_symbols(items, hmm.emission_size, "sequence")
+    return _kernels.forward_nll_steps(hmm.transition, hmm.emission, hmm.initial, symbols)
 
 
 def brute_force_loglik(hmm: Hmm, seq: SymbolSequence,
@@ -382,16 +386,19 @@ def cross_entropy_of_estimate(source: FsmxSource, model_map: FeatureMap,
 
 def _block_bootstrap_se(losses: np.ndarray, rng: np.random.Generator,
                         replicates: int = 64) -> float:
+    # each replicate's mean is the sum of its block sums, read off one prefix
+    # sum; the last block is cut so that a replicate holds n losses
     n = losses.size
     block = max(1, int(math.isqrt(n)))
     n_blocks = math.ceil(n / block)
     max_start = n - block
+    lengths = np.full(n_blocks, block)
+    lengths[-1] = n - (n_blocks - 1) * block
+    prefix = np.concatenate(([0.0], np.cumsum(losses)))
     means = np.empty(replicates)
-    offsets = np.arange(block)
     for b in range(replicates):
         starts = rng.integers(0, max_start + 1, size=n_blocks)
-        idx = (starts[:, None] + offsets[None, :]).ravel()[:n]
-        means[b] = losses[idx].mean()
+        means[b] = (prefix[starts + lengths] - prefix[starts]).sum() / n
     return float(means.std(ddof=1))
 
 

@@ -225,3 +225,49 @@ def cross_entropy_from_flows(flows, model_table, transition, emission) -> float:
             return math.inf
         total -= w * math.log(p)
     return total
+
+
+def forward_nll_steps_loop(transition, emission, initial, symbols):
+    """The per-symbol forward loop that ``_kernels.forward_nll_steps`` replaced."""
+    # out[t] = -log of the per-step normalizer; sum(out) = -log likelihood.
+    # A zero normalizer floods the remaining steps with +inf.
+    n = symbols.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    alpha = initial.astype(np.float64)
+    for t in range(n):
+        alpha = (alpha @ transition) * emission[:, symbols[t]]
+        norm = float(alpha.sum())
+        if norm <= 0.0:
+            out[t:] = np.inf
+            return out
+        alpha /= norm
+        out[t] = -np.log(norm)
+    return out
+
+
+def first_zero_probability_step(transition, emission, initial, symbols) -> int:
+    """First step at which no hidden path has positive probability (n when
+    none), from the zero patterns alone, so no rounding enters."""
+    live = {i for i in range(len(initial)) if initial[i] > 0}
+    for t, y in enumerate(symbols):
+        live = {j for i in live for j in range(len(initial))
+                if transition[i][j] > 0 and emission[j][y] > 0}
+        if not live:
+            return t
+    return len(symbols)
+
+
+def block_bootstrap_se_gather(losses, rng, replicates: int = 64) -> float:
+    """Moving-block bootstrap standard error by gathering every replicate's n
+    losses, the form ``sources._block_bootstrap_se`` replaced."""
+    n = losses.size
+    block = max(1, int(math.isqrt(n)))
+    n_blocks = math.ceil(n / block)
+    max_start = n - block
+    means = np.empty(replicates)
+    offsets = np.arange(block)
+    for b in range(replicates):
+        starts = rng.integers(0, max_start + 1, size=n_blocks)
+        idx = (starts[:, None] + offsets[None, :]).ravel()[:n]
+        means[b] = losses[idx].mean()
+    return float(means.std(ddof=1))

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import (binary_entropy, cross_entropy_from_flows,
-                     limiting_parameters_from_flows, product_chain_flows)
+from oracles import (binary_entropy, block_bootstrap_se_gather,
+                     cross_entropy_from_flows, first_zero_probability_step,
+                     forward_nll_steps_loop, limiting_parameters_from_flows,
+                     product_chain_flows)
 from phimp import (Alphabet, FeatureMap, FsmxSource, Hmm, InputError,
                    ResourceError, SuffixSet, SymbolSequence, brute_force_loglik,
                    compile_suffix_map, cross_entropy_exact_markov,
@@ -13,7 +16,8 @@ from phimp import (Alphabet, FeatureMap, FsmxSource, Hmm, InputError,
                    is_ergodic_chain, limiting_parameters, model_from_json,
                    model_to_json, read_model, sample_fsmx, sample_hmm,
                    stationary, substring_frequency, trivial_map, write_model)
-from phimp.sources import rng_stream
+from phimp._kernels import forward_nll_steps
+from phimp.sources import _block_bootstrap_se, rng_stream
 
 BINARY = Alphabet(2)
 
@@ -140,6 +144,135 @@ class TestForwardAndBruteForce:
         hmm = random_hmm(rng, 3, 2)
         with pytest.raises(ResourceError, match="cap"):
             brute_force_loglik(hmm, seq(rng.integers(0, 2, 30)), path_cap=1000)
+
+
+def degenerate_hmm_arrays(rng):
+    """Raw forward-kernel inputs (S <= 8, Y <= 4) with holes in the
+    transition matrix, whole zero rows, zero emissions and emissions down to
+    1e-300."""
+    n_states = int(rng.integers(1, 9))
+    n_symbols = int(rng.integers(1, 5))
+    transition = rng.dirichlet(np.ones(n_states), n_states)
+    emission = rng.dirichlet(np.ones(n_symbols), n_states)
+    if rng.random() < 0.3:
+        transition[rng.random((n_states, n_states)) < 0.3] = 0.0
+    if rng.random() < 0.2:
+        transition[rng.integers(n_states)] = 0.0
+    if rng.random() < 0.3:
+        emission[rng.random((n_states, n_symbols)) < 0.3] = 0.0
+    if rng.random() < 0.3:
+        tiny = rng.random((n_states, n_symbols)) < 0.3
+        emission[tiny] = 10.0 ** -rng.uniform(100, 300, int(tiny.sum()))
+    if rng.random() < 0.5:
+        initial = np.zeros(n_states)
+        initial[rng.integers(n_states)] = 1.0
+    else:
+        initial = rng.dirichlet(np.ones(n_states))
+    return transition, emission, initial, n_symbols
+
+
+def first_inf(steps) -> int:
+    hits = np.flatnonzero(np.isinf(steps))
+    return int(hits[0]) if hits.size else steps.size
+
+
+# around k^2 (k = 2, 4, 10, 48) the block length isqrt(n) steps up and the last
+# block goes from full to one step; primes leave a ragged last block
+FORWARD_LENGTHS = (0, 1, 2, 3, 4, 5, 15, 16, 17, 99, 100, 101, 2303, 2304, 2305,
+                   7, 211, 997, 2999)
+
+
+class TestBlockedForwardKernel:
+    def test_matches_loop_oracle_on_degenerate_hmms(self):
+        rng = rng_stream(2024)
+        dead_cases = 0
+        for trial in range(400):
+            transition, emission, initial, n_symbols = degenerate_hmm_arrays(rng)
+            n = FORWARD_LENGTHS[trial % len(FORWARD_LENGTHS)]
+            symbols = rng.integers(0, n_symbols, n)
+            got = forward_nll_steps(transition, emission, initial, symbols)
+            want = forward_nll_steps_loop(transition, emission, initial, symbols)
+            assert got.shape == (n,) and not np.isnan(got).any()
+            stop, oracle_stop = first_inf(got), first_inf(want)
+            # +inf floods a suffix
+            assert np.isinf(got[stop:]).all()
+            if oracle_stop < n:
+                dead_cases += 1
+                # the loop's +inf is exact unless alpha rounds a live path
+                # to zero; the kernel may then stay finite, never the reverse
+                exact_stop = first_zero_probability_step(
+                    transition, emission, initial, symbols)
+                assert oracle_stop <= stop <= exact_stop
+                if oracle_stop == exact_stop:
+                    assert stop == oracle_stop
+            else:
+                assert stop == n
+            both = min(stop, oracle_stop)
+            assert np.all(np.abs(got[:both] - want[:both])
+                          <= 1e-12 * np.maximum(1.0, np.abs(want[:both])))
+            if stop == oracle_stop == n:
+                total = want.sum()
+                assert abs(got.sum() - total) <= 1e-12 * max(1.0, abs(total))
+        assert dead_cases >= 25
+
+    def test_start_row_far_below_the_others_stays_finite(self):
+        # state 0 emits the data with probability 1e-20 a step and state 1
+        # cannot reach it, so over a 32-step block the start state's row is
+        # 1e-640 below state 1's; one scale per block would zero it
+        transition = np.eye(2)
+        emission = np.array([[1e-20, 1.0 - 1e-20], [1.0, 0.0]])
+        initial = np.array([1.0, 0.0])
+        symbols = np.zeros(1024, dtype=np.int64)
+        want = forward_nll_steps_loop(transition, emission, initial, symbols)
+        got = forward_nll_steps(transition, emission, initial, symbols)
+        assert np.isfinite(want).all() and np.isfinite(got).all()
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_path_rounded_to_zero_inside_a_block_floods_like_the_loop(self):
+        # state 1 keeps a path alive at 1e-200 a step; alpha rounds it to zero
+        # at step 1, so state 0's death at step 2 zeroes the normalizer, while
+        # the block products, scaled per row, carry the path into block 1
+        transition = np.eye(2)
+        emission = np.array([[1.0, 0.0], [1e-200, 1.0 - 1e-200]])
+        initial = np.array([0.5, 0.5])
+        symbols = np.array([0, 0] + [1] * 14)
+        want = forward_nll_steps_loop(transition, emission, initial, symbols)
+        got = forward_nll_steps(transition, emission, initial, symbols)
+        assert first_zero_probability_step(transition, emission, initial, symbols) == 16
+        assert first_inf(want) == first_inf(got) == 2
+        assert np.isinf(got[2:]).all()
+        assert got[:2] == pytest.approx(want[:2], rel=1e-12)
+
+    def test_traced_peak_memory_of_one_call(self):
+        # no (n, S) or (n, S, S) array: per-step columns alone would take 6 MB
+        rng = rng_stream(7)
+        n_states, n = 8, 100_000
+        transition = rng.dirichlet(np.ones(n_states), n_states)
+        emission = rng.dirichlet(np.ones(2), n_states)
+        initial = np.eye(n_states)[0]
+        symbols = rng.integers(0, 2, n)
+        tracemalloc.start()
+        try:
+            forward_nll_steps(transition, emission, initial, symbols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
+    @pytest.mark.parametrize("items", [[0, -1, 1], [0, 2]])
+    def test_steps_reject_symbols_outside_the_alphabet(self, items):
+        hmm = Hmm(np.eye(2), np.array([[0.6, 0.4], [0.3, 0.7]]), np.array([0.5, 0.5]))
+        with pytest.raises(InputError, match="outside"):
+            forward_loglik_steps(hmm, np.array(items))
+
+
+class TestBlockBootstrap:
+    @pytest.mark.parametrize("n", [1000, 1001, 4099, 99_999, 100_000])
+    def test_prefix_sums_match_gathered_replicates(self, n):
+        losses = rng_stream(n).exponential(0.6, n)
+        got = _block_bootstrap_se(losses, rng_stream(11))
+        want = block_bootstrap_se_gather(losses, rng_stream(11))
+        assert got == pytest.approx(want, rel=1e-11)
 
 
 class TestStationary:
