@@ -6,7 +6,8 @@ pre-computed CDF rows, so a seed fixes every draw.
 
 The forward recursion steps about sqrt(n) blocks of sqrt(n) symbols in
 lockstep, in three phases: scaled block products, alpha at each block start,
-per-step losses (see ``forward_nll_steps``).
+per-step losses (see ``forward_nll_steps``). Above 32 hidden states it runs
+one block, which is the per-symbol loop.
 """
 
 from __future__ import annotations
@@ -41,75 +42,126 @@ def count_path(step_table, start, drive, emit, n_states, n_emit):
     return trans.reshape(n_states, n_states), emis.reshape(n_states, n_emit)
 
 
+# Phase 1 keeps B * S^2 floats for the block products and spends S^3 flops a
+# step on them. Block counts are capped so B * S^2 stays at most
+# _BLOCK_FLOATS (512 kB); above _MAX_BLOCKED_STATES states the S^3 step costs
+# more than the per-step NumPy overhead it saves, and the kernel runs one
+# block, which is the plain forward loop.
+_BLOCK_FLOATS = 1 << 16
+_MAX_BLOCKED_STATES = 32
+
+
+def _block_length(n, n_states):
+    if n_states > _MAX_BLOCKED_STATES:
+        return n
+    max_blocks = max(1, _BLOCK_FLOATS // (n_states * n_states))
+    return max(math.isqrt(n), -(-n // max_blocks))
+
+
+def _step_blocks(alpha, transition, columns, symbols, norms):
+    # steps alpha, one row (S,) or k rows (k, S), in lockstep along the last
+    # axis of symbols, writing each step's normalizer to norms; returns the
+    # end alpha. A zero normalizer leaves NaN in its row from then on.
+    if not alpha.size:
+        return alpha
+    for j in range(symbols.shape[-1]):
+        alpha = (alpha @ transition) * columns.take(symbols[..., j], axis=0)
+        sums = alpha.sum(axis=-1, keepdims=True)
+        norms[..., j] = sums[..., 0]
+        alpha /= sums
+    return alpha
+
+
 def forward_nll_steps(transition, emission, initial, symbols):
     """Per-step negative log normalizers of the forward recursion.
 
     out[t] = -log of the step-t normalizer and sum(out) = -log likelihood; the
-    first step whose normalizer is zero and every later step are +inf. As in
-    a per-symbol loop, a path that alpha rounds to zero inside a block counts
-    as dead; the per-row scales of phase 1 keep it alive across a block start.
+    first step whose normalizer is zero and every later step are +inf.
 
-    The n steps are cut into B = ceil(n / L) blocks of L = isqrt(n) steps.
-    Phases 1 and 3 loop over the L offsets within a block, each operation one
-    NumPy call over all blocks at once; phase 2 loops over the B blocks:
+    The n steps are cut into B = ceil(n / L) blocks of L steps, L = isqrt(n)
+    (longer when B * S^2 would pass _BLOCK_FLOATS, L = n above
+    _MAX_BLOCKED_STATES states). Phases 1 and 3 loop over the L offsets
+    within a block, each operation one NumPy call over all blocks at once;
+    phase 2 loops over the B blocks:
 
     1. Block products in lockstep: P_b is the product of T * E[:, y] over
-       block b's steps. Each row is renormalized after every step and its log
-       scale kept apart, so a row far below the others (the start state's,
-       say) never underflows to zero.
+       block b's steps, for every block but the last. Each row is
+       renormalized after every step and its log scale kept apart, so a row
+       far below the others (the start state's, say) never underflows to zero.
     2. alpha at each block start, by one pass over the blocks:
        alpha_{b+1} is proportional to (alpha_b * exp(logscale_b)) @ P_b; the
        pass stops at the block in which every path dies.
     3. Per-step losses in lockstep: starting from those alphas, step all
-       blocks by alpha = (alpha @ T) * E[:, y] and take -log of the sums.
+       blocks by alpha = (alpha @ T) * E[:, y] and keep the sums; the last
+       block, which may be shorter, is stepped on its own. With one block
+       this is the plain per-symbol loop.
 
-    Extra memory is O(B * S^2); no per-step matrix or column is stored.
+    A per-symbol loop rounds to zero a path that falls more than ~1e308 below
+    alpha, and keeps only a few digits of one in the subnormal range, while
+    the per-row scales of phase 1 keep both. Phase 3 steps each block the way
+    the loop does, so where a block's end and the next block's start differ
+    by more than rounding (an entry off by 1e-13 relative, or zero against
+    nonzero), phases 2 and 3 rerun from that next block with the stepped
+    alpha. The result follows the loop, +inf included; each rerun costs one
+    more pass over the remaining blocks. Extra memory is O(B * S^2), at most
+    a few times _BLOCK_FLOATS floats; no per-step matrix or column is stored.
     """
     n = symbols.shape[0]
-    out = np.full(n, np.inf)
-    if n == 0:
-        return out
     n_states = transition.shape[0]
-    length = math.isqrt(n)
-    starts = np.arange(0, n, length)
-    n_blocks = starts.size
-    last = n - int(starts[-1])  # steps in the last block, 1..length
+    length = _block_length(max(n, 1), n_states)
+    n_blocks = -(-n // length)
+    full = max(n_blocks - 1, 0)  # blocks followed by another, each `length` steps
+    grid = symbols[:full * length].reshape(full, length)
+    norms = np.zeros(n)  # step normalizers; zero where never reached
     columns = np.ascontiguousarray(emission.T, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        # phase 1: per-row scaled block products
-        products = np.broadcast_to(np.eye(n_states), (n_blocks, n_states, n_states)).copy()
-        log_scale = np.zeros((n_blocks, n_states))
-        for j in range(length):
-            k = n_blocks if j < last else n_blocks - 1
-            p = (products[:k].reshape(-1, n_states) @ transition).reshape(k, n_states, n_states)
-            p *= columns[symbols[starts[:k] + j]][:, None, :]
+        # phase 1: per-row scaled products of every block but the last
+        products = np.broadcast_to(np.eye(n_states), (full, n_states, n_states)).copy()
+        log_scale = np.zeros((full, n_states))
+        for j in range(length if full else 0):
+            p = (products.reshape(-1, n_states) @ transition).reshape(full, n_states, n_states)
+            p *= columns.take(grid[:, j], axis=0)[:, None, :]
             sums = p.sum(axis=2)
-            log_scale[:k] += np.log(sums)
+            log_scale += np.log(sums)
             p /= np.where(sums > 0.0, sums, 1.0)[:, :, None]
-            products[:k] = p
-        # phase 2: alpha at each block start
-        alphas = np.empty((n_blocks, n_states))
+            products = p
+        # alphas[b] starts block b; a zero row past the last live block
+        alphas = np.zeros((n_blocks + 1, n_states))
         alphas[0] = initial
-        live = n_blocks
-        for b in range(n_blocks - 1):
-            weights = np.log(alphas[b]) + log_scale[b]
-            top = weights.max()
-            if top == -np.inf:  # every path dies inside block b
-                live = b + 1
+        first = 0  # first block whose start is not yet checked against the loop
+        while n_blocks:
+            # phase 2: alpha at each block start from block `first` on
+            alphas[first + 1:] = 0.0
+            live = n_blocks
+            for b in range(first, full):
+                weights = np.log(alphas[b]) + log_scale[b]
+                top = weights.max()
+                if top == -np.inf:  # every path dies inside block b
+                    live = b + 1
+                    break
+                alpha = np.exp(weights - top) @ products[b]
+                alphas[b + 1] = alpha / alpha.sum()
+            # phase 3: step blocks first..live-1 from their starts
+            norms[first * length:] = 0.0
+            stop = min(live, full)
+            ends = _step_blocks(alphas[first:stop].copy(), transition, columns,
+                                grid[first:stop], norms[first * length:stop * length]
+                                .reshape(-1, length))
+            if live == n_blocks:
+                _step_blocks(alphas[full].copy(), transition, columns,
+                             symbols[full * length:], norms[full * length:])
+            # each block's end must match the next start up to rounding
+            differs = ~np.isclose(ends, alphas[first + 1:stop + 1],
+                                  rtol=1e-13, atol=0.0).all(axis=1)
+            if not differs.any():
                 break
-            alpha = np.exp(weights - top) @ products[b]
-            alphas[b + 1] = alpha / alpha.sum()
-        # phase 3: per-step losses in lockstep
-        alphas = alphas[:live]
-        for j in range(length):
-            k = live if live < n_blocks or j < last else live - 1
-            idx = starts[:k] + j
-            a = (alphas[:k] @ transition) * columns[symbols[idx]]
-            sums = a.sum(axis=1)
-            out[idx] = -np.log(sums)
-            alphas[:k] = a / np.where(sums > 0.0, sums, 1.0)[:, None]
-    end = n if live == n_blocks else live * length
-    dead = out[:end] == np.inf
+            b = first + int(differs.argmax())
+            if not (norms[first * length:(b + 1) * length] > 0.0).all():
+                break  # the loop dies inside block b; the flood below ends it
+            alphas[b + 1] = ends[b - first]
+            first = b + 1
+        dead = ~(norms > 0.0)  # a zero normalizer, or NaN after one
+        out = np.negative(np.log(norms, out=norms), out=norms)
     if dead.any():
         out[int(dead.argmax()):] = np.inf
     return out
