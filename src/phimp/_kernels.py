@@ -101,9 +101,9 @@ def forward_nll_steps(transition, emission, initial, symbols):
     the per-row scales of phase 1 keep both. Phase 3 steps each block the way
     the loop does, so where a block's end and the next block's start differ
     by more than rounding (an entry off by 1e-13 relative, or zero against
-    nonzero), phases 2 and 3 rerun from that next block with the stepped
-    alpha. The result follows the loop, +inf included; each rerun costs one
-    more pass over the remaining blocks. Extra memory is O(B * S^2), at most
+    nonzero), the steps after that block are redone as one block from the
+    stepped alpha. The result follows the loop, +inf included, and costs at
+    most the blocked pass plus the loop. Extra memory is O(B * S^2), at most
     a few times _BLOCK_FLOATS floats; no per-step matrix or column is stored.
     """
     n = symbols.shape[0]
@@ -125,41 +125,35 @@ def forward_nll_steps(transition, emission, initial, symbols):
             log_scale += np.log(sums)
             p /= np.where(sums > 0.0, sums, 1.0)[:, :, None]
             products = p
-        # alphas[b] starts block b; a zero row past the last live block
+        # phase 2: alpha at each block start; a zero row past the last live
+        # block
         alphas = np.zeros((n_blocks + 1, n_states))
         alphas[0] = initial
-        first = 0  # first block whose start is not yet checked against the loop
-        while n_blocks:
-            # phase 2: alpha at each block start from block `first` on
-            alphas[first + 1:] = 0.0
-            live = n_blocks
-            for b in range(first, full):
-                weights = np.log(alphas[b]) + log_scale[b]
-                top = weights.max()
-                if top == -np.inf:  # every path dies inside block b
-                    live = b + 1
-                    break
-                alpha = np.exp(weights - top) @ products[b]
-                alphas[b + 1] = alpha / alpha.sum()
-            # phase 3: step blocks first..live-1 from their starts
-            norms[first * length:] = 0.0
-            stop = min(live, full)
-            ends = _step_blocks(alphas[first:stop].copy(), transition, columns,
-                                grid[first:stop], norms[first * length:stop * length]
-                                .reshape(-1, length))
-            if live == n_blocks:
-                _step_blocks(alphas[full].copy(), transition, columns,
-                             symbols[full * length:], norms[full * length:])
-            # each block's end must match the next start up to rounding
-            differs = ~np.isclose(ends, alphas[first + 1:stop + 1],
-                                  rtol=1e-13, atol=0.0).all(axis=1)
-            if not differs.any():
+        live = n_blocks
+        for b in range(full):
+            weights = np.log(alphas[b]) + log_scale[b]
+            top = weights.max()
+            if top == -np.inf:  # every path dies inside block b
+                live = b + 1
                 break
-            b = first + int(differs.argmax())
-            if not (norms[first * length:(b + 1) * length] > 0.0).all():
-                break  # the loop dies inside block b; the flood below ends it
-            alphas[b + 1] = ends[b - first]
-            first = b + 1
+            alpha = np.exp(weights - top) @ products[b]
+            alphas[b + 1] = alpha / alpha.sum()
+        # phase 3: step the live blocks from their starts
+        stop = min(live, full)
+        ends = _step_blocks(alphas[:stop].copy(), transition, columns, grid[:stop],
+                            norms[:stop * length].reshape(-1, length))
+        if live == n_blocks:
+            _step_blocks(alphas[full].copy(), transition, columns,
+                         symbols[full * length:], norms[full * length:])
+        # each block's end must match the next start up to rounding; from the
+        # first that does not, unless the loop died by then, step the rest as
+        # one block
+        differs = ~np.isclose(ends, alphas[1:stop + 1], rtol=1e-13, atol=0.0).all(axis=1)
+        if differs.any():
+            b = int(differs.argmax())
+            cut = (b + 1) * length
+            if (norms[:cut] > 0.0).all():
+                _step_blocks(ends[b], transition, columns, symbols[cut:], norms[cut:])
         dead = ~(norms > 0.0)  # a zero normalizer, or NaN after one
         out = np.negative(np.log(norms, out=norms), out=norms)
     if dead.any():
