@@ -8,12 +8,11 @@ from .active import (Environment, Policy, Rollout, active_select, embed_reward_m
 from .errors import InputError, ResourceError
 from .estimation import (CostBreakdown, EmpiricalHmm, PenaltyScheme, cost,
                          counts_nll, estimate, estimate_paired, icost,
-                         log_likelihood, ml_cost, ocost, penalty,
-                         state_determines_pair)
+                         log_likelihood, ml_cost, ocost, state_determines_pair)
 from .fmaps import (ClosureReport, FeatureMap, MemoryBoundReport, SuffixSet,
                     SuffixSetReport, compile_suffix_map,
                     enumerate_closed_suffix_maps, is_fsm_closed, load_fsm_map,
-                    map_history, maps_from_json, maps_to_json, memory_bound,
+                    maps_from_json, maps_to_json, memory_bound,
                     read_maps, trivial_map, validate_suffix_set, write_maps)
 from .selection import (PruningLogEntry, SelectionResult, SelectionTrajectory,
                         consistency_run, countable_search, score_map, select,
@@ -23,8 +22,7 @@ from .sequences import (Alphabet, ErgodicityReport, FrequencyReport,
                         ergodicity_diagnostic, frequency_trajectory,
                         read_sequence, substring_frequency, write_sequence)
 from .sources import (CrossEntropyEstimate, FsmxSource, Hmm, brute_force_loglik,
-                      cross_entropy_exact_markov, cross_entropy_mc,
-                      cross_entropy_of_estimate, forward_loglik,
+                      cross_entropy_exact_markov, cross_entropy_mc, forward_loglik,
                       forward_loglik_steps, hmm_from_map_model, induced_hmm,
                       is_ergodic_chain, limiting_parameters, model_from_json,
                       model_to_json, read_model, rng_stream, sample_fsmx,

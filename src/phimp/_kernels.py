@@ -5,9 +5,10 @@ live in the calling modules. Samplers consume pre-drawn uniforms and
 pre-computed CDF rows, so a seed fixes every draw.
 
 The forward recursion steps about sqrt(n) blocks of sqrt(n) symbols in
-lockstep, in three phases: scaled block products, alpha at each block start,
-per-step losses (see ``forward_nll_steps``). Above 32 hidden states it runs
-one block, which is the per-symbol loop.
+lockstep, in two sweeps: one guesses each block's start by stepping the block
+before from the uniform law, one steps every block from its guess. Where a
+guess is off by more than rounding, the rest runs as the per-symbol loop (see
+``forward_nll_steps``).
 """
 
 from __future__ import annotations
@@ -42,20 +43,9 @@ def count_path(step_table, start, drive, emit, n_states, n_emit):
     return trans.reshape(n_states, n_states), emis.reshape(n_states, n_emit)
 
 
-# Phase 1 keeps B * S^2 floats for the block products and spends S^3 flops a
-# step on them. Block counts are capped so B * S^2 stays at most
-# _BLOCK_FLOATS (512 kB); above _MAX_BLOCKED_STATES states the S^3 step costs
-# more than the per-step NumPy overhead it saves, and the kernel runs one
-# block, which is the plain forward loop.
-_BLOCK_FLOATS = 1 << 16
-_MAX_BLOCKED_STATES = 32
-
-
-def _block_length(n, n_states):
-    if n_states > _MAX_BLOCKED_STATES:
-        return n
-    max_blocks = max(1, _BLOCK_FLOATS // (n_states * n_states))
-    return max(math.isqrt(n), -(-n // max_blocks))
+# Each sweep keeps B rows of S floats; the block count is capped so B * S
+# stays at most _BLOCK_FLOATS (128 kB an array).
+_BLOCK_FLOATS = 1 << 14
 
 
 def _step_blocks(alpha, transition, columns, symbols, norms):
@@ -65,7 +55,8 @@ def _step_blocks(alpha, transition, columns, symbols, norms):
     if not alpha.size:
         return alpha
     for j in range(symbols.shape[-1]):
-        alpha = (alpha @ transition) * columns.take(symbols[..., j], axis=0)
+        alpha = alpha @ transition
+        alpha *= columns.take(symbols[..., j], axis=0)
         sums = alpha.sum(axis=-1, keepdims=True)
         norms[..., j] = sums[..., 0]
         alpha /= sums
@@ -79,76 +70,48 @@ def forward_nll_steps(transition, emission, initial, symbols):
     first step whose normalizer is zero and every later step are +inf.
 
     The n steps are cut into B = ceil(n / L) blocks of L steps, L = isqrt(n)
-    (longer when B * S^2 would pass _BLOCK_FLOATS, L = n above
-    _MAX_BLOCKED_STATES states). Phases 1 and 3 loop over the L offsets
-    within a block, each operation one NumPy call over all blocks at once;
-    phase 2 loops over the B blocks:
+    (longer when B * S would pass _BLOCK_FLOATS). Two sweeps step all blocks
+    in lockstep, by alpha = (alpha @ T) * E[:, y] with each step's sum kept,
+    so each Python loop runs over the L offsets within a block:
 
-    1. Block products in lockstep: P_b is the product of T * E[:, y] over
-       block b's steps, for every block but the last. Each row is
-       renormalized after every step and its log scale kept apart, so a row
-       far below the others (the start state's, say) never underflows to zero.
-    2. alpha at each block start, by one pass over the blocks:
-       alpha_{b+1} is proportional to (alpha_b * exp(logscale_b)) @ P_b; the
-       pass stops at the block in which every path dies.
-    3. Per-step losses in lockstep: starting from those alphas, step all
-       blocks by alpha = (alpha @ T) * E[:, y] and keep the sums; the last
-       block, which may be shorter, is stepped on its own. With one block
-       this is the plain per-symbol loop.
+    1. Block 0 starts from ``initial`` and every later block but the last
+       from the uniform law; the end each block reaches is a guess at the
+       next block's start.
+    2. Block 0 again from ``initial`` and every later block from the guess
+       sweep 1 left in the block before; these sums are the output. The last
+       block, which may be shorter, is stepped on its own.
 
-    A per-symbol loop rounds to zero a path that falls more than ~1e308 below
-    alpha, and keeps only a few digits of one in the subnormal range, while
-    the per-row scales of phase 1 keep both. Phase 3 steps each block the way
-    the loop does, so where a block's end and the next block's start differ
-    by more than rounding (an entry off by 1e-13 relative, or zero against
-    nonzero), the steps after that block are redone as one block from the
-    stepped alpha. The result follows the loop, +inf included, and costs at
-    most the blocked pass plus the loop. Extra memory is O(B * S^2), at most
-    a few times _BLOCK_FLOATS floats; no per-step matrix or column is stored.
+    Sweep 2 steps each block the way the per-symbol loop does, from the true
+    alpha as long as the filter forgets its start within one block. Where a
+    block's sweep-2 end and its sweep-1 guess differ by more than rounding (an
+    entry off by 1e-13 relative, or zero against nonzero), the steps after
+    that block are redone as one block from the sweep-2 end, which is the loop
+    itself. So the result follows the loop, +inf and subnormal rounding
+    included, and costs at most two sweeps plus the loop. Extra memory is a
+    few arrays of B * S floats; no per-step matrix or column is stored.
     """
     n = symbols.shape[0]
     n_states = transition.shape[0]
-    length = _block_length(max(n, 1), n_states)
-    n_blocks = -(-n // length)
-    full = max(n_blocks - 1, 0)  # blocks followed by another, each `length` steps
+    max_blocks = max(1, _BLOCK_FLOATS // n_states)
+    length = max(math.isqrt(n), -(-n // max_blocks), 1)
+    full = max(-(-n // length) - 1, 0)  # blocks followed by another, each `length` steps
     grid = symbols[:full * length].reshape(full, length)
     norms = np.zeros(n)  # step normalizers; zero where never reached
+    block_norms = norms[:full * length].reshape(full, length)
     columns = np.ascontiguousarray(emission.T, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        # phase 1: per-row scaled products of every block but the last
-        products = np.broadcast_to(np.eye(n_states), (full, n_states, n_states)).copy()
-        log_scale = np.zeros((full, n_states))
-        for j in range(length if full else 0):
-            p = (products.reshape(-1, n_states) @ transition).reshape(full, n_states, n_states)
-            p *= columns.take(grid[:, j], axis=0)[:, None, :]
-            sums = p.sum(axis=2)
-            log_scale += np.log(sums)
-            p /= np.where(sums > 0.0, sums, 1.0)[:, :, None]
-            products = p
-        # phase 2: alpha at each block start; a zero row past the last live
-        # block
-        alphas = np.zeros((n_blocks + 1, n_states))
-        alphas[0] = initial
-        live = n_blocks
-        for b in range(full):
-            weights = np.log(alphas[b]) + log_scale[b]
-            top = weights.max()
-            if top == -np.inf:  # every path dies inside block b
-                live = b + 1
-                break
-            alpha = np.exp(weights - top) @ products[b]
-            alphas[b + 1] = alpha / alpha.sum()
-        # phase 3: step the live blocks from their starts
-        stop = min(live, full)
-        ends = _step_blocks(alphas[:stop].copy(), transition, columns, grid[:stop],
-                            norms[:stop * length].reshape(-1, length))
-        if live == n_blocks:
-            _step_blocks(alphas[full].copy(), transition, columns,
-                         symbols[full * length:], norms[full * length:])
-        # each block's end must match the next start up to rounding; from the
-        # first that does not, unless the loop died by then, step the rest as
-        # one block
-        differs = ~np.isclose(ends, alphas[1:stop + 1], rtol=1e-13, atol=0.0).all(axis=1)
+        starts = np.full((full, n_states), 1.0 / n_states)
+        starts[:1] = initial
+        guesses = _step_blocks(starts, transition, columns, grid, block_norms)
+        starts[1:] = guesses[:-1]
+        ends = _step_blocks(starts, transition, columns, grid, block_norms)
+        del starts  # B * S floats fewer at the check's peak
+        _step_blocks(guesses[-1] if full else initial, transition, columns,
+                     symbols[full * length:], norms[full * length:])
+        # each block's end must match the guess the next block started from up
+        # to rounding; from the first that does not, unless the loop died by
+        # then, step the rest as one block
+        differs = ~np.isclose(ends, guesses, rtol=1e-13, atol=0.0).all(axis=1)
         if differs.any():
             b = int(differs.argmax())
             cut = (b + 1) * length

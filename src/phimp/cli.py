@@ -4,7 +4,7 @@ Conventions: models, maps, environments and experiment configs are JSON;
 score tables are JSON lines; trajectories are CSV. CSV/JSONL outputs start
 with a '#'-prefixed timestamp line, which is the only part that differs
 between identical re-runs. Floats are serialized with 17 significant digits.
-Exit codes: 0 success, 2 input error, 3 resource-cap error.
+Exit codes: 0 success, 2 input error, 3 resource-cap or out-of-memory error.
 """
 
 from __future__ import annotations
@@ -201,6 +201,8 @@ def _load_experiment_config(path: Path) -> dict:
     smoothing = config.get("smoothing", 0.0)
     if not isinstance(smoothing, (int, float)) or isinstance(smoothing, bool):
         raise InputError("smoothing must be a number")
+    if not isinstance(config.get("include_baseline", True), bool):
+        raise InputError("include_baseline must be true or false")
     return config
 
 
@@ -252,11 +254,13 @@ def _trajectory_rows(trajectory) -> list[str]:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     config_path = Path(args.config)
     config = _load_experiment_config(config_path)
     source, maps, scheme = _resolve_experiment_inputs(config, config_path.parent)
     criterion = config["criterion"]
-    include_baseline = bool(config.get("include_baseline", True))
+    include_baseline = config.get("include_baseline", True)
     smoothing = float(config.get("smoothing", 0.0))
     n_grid = [int(v) for v in config["n_grid"]]
     seeds = [int(v) for v in config["seeds"]]
@@ -521,6 +525,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"resource error: out of memory ({exc})", file=sys.stderr)
         return 3
 
 

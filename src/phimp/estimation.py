@@ -60,99 +60,38 @@ class PenaltyScheme:
     """Model complexity penalty pen(n, S): positive, increasing in n and S,
     sublinear in n.
 
-    kinds:
-      * ``bic``: (d / 2) * ln n with dimension d = S*(Y-1) under the
-        ``markov`` rule (deterministic-emission maps) or
-        d = S*(S-1) + S*(Y-1) under the ``full`` rule.
-      * ``linear-log``: beta(S) * ln n for a polynomial beta (default cubic).
-      * ``custom-table``: exact lookup on a validated (n, S) grid.
+    specs:
+      * ``bic:markov``: (d / 2) * ln n with dimension d = S*(Y-1), for
+        deterministic-emission maps;
+      * ``bic:full``: the same with d = S*(S-1) + S*(Y-1);
+      * ``cubic``: S^3 * ln n.
     """
 
-    kind: str
-    dim_rule: str | None = None
-    alphabet_size: int | None = None
-    beta_coeffs: tuple[float, ...] | None = None
-    table: tuple[tuple[int, int, float], ...] | None = None
+    spec: str
+    alphabet_size: int
 
     def __post_init__(self):
-        if self.kind == "bic":
-            if self.dim_rule not in ("markov", "full"):
-                raise InputError(f"unknown BIC dimension rule {self.dim_rule!r}")
-            if self.alphabet_size is None or self.alphabet_size < 1:
-                raise InputError("BIC penalties need the emission alphabet size")
-        elif self.kind == "linear-log":
-            if not self.beta_coeffs:
-                raise InputError("linear-log penalties need polynomial coefficients")
-        elif self.kind == "custom-table":
-            self._validate_table()
-        else:
-            raise InputError(f"unknown penalty kind {self.kind!r}")
-
-    def _validate_table(self):
-        if not self.table:
-            raise InputError("custom penalty table is empty")
-        entries = {}
-        for n, s, pen in self.table:
-            if pen <= 0:
-                raise InputError(f"penalty table value pen({n},{s})={pen} is not positive")
-            entries[(int(n), int(s))] = float(pen)
-        ns = sorted({k[0] for k in entries})
-        ss = sorted({k[1] for k in entries})
-        for s in ss:
-            values = [entries.get((n, s)) for n in ns]
-            got = [v for v in values if v is not None]
-            if any(b < a for a, b in zip(got, got[1:])):
-                raise InputError(f"penalty table decreases in n at S={s}")
-        for n in ns:
-            values = [entries.get((n, s)) for s in ss]
-            got = [v for v in values if v is not None]
-            if any(b < a for a, b in zip(got, got[1:])):
-                raise InputError(f"penalty table decreases in S at n={n}")
-        object.__setattr__(self, "table", tuple(sorted((n, s, entries[(n, s)])
-                                                       for (n, s) in entries)))
+        if self.spec not in ("bic:markov", "bic:full", "cubic"):
+            raise InputError(f"unknown penalty spec {self.spec!r} "
+                             "(expected bic:markov, bic:full, or cubic)")
+        if self.alphabet_size < 1:
+            raise InputError("penalties need the emission alphabet size")
 
     @classmethod
     def from_string(cls, text: str, alphabet_size: int) -> "PenaltyScheme":
-        if text == "bic:markov":
-            return cls(kind="bic", dim_rule="markov", alphabet_size=alphabet_size)
-        if text == "bic:full":
-            return cls(kind="bic", dim_rule="full", alphabet_size=alphabet_size)
-        if text == "cubic":
-            return cls(kind="linear-log", beta_coeffs=(0.0, 0.0, 0.0, 1.0))
-        raise InputError(f"unknown penalty spec {text!r} "
-                         "(expected bic:markov, bic:full, or cubic)")
-
-    def spec_string(self) -> str:
-        if self.kind == "bic":
-            return f"bic:{self.dim_rule}"
-        if self.kind == "linear-log":
-            return "cubic" if self.beta_coeffs == (0.0, 0.0, 0.0, 1.0) else "linear-log"
-        return "custom-table"
+        return cls(spec=text, alphabet_size=alphabet_size)
 
     def value(self, n: int, state_count: int) -> float:
         if n < 1 or state_count < 1:
             raise InputError("penalty needs n >= 1 and S >= 1")
-        if self.kind == "bic":
-            y = self.alphabet_size
-            if self.dim_rule == "markov":
-                dim = state_count * (y - 1)
-            else:
-                dim = state_count * (state_count - 1) + state_count * (y - 1)
-            # a zero dimension (S=1 over a unary alphabet) would break
-            # positivity; clamp to one parameter
-            dim = max(dim, 1)
-            return dim / 2.0 * math.log(n)
-        if self.kind == "linear-log":
-            beta = sum(c * state_count ** k for k, c in enumerate(self.beta_coeffs))
-            return beta * math.log(n)
-        for tn, ts, pen in self.table:
-            if tn == n and ts == state_count:
-                return pen
-        raise InputError(f"custom penalty table has no entry for n={n}, S={state_count}")
-
-
-def penalty(scheme: PenaltyScheme, n: int, state_count: int) -> float:
-    return scheme.value(n, state_count)
+        if self.spec == "cubic":
+            return state_count ** 3 * math.log(n)
+        dim = state_count * (self.alphabet_size - 1)
+        if self.spec == "bic:full":
+            dim += state_count * (state_count - 1)
+        # a zero dimension (S=1 over a unary alphabet) would break
+        # positivity; clamp to one parameter
+        return max(dim, 1) / 2.0 * math.log(n)
 
 
 def _normalize_rows(counts: np.ndarray, smoothing: float) -> tuple[np.ndarray, np.ndarray]:

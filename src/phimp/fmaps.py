@@ -247,11 +247,6 @@ class FeatureMap:
         return data
 
 
-def map_history(fmap: FeatureMap, seq: SymbolSequence) -> np.ndarray:
-    """Module-level alias for :meth:`FeatureMap.walk`."""
-    return fmap.walk(seq)
-
-
 def compile_suffix_map(suffix_set: SuffixSet, padding_symbol: int = 0,
                        context_cap: int = DEFAULT_CONTEXT_CAP) -> FeatureMap:
     """Turn an FSM-closed suffix set into a FeatureMap.
@@ -294,18 +289,16 @@ class MemoryBoundReport:
     kappa: int | None
 
 
-def memory_bound(fmap: FeatureMap, kappa_max: int | None = None) -> MemoryBoundReport:
+def memory_bound(fmap: FeatureMap) -> MemoryBoundReport:
     """Smallest window length such that recent symbols pin down the state.
 
     Iterates the set of still-confusable state pairs: P_0 holds all pairs and
     P_k holds the images of P_{k-1} under every symbol. The sequence is
     decreasing, so it either reaches the diagonal (bounded, with kappa one
-    less than the number of symbols needed) or stabilizes off it (unbounded).
-    With the default cutoff of S^2 iterations the verdict is exact; a smaller
-    ``kappa_max`` can only truncate the search.
+    less than the number of symbols needed) or stabilizes off it (unbounded)
+    within S^2 iterations, so the verdict is exact.
     """
     n = fmap.state_count
-    limit = n * n if kappa_max is None else min(kappa_max + 1, n * n)
     table = fmap.step_table
     diagonal = np.eye(n, dtype=bool)
     pairs = np.ones((n, n), dtype=bool)
@@ -313,7 +306,7 @@ def memory_bound(fmap: FeatureMap, kappa_max: int | None = None) -> MemoryBoundR
     while True:
         if not np.any(pairs & ~diagonal):
             return MemoryBoundReport(bounded=True, kappa=max(k - 1, 0))
-        if k >= limit:
+        if k >= n * n:
             return MemoryBoundReport(bounded=False, kappa=None)
         nxt = np.zeros((n, n), dtype=bool)
         us, vs = np.nonzero(pairs)

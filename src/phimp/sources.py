@@ -22,7 +22,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, ResourceError
-from .estimation import EmpiricalHmm
 from .fmaps import FeatureMap
 from .sequences import (Alphabet, SymbolSequence, _as_symbols, _number_table,
                         _read_json, _write_json)
@@ -376,12 +375,6 @@ def cross_entropy_exact_markov(source: FsmxSource, model_map: FeatureMap,
         return CrossEntropyEstimate(value=math.inf, mode="exact-markov")
     value = -float(flow @ np.log(p_model))
     return CrossEntropyEstimate(value=value, mode="exact-markov")
-
-
-def cross_entropy_of_estimate(source: FsmxSource, model_map: FeatureMap,
-                              emp: EmpiricalHmm) -> CrossEntropyEstimate:
-    """Convenience overload evaluating an estimated parameter set."""
-    return cross_entropy_exact_markov(source, model_map, emp.transition, emp.emission)
 
 
 def _block_bootstrap_se(losses: np.ndarray, rng: np.random.Generator,

@@ -291,6 +291,9 @@ BAD_INPUTS = {
     "class depth not an integer": lambda d: _experiment(
         d, **{"class": {"alphabet": 2, "max_depth": "x"}}),
     "config smoothing not a number": lambda d: _experiment(d, smoothing="x"),
+    "include_baseline not a boolean": lambda d: _experiment(d, include_baseline="no"),
+    "experiment jobs negative": lambda d: [*_experiment(d), "--jobs", -3],
+    "experiment jobs zero": lambda d: [*_experiment(d), "--jobs", 0],
     "negative smoothing": lambda d: [
         "select", "--maps", _written(d / "maps.json", '{"maps": []}'),
         "--seq", _written(d / "data.txt", "alphabet=2\n0 1 1 0\n"),
@@ -310,6 +313,29 @@ def test_bad_input_exits_two_with_one_line(workdir, capsys, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert captured.out == ""
+
+
+# 2^55 symbols need 2^58 bytes of uniforms, more than any 64-bit address
+# space, so the allocation fails at once and nothing is allocated
+HUGE_N = 2 ** 55
+
+HUGE_LENGTHS = {
+    "sample": lambda d: ["sample", "--source", d / "source.json", "--n", HUGE_N,
+                         "--out", d / "out.txt"],
+    "xent mc": lambda d: ["xent", "--true", d / "source.json", "--model",
+                          d / "source.json", "--mode", "mc", "--n", HUGE_N],
+    "active": lambda d: _active(d, "--n", HUGE_N),  # the last --n wins
+    "experiment": lambda d: _experiment(d, n_grid=[100, HUGE_N]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_LENGTHS))
+def test_oversized_length_exits_three_with_one_line(workdir, capsys, case):
+    assert run(*HUGE_LENGTHS[case](workdir)) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource error: ")
+    assert "Traceback" not in captured.err
 
 
 class TestActiveCommand:

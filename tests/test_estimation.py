@@ -9,7 +9,7 @@ from oracles import hand_counts, path_product_nll, path_sum_likelihood
 from phimp import (Alphabet, FeatureMap, InputError, PairedSequence,
                    PenaltyScheme, SuffixSet, SymbolSequence, compile_suffix_map,
                    cost, enumerate_closed_suffix_maps, estimate, estimate_paired,
-                   icost, log_likelihood, ml_cost, ocost, penalty, sample_fsmx,
+                   icost, log_likelihood, ml_cost, ocost, sample_fsmx,
                    state_determines_pair, trivial_map)
 from phimp.estimation import counts_nll
 from phimp.sources import FsmxSource, rng_stream
@@ -125,11 +125,11 @@ class TestEstimate:
 
 class TestPenalty:
     def test_bic_markov_value(self):
-        assert penalty(PenaltyScheme.from_string("bic:markov", 2), 100, 2) == \
+        assert PenaltyScheme.from_string("bic:markov", 2).value(100, 2) == \
             pytest.approx(math.log(100))
 
     def test_bic_full_value(self):
-        assert penalty(PenaltyScheme.from_string("bic:full", 2), 100, 2) == \
+        assert PenaltyScheme.from_string("bic:full", 2).value(100, 2) == \
             pytest.approx(2 * math.log(100))
 
     def test_cubic_value(self):
@@ -147,22 +147,6 @@ class TestPenalty:
             values = [scheme.value(1000, s) for s in range(1, 9)]
             assert all(b > a for a, b in zip(values, values[1:]))
             assert all(v > 0 for v in values)
-
-    def test_custom_table(self):
-        scheme = PenaltyScheme(kind="custom-table",
-                               table=((10, 1, 1.0), (10, 2, 2.0),
-                                      (100, 1, 1.5), (100, 2, 2.5)))
-        assert scheme.value(100, 2) == 2.5
-        with pytest.raises(InputError):
-            scheme.value(50, 2)
-
-    def test_non_monotone_table_rejected(self):
-        with pytest.raises(InputError):
-            PenaltyScheme(kind="custom-table",
-                          table=((10, 1, 2.0), (100, 1, 1.0)))
-        with pytest.raises(InputError):
-            PenaltyScheme(kind="custom-table",
-                          table=((10, 1, 2.0), (10, 2, 1.0)))
 
     def test_unknown_spec(self):
         with pytest.raises(InputError):

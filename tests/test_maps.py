@@ -9,7 +9,7 @@ from oracles import all_proper_complete_sets, closure_oracle, memory_oracle
 from phimp import (Alphabet, FeatureMap, InputError, ResourceError, SuffixSet,
                    SymbolSequence, compile_suffix_map,
                    enumerate_closed_suffix_maps, is_fsm_closed, load_fsm_map,
-                   map_history, maps_from_json, maps_to_json, memory_bound,
+                   maps_from_json, maps_to_json, memory_bound,
                    trivial_map, validate_suffix_set)
 
 BINARY = Alphabet(2)
@@ -128,7 +128,7 @@ class TestCompileAndStep:
 class TestMapHistory:
     def test_depth_one_states_follow_symbols(self):
         fmap = compile_suffix_map(sset((0,), (1,)))
-        states = map_history(fmap, SymbolSequence(BINARY, [0, 1, 1, 0]))
+        states = fmap.walk(SymbolSequence(BINARY, [0, 1, 1, 0]))
         assert list(states) == [0, 0, 1, 1, 0]
 
     def test_reference_walk(self, reference_map):

@@ -177,7 +177,8 @@ def first_inf(steps) -> int:
 
 
 # around k^2 (k = 2, 4, 10, 48) the block length isqrt(n) steps up and the last
-# block goes from full to one step; primes leave a ragged last block
+# block goes from full to one step; primes leave a ragged last block, which
+# starts from sweep 1's guess like every block after the first
 FORWARD_LENGTHS = (0, 1, 2, 3, 4, 5, 15, 16, 17, 99, 100, 101, 2303, 2304, 2305,
                    7, 211, 997, 2999)
 
@@ -207,8 +208,9 @@ class TestBlockedForwardKernel:
 
     def test_start_row_far_below_the_others_stays_finite(self):
         # state 0 emits the data with probability 1e-20 a step and state 1
-        # cannot reach it, so over a 32-step block the start state's row is
-        # 1e-640 below state 1's; one scale per block would zero it
+        # cannot reach it, so from the uniform law state 1 takes over within a
+        # 32-step block and every guess after block 0 is off: the check must
+        # catch it and follow the loop, in which only state 0 is alive
         transition = np.eye(2)
         emission = np.array([[1e-20, 1.0 - 1e-20], [1.0, 0.0]])
         initial = np.array([1.0, 0.0])
@@ -221,7 +223,7 @@ class TestBlockedForwardKernel:
     def test_path_rounded_to_zero_inside_a_block_floods_like_the_loop(self):
         # state 1 keeps a path alive at 1e-200 a step; alpha rounds it to zero
         # at step 1, so state 0's death at step 2 zeroes the normalizer, while
-        # the block products, scaled per row, carry the path into block 1
+        # block 1, started from the uniform law in sweep 1, keeps state 1 alive
         transition = np.eye(2)
         emission = np.array([[1.0, 0.0], [1e-200, 1.0 - 1e-200]])
         initial = np.array([0.5, 0.5])
@@ -245,9 +247,9 @@ class TestBlockedForwardKernel:
         [0, 2] * 6,
     ], ids=["dies", "survives", "subnormal"])
     def test_follows_the_loop_where_alpha_loses_a_path(self, tail):
-        # T = I, so each state's path is a product of its emissions; over the
-        # 4-step block 0 state 1 falls 1e-400 (1e-320) below state 0 and
-        # climbs back, and the block products, scaled per row, keep it exact
+        # T = I, so each state's path is a product of its emissions and the
+        # filter never forgets its start; over the 4-step block 0 state 1
+        # falls 1e-400 (1e-320) below state 0 and climbs back
         transition = np.eye(2)
         tiny = 1e-160 if tail[0] == 0 else 1e-200
         emission = np.array([[0.5, tiny, 0.0 if tail[0] == 2 else 0.5],
@@ -260,10 +262,9 @@ class TestBlockedForwardKernel:
         finite = np.isfinite(want)
         assert got[finite] == pytest.approx(want[finite], rel=1e-12)
 
-    @pytest.mark.parametrize("n_states", [31, 32, 33, 64])
+    @pytest.mark.parametrize("n_states", [31, 32, 33, 64, 256])
     def test_large_state_spaces_match_the_loop(self, n_states):
-        # 32 states is the largest blocked size; above it the kernel steps
-        # one block
+        # every state count runs blocked, 256 states included
         rng = rng_stream(n_states)
         transition = rng.dirichlet(np.full(n_states, 0.3), n_states)
         transition[rng.random((n_states, n_states)) < 0.2] = 0.0
@@ -278,9 +279,10 @@ class TestBlockedForwardKernel:
     @pytest.mark.parametrize("n_states,n,bound", [
         # per-step columns alone would take 6 MB
         (8, 100_000, 2_000_000),
-        # block products capped at 2^16 floats, 0.5 MB an array
+        # 316 blocks of 32 states, 80 kB an array
         (32, 100_000, 2_500_000),
-        # one block: sqrt(n) products of 256 x 256 would take 150 MB
+        # sqrt(n) blocks of 256 states would peak at 1.4 MB; capped at
+        # 2^14 floats, 128 kB an array
         (256, 20_000, 1_000_000),
     ])
     def test_traced_peak_memory_of_one_call(self, n_states, n, bound):
