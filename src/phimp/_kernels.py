@@ -4,6 +4,11 @@ All kernels take plain int64/float64 arrays; wrapping, validation and RNG
 live in the calling modules. Samplers consume pre-drawn uniforms and
 pre-computed CDF rows, so a seed fixes every draw.
 
+Counting has two forms with identical integer results: ``count_path`` walks
+the state path symbol by symbol, and ``count_table`` counts a bounded-memory
+map's steps from one bincount over the data's (L-gram, next symbol, emitted
+symbol) cells.
+
 The forward recursion steps about sqrt(n) blocks of sqrt(n) symbols in
 lockstep, in two sweeps: one guesses each block's start by stepping the block
 before from the uniform law, one steps every block from its guess. Where a
@@ -41,6 +46,39 @@ def count_path(step_table, start, drive, emit, n_states, n_emit):
                         minlength=n_states * n_states)
     emis = np.bincount(states[1:] * n_emit + emit, minlength=n_states * n_emit)
     return trans.reshape(n_states, n_states), emis.reshape(n_states, n_emit)
+
+
+def gram_codes(symbols, m, base):
+    # base-`base` code of every window symbols[t:t+m], t = 0 .. n-m, oldest
+    # symbol most significant; the caller keeps base**m within int64
+    k = symbols.shape[0] - m + 1
+    codes = symbols[:k].astype(np.int64)
+    for j in range(1, m):
+        codes *= base
+        codes += symbols[j:j + k]
+    return codes
+
+
+def count_table(step_table, start, drive, emit, n_states, n_emit, span):
+    # count_path's counts for a map whose state after any `span` symbols
+    # depends only on them, with len(drive) > span: the first `span` steps
+    # are walked, every later step is a cell (span-gram before it, its drive
+    # symbol, its emit symbol) of one bincount, folded through the map
+    trans, emis = count_path(step_table, start, drive[:span], emit[:span],
+                             n_states, n_emit)
+    n_drive = step_table.shape[1]
+    cells = gram_codes(drive, span + 1, n_drive) * n_emit + emit[span:]
+    table = np.bincount(cells)
+    used = np.flatnonzero(table)
+    grams, symbol = np.divmod(used // n_emit, n_drive)
+    # the state a gram leads to from any state, here from state 0
+    prev = np.zeros(used.size, dtype=np.int64)
+    for j in range(span - 1, -1, -1):
+        prev = step_table[prev, grams // n_drive ** j % n_drive]
+    nxt = step_table[prev, symbol]
+    np.add.at(trans, (prev, nxt), table[used])
+    np.add.at(emis, (nxt, used % n_emit), table[used])
+    return trans, emis
 
 
 # Each sweep keeps B rows of S floats; the block count is capped so B * S
@@ -199,14 +237,3 @@ def rollout_steps(step_table, start, policy_cdf, pair_cdf, u_action, u_pair,
         observations[t] = o
         rewards[t] = r
     return actions, observations, rewards
-
-
-def match_positions(seq, pattern):
-    # 1 where pattern starts at position t, over t = 0 .. n-m
-    n = seq.shape[0]
-    m = pattern.shape[0]
-    k = n - m + 1
-    hits = np.ones(k, dtype=bool)
-    for j in range(m):
-        hits &= seq[j:j + k] == pattern[j]
-    return hits.astype(np.int64)

@@ -22,7 +22,8 @@ from .errors import InputError, ResourceError
 from .estimation import PenaltyScheme
 from .fmaps import (enumerate_closed_suffix_maps, maps_from_json, memory_bound,
                     read_maps, write_maps)
-from .selection import (consistency_run, score_map, select, with_baseline)
+from .selection import (_check_class, consistency_run, score_map, select,
+                        with_baseline)
 from .sequences import (PairedSequence, _is_int, _read_json, _read_text,
                         _write_json, ergodicity_diagnostic, read_sequence,
                         write_sequence)
@@ -120,6 +121,7 @@ def _cmd_maps_check(args) -> int:
 def _cmd_score(args) -> int:
     data = read_sequence(args.seq)
     maps = read_maps(args.maps)
+    _check_class(maps)
     scheme = _load_scheme(args.pen, _data_alphabet_size(data))
     ordered = sorted(maps, key=lambda m: m.canonical_key)
     rows = [_score_row(score_map(m, data, args.criterion, scheme, args.smoothing))
@@ -318,11 +320,14 @@ def _cmd_diagnose(args) -> int:
     report = ergodicity_diagnostic(data, args.max_pattern_len, args.tol,
                                    args.tail_fraction)
     if args.out:
+        # a digit per symbol is unambiguous up to 10 symbols; above, (1, 0)
+        # and (10,) would both read "10", so symbols are joined with "-"
+        sep = "" if data.alphabet.size <= 10 else "-"
         payload = {
             "all_converged": report.all_converged,
             "max_pattern_len": report.max_pattern_len,
             "patterns": {
-                "".join(map(str, pat)): {
+                sep.join(map(str, pat)): {
                     "converged": rep.converged,
                     "final_spread": rep.final_spread,
                     "grid": rep.grid.tolist(),

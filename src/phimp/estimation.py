@@ -6,6 +6,16 @@ transitions are the n pairs (s_{t-1}, s_t) and emissions are the n pairs
 driving sequence itself follow the unique realized state path; the
 observations-only criterion marginalizes hidden states with the forward
 recursion, starting from a point mass at the start state.
+
+Counts come from one of two forms with identical integers, so every total is
+the same either way. A map with memory bound kappa (``memory_bound``) is in a
+state after any L = kappa + 1 symbols that those symbols alone fix, so its
+steps after the first L are counted by one bincount over the data's (L-gram,
+next drive symbol, emitted symbol) cells, folded through the map; the first L
+steps are walked from the start state. This context-count table is used when
+n > L and it has at most ``_TABLE_CELLS`` cells (|drive|^(L+1) * |emit|).
+Maps without bounded memory, larger tables and n <= L keep the symbol-by-
+symbol walk.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .fmaps import FeatureMap
+from .fmaps import FeatureMap, memory_bound
 from .sequences import PairedSequence, SymbolSequence
 
 
@@ -110,6 +120,24 @@ def _check_smoothing(smoothing: float):
         raise InputError(f"smoothing must be a finite number >= 0, got {smoothing}")
 
 
+# the most cells a context-count table may hold (512 kB of int64 counts)
+_TABLE_CELLS = 1 << 16
+
+
+def _count(fmap: FeatureMap, drive: np.ndarray, emit: np.ndarray,
+           n_emit: int) -> tuple[np.ndarray, np.ndarray]:
+    # transition and emission counts along the state path that drive induces
+    bound = memory_bound(fmap)
+    if bound.bounded:
+        span = bound.kappa + 1
+        if (drive.shape[0] > span
+                and fmap.alphabet_size ** (span + 1) * n_emit <= _TABLE_CELLS):
+            return _kernels.count_table(fmap.step_table, fmap.start_state, drive,
+                                        emit, fmap.state_count, n_emit, span)
+    return _kernels.count_path(fmap.step_table, fmap.start_state, drive, emit,
+                               fmap.state_count, n_emit)
+
+
 def _estimate_from_counts(trans_counts, emis_counts, n, smoothing) -> EmpiricalHmm:
     transition, trans_visited = _normalize_rows(trans_counts, smoothing)
     emission, emis_visited = _normalize_rows(emis_counts, smoothing)
@@ -136,9 +164,7 @@ def estimate(fmap: FeatureMap, seq: SymbolSequence, smoothing: float = 0.0) -> E
         raise InputError(
             f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
             f"sequence has {seq.alphabet.size}")
-    trans, emis = _kernels.count_path(
-        fmap.step_table, fmap.start_state, seq.items, seq.items,
-        fmap.state_count, fmap.alphabet_size)
+    trans, emis = _count(fmap, seq.items, seq.items, fmap.alphabet_size)
     return _estimate_from_counts(trans, emis, len(seq), smoothing)
 
 
@@ -153,9 +179,7 @@ def estimate_paired(fmap: FeatureMap, paired: PairedSequence,
             f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
             f"pairs span {paired.joint_size}")
     drive = paired.joint_sequence().items
-    trans, emis = _kernels.count_path(
-        fmap.step_table, fmap.start_state, drive, paired.ys,
-        fmap.state_count, paired.y_alphabet.size)
+    trans, emis = _count(fmap, drive, paired.ys, paired.y_alphabet.size)
     return _estimate_from_counts(trans, emis, len(paired), smoothing)
 
 
@@ -181,9 +205,7 @@ def log_likelihood(fmap: FeatureMap, emp: EmpiricalHmm, seq: SymbolSequence) -> 
         raise InputError("alphabet mismatch between map and sequence")
     if emp.state_count != fmap.state_count:
         raise InputError("state count mismatch between map and estimate")
-    trans, emis = _kernels.count_path(
-        fmap.step_table, fmap.start_state, seq.items, seq.items,
-        fmap.state_count, fmap.alphabet_size)
+    trans, emis = _count(fmap, seq.items, seq.items, fmap.alphabet_size)
     return counts_nll(trans, emp.transition) + counts_nll(emis, emp.emission)
 
 

@@ -13,6 +13,7 @@ states from the suffix depth onward do not depend on the padding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -209,6 +210,10 @@ class FeatureMap:
             return (self.state_count, 0, self.suffixes)
         return (self.state_count, 1, (self.start_state, *self.step_table.ravel().tolist()))
 
+    @functools.cached_property
+    def _memory_bound(self) -> "MemoryBoundReport":
+        return _synchronizing_window(self)
+
     def step(self, state: int, symbol: int) -> int:
         if not 0 <= state < self.state_count:
             raise InputError(f"state {state} out of range")
@@ -283,7 +288,7 @@ def trivial_map(alphabet_size: int) -> FeatureMap:
     )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class MemoryBoundReport:
     bounded: bool
     kappa: int | None
@@ -296,8 +301,13 @@ def memory_bound(fmap: FeatureMap) -> MemoryBoundReport:
     P_k holds the images of P_{k-1} under every symbol. The sequence is
     decreasing, so it either reaches the diagonal (bounded, with kappa one
     less than the number of symbols needed) or stabilizes off it (unbounded)
-    within S^2 iterations, so the verdict is exact.
+    within S^2 iterations, so the verdict is exact. The report is worked out
+    once per map object and kept on it.
     """
+    return fmap._memory_bound
+
+
+def _synchronizing_window(fmap: FeatureMap) -> MemoryBoundReport:
     n = fmap.state_count
     table = fmap.step_table
     diagonal = np.eye(n, dtype=bool)

@@ -82,7 +82,9 @@ def score_map(fmap: FeatureMap, data, criterion: str, scheme: PenaltyScheme,
     return ocost(fmap, degenerate, scheme, smoothing)
 
 
-def _check_unique_ids(maps):
+def _check_class(maps):
+    if not maps:
+        raise InputError("candidate class must be non-empty")
     seen = set()
     for fmap in maps:
         if fmap.map_id in seen:
@@ -97,11 +99,9 @@ def select(maps: list[FeatureMap], data, criterion: str,
     Candidates with infinite data cost rank last rather than erroring. The
     chosen map is invariant under permutations of ``maps``.
     """
-    if not maps:
-        raise InputError("candidate class must be non-empty")
+    _check_class(maps)
     if len(data) < 1:
         raise InputError("data must be non-empty")
-    _check_unique_ids(maps)
     ordered = sorted(maps, key=lambda m: m.canonical_key)
     scored = [(score_map(m, data, criterion, scheme, smoothing), m) for m in ordered]
     best, _ = min(scored, key=lambda pair: (pair[0].total, pair[1].state_count,
@@ -202,7 +202,7 @@ def countable_search(alphabet: Alphabet, data, criterion: str, scheme: PenaltySc
     candidates.sort(key=lambda m: m.canonical_key)
     if not candidates:
         raise InputError("budgets exclude every candidate map")
-    _check_unique_ids(candidates)
+    _check_class(candidates)
 
     n = len(data)
     if n < 1:

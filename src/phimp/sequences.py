@@ -170,10 +170,25 @@ def _check_same_alphabet(seq: SymbolSequence, pattern: SymbolSequence):
 
 
 def _occurrence_flags(seq: SymbolSequence, pattern: SymbolSequence) -> np.ndarray:
-    """1/0 flags for pattern occurrences at positions 0..n-m (overlaps allowed)."""
-    if len(pattern) > len(seq):
+    """1/0 flags for pattern occurrences at positions 0..n-m (overlaps allowed).
+
+    Windows are compared by their base-Y codes. A code of w symbols fits in
+    int64 while Y^w <= 2^63, so a longer pattern is compared as pieces of w
+    symbols, the last piece overlapping the one before.
+    """
+    n, m, base = len(seq), len(pattern), seq.alphabet.size
+    if m > n:
         return np.zeros(0, dtype=np.int64)
-    return _kernels.match_positions(seq.items, pattern.items)
+    width = 1
+    while width < m and base ** (width + 1) <= 1 << 63:
+        width += 1
+    codes = _kernels.gram_codes(seq.items, width, base)
+    piece_codes = _kernels.gram_codes(pattern.items, width, base)
+    k = n - m + 1
+    hits = np.ones(k, dtype=bool)
+    for j in sorted({*range(0, m - width, width), m - width}):
+        hits &= codes[j:j + k] == piece_codes[j]
+    return hits.astype(np.int64)
 
 
 def substring_frequency(seq: SymbolSequence, pattern: SymbolSequence) -> float:

@@ -169,6 +169,16 @@ class TestDiagnose:
         assert payload["all_converged"] is True
         assert set(payload["patterns"]) == {"0", "1", "00", "01", "10", "11"}
 
+        # 11 symbols: 11 + 121 patterns, none sharing a key
+        data = _written(workdir / "data11.txt",
+                        "alphabet=11\n" + " ".join(str(v % 11) for v in range(500)))
+        assert run("diagnose", "--seq", data, "--max-pattern-len", 2,
+                   "--out", workdir / "report11.json") == 0
+        payload = json.loads((workdir / "report11.json").read_text())
+        assert set(payload["patterns"]) == (
+            {str(a) for a in range(11)}
+            | {f"{a}-{b}" for a in range(11) for b in range(11)})
+
     def test_check_artifacts(self, workdir):
         run("maps", "enumerate", "--alphabet", 2, "--max-depth", 2,
             "--out", workdir / "maps.json")
@@ -253,6 +263,14 @@ def _diagnose(workdir, *extra):
             *extra]
 
 
+def _score_twice(workdir):
+    entry = compile_suffix_map(SuffixSet(Alphabet(2), ((0,), (1,)))).to_json()
+    return ["score", "--maps", _written(workdir / "maps.json",
+                                        json.dumps({"maps": [entry, entry]})),
+            "--seq", _written(workdir / "data.txt", "alphabet=2\n0 1 1 0\n"),
+            "--out", workdir / "scores.jsonl"]
+
+
 BAD_INPUTS = {
     "stationary solve singular (exact)": lambda d: _xent_near_singular(d, "exact"),
     "stationary solve singular (mc)": lambda d: _xent_near_singular(d, "mc"),
@@ -294,6 +312,11 @@ BAD_INPUTS = {
     "include_baseline not a boolean": lambda d: _experiment(d, include_baseline="no"),
     "experiment jobs negative": lambda d: [*_experiment(d), "--jobs", -3],
     "experiment jobs zero": lambda d: [*_experiment(d), "--jobs", 0],
+    "score class empty": lambda d: [
+        "score", "--maps", _written(d / "maps.json", '{"maps": []}'),
+        "--seq", _written(d / "data.txt", "alphabet=2\n0 1 1 0\n"),
+        "--out", d / "scores.jsonl"],
+    "score map listed twice": lambda d: _score_twice(d),
     "negative smoothing": lambda d: [
         "select", "--maps", _written(d / "maps.json", '{"maps": []}'),
         "--seq", _written(d / "data.txt", "alphabet=2\n0 1 1 0\n"),

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from phimp import (Alphabet, FeatureMap, InputError, PairedSequence,
                    cost, enumerate_closed_suffix_maps, estimate, estimate_paired,
                    icost, log_likelihood, ml_cost, ocost, sample_fsmx,
                    state_determines_pair, trivial_map)
+from phimp import _kernels, estimation
 from phimp.estimation import counts_nll
+from phimp.fmaps import memory_bound
 from phimp.sources import FsmxSource, rng_stream
 
 BINARY = Alphabet(2)
@@ -368,3 +371,100 @@ class TestPathFormMatchesForward:
                                     reference_map.start_state, items)
         hmm = hmm_from_map_model(reference_map, emp.transition, emp.emission)
         assert -forward_loglik(hmm, data) == pytest.approx(nll_path, abs=1e-10)
+
+
+def run_length_map(longest):
+    # state = number of trailing 1s, capped at `longest`; its memory bound is
+    # longest - 1, so the table for it has 2^(longest + 1) * 2 cells
+    table = [[0, min(s + 1, longest)] for s in range(longest + 1)]
+    return general_fsm(table)
+
+
+def divisor_pairs(size):
+    return [(x, size // x) for x in range(1, size + 1) if size % x == 0]
+
+
+class TestContextTable:
+    """Counts from the context-count table equal the walk's, so every total
+    equals the walk's with ==; maps it does not serve keep the walk."""
+
+    @staticmethod
+    def bounded_maps(rng):
+        binary = enumerate_closed_suffix_maps(BINARY, 4)
+        maps = [binary[int(i)] for i in rng.choice(len(binary), 15, replace=False)]
+        maps += enumerate_closed_suffix_maps(Alphabet(3), 2)
+        while len(maps) < 45:
+            # each symbol sends every state into a random smaller set, which
+            # is often bounded with kappa >= 1
+            n_states, size = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+            table = np.stack([
+                rng.choice(rng.choice(n_states, int(rng.integers(1, n_states)),
+                                      replace=False), n_states)
+                for _ in range(size)], axis=1)
+            fmap = general_fsm(table, int(rng.integers(n_states)))
+            if memory_bound(fmap).bounded and memory_bound(fmap).kappa >= 1:
+                maps.append(fmap)
+        return maps
+
+    @staticmethod
+    def check(fmap, data, smoothing):
+        """Counts against the dict walk, totals against the walk's totals;
+        returns whether the table counted."""
+        if isinstance(data, PairedSequence):
+            drive, emit, n_emit = data.joint_sequence().items, data.ys, data.y_alphabet.size
+            scheme = PenaltyScheme.from_string("bic:markov", n_emit)
+
+            def totals():
+                emp = estimate_paired(fmap, data, smoothing)
+                return (emp.transition_counts, emp.emission_counts,
+                        ocost(fmap, data, scheme, smoothing).total,
+                        icost(fmap, data, scheme, smoothing).total)
+        else:
+            drive = emit = data.items
+            n_emit = data.alphabet.size
+
+            def totals():
+                emp = estimate(fmap, data, smoothing)
+                return (emp.transition_counts, emp.emission_counts,
+                        cost(fmap, data, BIC_MARKOV, smoothing).total,
+                        ml_cost(fmap, data, smoothing).total,
+                        log_likelihood(fmap, emp, data))
+
+        with mock.patch.object(_kernels, "count_table",
+                               wraps=_kernels.count_table) as table:
+            got = totals()
+        trans, emis = hand_counts(fmap.step_table, fmap.start_state, drive, emit,
+                                  fmap.state_count, n_emit)
+        assert np.array_equal(got[0], trans) and np.array_equal(got[1], emis)
+        with mock.patch.object(estimation, "_TABLE_CELLS", 0):
+            walked = totals()
+        assert got[2:] == walked[2:]
+        return table.called
+
+    def test_totals_equal_the_walk_exactly(self):
+        rng = rng_stream(41)
+        for i, fmap in enumerate(self.bounded_maps(rng)):
+            span = memory_bound(fmap).kappa + 1
+            pairs = divisor_pairs(fmap.alphabet_size)
+            x_size, y_size = pairs[i % len(pairs)]
+            for n in [*range(1, span + 3), 10_000]:
+                smoothing = (0.0, 0.5)[(i + n) % 2]
+                plain = SymbolSequence(Alphabet(fmap.alphabet_size),
+                                       rng.integers(0, fmap.alphabet_size, n))
+                paired = random_paired(rng, n, x_size, y_size)
+                for data in (plain, paired):
+                    assert self.check(fmap, data, smoothing) == (n > span)
+
+    def test_unbounded_and_oversized_maps_keep_the_walk(self):
+        rng = rng_stream(42)
+        data = seq(rng.integers(0, 2, 3000))
+        parity = general_fsm([[0, 1], [1, 0]])
+        assert not memory_bound(parity).bounded
+        assert not self.check(parity, data, 0.0)
+        # 2^15 * 2 cells fill the table exactly; 2^16 * 2 are over the cap,
+        # and so are 2^16 drive cells times two emitted symbols, not one
+        assert self.check(run_length_map(14), data, 0.5)
+        assert not self.check(run_length_map(15), data, 0.0)
+        assert self.check(run_length_map(15), random_paired(rng, 3000, 2, 1), 0.5)
+        assert not self.check(run_length_map(15), random_paired(rng, 3000, 1, 2), 0.0)
+

@@ -32,11 +32,25 @@ class TestSubstringFrequency:
         with pytest.raises(InputError):
             substring_frequency(seq([0, 1]), seq([]))
 
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.lists(st.integers(0, 2), min_size=1, max_size=40),
-           pattern=st.lists(st.integers(0, 2), min_size=1, max_size=4))
-    def test_matches_naive_count(self, data, pattern):
-        got = substring_frequency(seq(data, 3), seq(pattern, 3))
+    @settings(max_examples=150, deadline=None)
+    @given(size=st.sampled_from([1, 2, 3, 1000]), draw=st.data())
+    def test_matches_naive_count(self, size, draw):
+        # random patterns, slices of the data (so overlapping hits occur),
+        # slices with the first symbol changed, patterns longer than the data,
+        # and patterns whose base-size code outgrows int64 (above 63 binary or
+        # 6 base-1000 symbols)
+        symbols = st.integers(0, size - 1)
+        data = draw.draw(st.one_of(
+            st.lists(symbols, min_size=1, max_size=40),
+            st.lists(symbols, min_size=1, max_size=3).flatmap(
+                lambda unit: st.integers(1, 100).map(lambda k: unit * k))))
+        start = draw.draw(st.integers(0, len(data) - 1))
+        pattern = draw.draw(st.one_of(
+            st.lists(symbols, min_size=1, max_size=80),
+            st.integers(1, 80).map(lambda m: data[start:start + m]),
+            st.integers(1, 80).map(lambda m: [(data[start] + 1) % size,
+                                              *data[start + 1:start + m]])))
+        got = substring_frequency(seq(data, size), seq(pattern, size))
         assert got == count_substring_naive(data, pattern) / len(data)
         assert 0.0 <= got <= 1.0
 
