@@ -49,9 +49,10 @@ def count_path(step_table, start, drive, emit, n_states, n_emit):
 
 
 def gram_codes(symbols, m, base):
-    # base-`base` code of every window symbols[t:t+m], t = 0 .. n-m, oldest
-    # symbol most significant; the caller keeps base**m within int64
-    k = symbols.shape[0] - m + 1
+    # base-`base` code of every window symbols[t:t+m], t = 0 .. n-m (none
+    # when m > n), oldest symbol most significant; the caller keeps base**m
+    # within int64
+    k = max(symbols.shape[0] - m + 1, 0)
     codes = symbols[:k].astype(np.int64)
     for j in range(1, m):
         codes *= base
@@ -70,14 +71,15 @@ def count_table(step_table, start, drive, emit, n_states, n_emit, span):
     cells = gram_codes(drive, span + 1, n_drive) * n_emit + emit[span:]
     table = np.bincount(cells)
     used = np.flatnonzero(table)
+    counts = table[used]
     grams, symbol = np.divmod(used // n_emit, n_drive)
     # the state a gram leads to from any state, here from state 0
     prev = np.zeros(used.size, dtype=np.int64)
     for j in range(span - 1, -1, -1):
         prev = step_table[prev, grams // n_drive ** j % n_drive]
     nxt = step_table[prev, symbol]
-    np.add.at(trans, (prev, nxt), table[used])
-    np.add.at(emis, (nxt, used % n_emit), table[used])
+    np.add.at(trans, (prev, nxt), counts)
+    np.add.at(emis, (nxt, used % n_emit), counts)
     return trans, emis
 
 

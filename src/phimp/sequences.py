@@ -206,15 +206,8 @@ def substring_frequency(seq: SymbolSequence, pattern: SymbolSequence) -> float:
     return float(flags.sum()) / len(seq)
 
 
-def frequency_trajectory(seq: SymbolSequence, pattern: SymbolSequence, grid,
-                         tol: float = 0.01, tail_fraction: float = 0.2) -> FrequencyReport:
-    """Frequency of ``pattern`` along prefixes of the lengths in ``grid``.
-
-    The convergence verdict compares values over the trailing window of the
-    grid (the last ``tail_fraction`` of points, at least two): converged means
-    max - min of the window stays within ``tol``.
-    """
-    _check_same_alphabet(seq, pattern)
+def _checked_grid(seq: SymbolSequence, grid, tol: float,
+                  tail_fraction: float) -> np.ndarray:
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol must be a finite number >= 0, got {tol}")
     if not 0 < tail_fraction <= 1:
@@ -226,15 +219,11 @@ def frequency_trajectory(seq: SymbolSequence, pattern: SymbolSequence, grid,
         raise InputError("grid must be strictly increasing")
     if grid[0] < 1 or grid[-1] > len(seq):
         raise InputError(f"grid points must lie in 1..{len(seq)}")
+    return grid
 
-    m = len(pattern)
-    flags = _occurrence_flags(seq.prefix(int(grid[-1])), pattern)
-    counts_at = np.concatenate([[0], np.cumsum(flags)])
-    values = np.empty(grid.size, dtype=np.float64)
-    for i, n in enumerate(grid):
-        # occurrences fully inside the prefix start at positions <= n - m
-        values[i] = counts_at[n - m + 1] / n if n >= m else 0.0
 
+def _trajectory_report(pattern: SymbolSequence, grid: np.ndarray, values: np.ndarray,
+                       tol: float, tail_fraction: float) -> FrequencyReport:
     window = grid.size if grid.size == 1 else max(2, math.ceil(tail_fraction * grid.size))
     tail = values[-window:]
     spread = float(tail.max() - tail.min())
@@ -245,6 +234,26 @@ def frequency_trajectory(seq: SymbolSequence, pattern: SymbolSequence, grid,
         converged=spread <= tol,
         final_spread=spread,
     )
+
+
+def frequency_trajectory(seq: SymbolSequence, pattern: SymbolSequence, grid,
+                         tol: float = 0.01, tail_fraction: float = 0.2) -> FrequencyReport:
+    """Frequency of ``pattern`` along prefixes of the lengths in ``grid``.
+
+    The convergence verdict compares values over the trailing window of the
+    grid (the last ``tail_fraction`` of points, at least two): converged means
+    max - min of the window stays within ``tol``.
+    """
+    _check_same_alphabet(seq, pattern)
+    grid = _checked_grid(seq, grid, tol, tail_fraction)
+    m = len(pattern)
+    flags = _occurrence_flags(seq.prefix(int(grid[-1])), pattern)
+    counts_at = np.concatenate([[0], np.cumsum(flags)])
+    values = np.empty(grid.size, dtype=np.float64)
+    for i, n in enumerate(grid):
+        # occurrences fully inside the prefix start at positions <= n - m
+        values[i] = counts_at[n - m + 1] / n if n >= m else 0.0
+    return _trajectory_report(pattern, grid, values, tol, tail_fraction)
 
 
 def default_grid(n: int, points: int = 16) -> np.ndarray:
@@ -263,7 +272,8 @@ def ergodicity_diagnostic(seq: SymbolSequence, max_pattern_len: int,
 
     A finite-sample heuristic: it reports tail-window spreads against ``tol``,
     not a guaranteed limit. The overall verdict is the conjunction over all
-    patterns, of which there may be at most ``DEFAULT_CONTEXT_CAP``.
+    patterns, of which there may be at most ``DEFAULT_CONTEXT_CAP``. The values
+    equal :func:`frequency_trajectory`'s for each pattern.
     """
     if max_pattern_len < 1:
         raise InputError("max_pattern_len must be >= 1")
@@ -278,11 +288,21 @@ def ergodicity_diagnostic(seq: SymbolSequence, max_pattern_len: int,
                 f"exceed the cap of {DEFAULT_CONTEXT_CAP}")
     if grid is None:
         grid = default_grid(len(seq))
+    grid = _checked_grid(seq, grid, tol, tail_fraction)
+    items = seq.items[:grid[-1]]
     reports: dict[tuple[int, ...], FrequencyReport] = {}
     for m in range(1, max_pattern_len + 1):
-        for pat in itertools.product(range(size), repeat=m):
+        # one bincount of the m-gram codes per grid point counts every
+        # pattern of length m starting at positions <= n - m; the codes run
+        # in itertools.product order
+        codes = _kernels.gram_codes(items, m, size)
+        counts = np.stack([np.bincount(codes[:max(n - m + 1, 0)], minlength=size ** m)
+                           for n in grid])
+        values = counts / grid[:, None]
+        for code, pat in enumerate(itertools.product(range(size), repeat=m)):
             pattern = SymbolSequence(seq.alphabet, np.array(pat, dtype=np.int64))
-            reports[pat] = frequency_trajectory(seq, pattern, grid, tol, tail_fraction)
+            reports[pat] = _trajectory_report(pattern, grid, values[:, code], tol,
+                                              tail_fraction)
     return ErgodicityReport(
         max_pattern_len=max_pattern_len,
         tol=tol,

@@ -125,6 +125,18 @@ class TestErgodicityDiagnostic:
         report = ergodicity_diagnostic(data, max_pattern_len=3, tol=0.01)
         assert report.all_converged
 
+    def test_values_equal_frequency_trajectory(self):
+        # the per-length bincount gives each pattern frequency_trajectory's
+        # values to the bit, at grid points shorter than the pattern too
+        data = seq(rng_stream(3).integers(0, 3, 2000), 3)
+        grid = [1, 2, 3, 40, 700, 2000]
+        report = ergodicity_diagnostic(data, max_pattern_len=3, grid=grid)
+        assert len(report.reports) == 3 + 9 + 27
+        for pattern, rep in report.reports.items():
+            direct = frequency_trajectory(data, seq(list(pattern), 3), grid)
+            assert np.array_equal(rep.values, direct.values)
+            assert rep.final_spread == direct.final_spread
+
     def test_relabeling_invariance(self, reference_source):
         data = sample_fsmx(reference_source, 20_000, seed=9)
         flipped = seq(1 - data.items)
