@@ -1,8 +1,14 @@
 """Hot inner loops, one plain NumPy/Python implementation each.
 
-All kernels take plain int64/float64 arrays; wrapping, validation and RNG
-live in the calling modules. Samplers consume pre-drawn uniforms and
-pre-computed CDF rows, so a seed fixes every draw.
+All kernels take plain int64/float64 arrays or lists of rows; wrapping,
+validation and RNG live in the calling modules.
+
+Every sampler is one walk, ``sample_walk``: at each state it inverts one
+pre-drawn uniform through that state's CDF row by binary search, then moves
+to the state the draw leads to. A seed fixes every draw. Samplers with two
+draws a step (the hidden state then the symbol, or the action then the
+outcome) walk a two-phase chain whose second-phase states stand for the
+first draw's result.
 
 Counting has two forms with identical integer results: ``count_path`` walks
 the state path symbol by symbol, and ``count_table`` counts a bounded-memory
@@ -19,6 +25,8 @@ guess is off by more than rounding, the rest runs as the per-symbol loop (see
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 
 import numpy as np
 
@@ -164,78 +172,17 @@ def forward_nll_steps(transition, emission, initial, symbols):
     return out
 
 
-def sample_symbols(step_table, start, emit_cdf, u):
-    # emit_cdf rows are cumulative distributions conditioned on the current
-    # state; u holds pre-drawn uniforms, one per output symbol
-    n = u.shape[0]
-    n_symbols = emit_cdf.shape[1]
-    out = np.empty(n, dtype=np.int64)
+def sample_walk(cdf_rows, step_rows, start, u):
+    # one draw per uniform: at state s, draw k = the first index whose
+    # cdf_rows[s] entry exceeds u[t] (the last index when none of the others
+    # does), then move to step_rows[s][k]; rows are lists and may differ in
+    # length. CDF rows never decrease, so bisect_right finds that k.
+    rows = [row[:-1] for row in cdf_rows]
+    draws = array("q")
+    append = draws.append
     s = start
-    for t in range(n):
-        ut = u[t]
-        y = n_symbols - 1
-        for k in range(n_symbols - 1):
-            if ut < emit_cdf[s, k]:
-                y = k
-                break
-        out[t] = y
-        s = step_table[s, y]
-    return out
-
-
-def sample_hmm_symbols(transition_cdf, emission_cdf, start, u_state, u_emit):
-    n = u_state.shape[0]
-    n_states = transition_cdf.shape[1]
-    n_symbols = emission_cdf.shape[1]
-    out = np.empty(n, dtype=np.int64)
-    s = start
-    for t in range(n):
-        us = u_state[t]
-        nxt = n_states - 1
-        for k in range(n_states - 1):
-            if us < transition_cdf[s, k]:
-                nxt = k
-                break
-        s = nxt
-        ue = u_emit[t]
-        y = n_symbols - 1
-        for k in range(n_symbols - 1):
-            if ue < emission_cdf[s, k]:
-                y = k
-                break
-        out[t] = y
-    return out
-
-
-def rollout_steps(step_table, start, policy_cdf, pair_cdf, u_action, u_pair,
-                  n_actions, n_rewards):
-    # pair_cdf[s, a] is cumulative over joint (observation, reward) indices
-    # o * n_rewards + r; the event symbol fed to the map is
-    # (o * n_actions + a) * n_rewards + r
-    n = u_action.shape[0]
-    n_pairs = pair_cdf.shape[2]
-    actions = np.empty(n, dtype=np.int64)
-    observations = np.empty(n, dtype=np.int64)
-    rewards = np.empty(n, dtype=np.int64)
-    s = start
-    for t in range(n):
-        ua = u_action[t]
-        a = n_actions - 1
-        for k in range(n_actions - 1):
-            if ua < policy_cdf[s, k]:
-                a = k
-                break
-        up = u_pair[t]
-        pair = n_pairs - 1
-        for k in range(n_pairs - 1):
-            if up < pair_cdf[s, a, k]:
-                pair = k
-                break
-        o = pair // n_rewards
-        r = pair % n_rewards
-        event = (o * n_actions + a) * n_rewards + r
-        s = step_table[s, event]
-        actions[t] = a
-        observations[t] = o
-        rewards[t] = r
-    return actions, observations, rewards
+    for ut in memoryview(u):
+        k = bisect_right(rows[s], ut)
+        append(k)
+        s = step_rows[s][k]
+    return np.frombuffer(draws, dtype=np.int64)

@@ -6,6 +6,8 @@ it draws an (observation, reward) pair, and the event drives the state
 update. Rewards are symbols from a finite alphabet (discretize real rewards
 before building the tables). Policies are stationary per-state action
 distributions, the simplest class whose action frequencies converge.
+Rollouts are drawn by the samplers' walk kernel (``_kernels.sample_walk``),
+one action draw and one outcome draw a step.
 
 Selecting a map for the reward sequence reuses the observations-only
 criterion on pairs x = (observation, action), y = reward; the event symbol
@@ -21,19 +23,17 @@ import numpy as np
 from . import _kernels
 from .errors import InputError
 from .estimation import PenaltyScheme
-from .fmaps import FeatureMap, memory_bound
+from .fmaps import FeatureMap, load_fsm_map, memory_bound
 from .selection import SelectionResult, select, with_baseline
 from .sequences import (Alphabet, PairedSequence, _is_int, _number_table,
                         _read_json, _write_json)
-from .sources import rng_stream
-
-ROW_SUM_TOL = 1e-12
+from .sources import _check_stochastic, rng_stream
 
 
 def event_index(observation: int, action: int, reward: int,
                 action_count: int, reward_count: int) -> int:
     """Event symbol: ((o * A) + a) * R + r, matching the joint pair index of
-    x = (o, a) and y = r."""
+    x = (o, a) and y = r. Works elementwise on integer arrays too."""
     return (observation * action_count + action) * reward_count + reward
 
 
@@ -58,11 +58,8 @@ class Environment:
                  self.observation_count * self.reward_count)
         if self.emissions.shape != shape:
             raise InputError(f"emissions must have shape {shape}, got {self.emissions.shape}")
-        if np.any(self.emissions < 0):
-            raise InputError("emissions have negative entries")
-        sums = self.emissions.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            raise InputError("every (state, action) outcome law must sum to 1")
+        _check_stochastic(self.emissions.reshape(shape[0] * shape[1], shape[2]),
+                          "emission table")
         if not memory_bound(self.event_map).bounded:
             raise InputError("environment event map must have bounded memory")
 
@@ -81,11 +78,7 @@ class Policy:
         self.probs = _number_table(self.probs, "policy table")
         if self.probs.ndim != 2:
             raise InputError("policy table must be states-by-actions")
-        if np.any(self.probs < 0):
-            raise InputError("policy has negative entries")
-        sums = self.probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            raise InputError("policy rows must sum to 1")
+        _check_stochastic(self.probs, "policy table")
 
     @classmethod
     def uniform(cls, state_count: int, action_count: int) -> "Policy":
@@ -115,43 +108,53 @@ class Rollout:
             xs, self.rewards)
 
     def event_symbols(self) -> np.ndarray:
-        return ((self.observations * self.action_count + self.actions)
-                * self.reward_count + self.rewards)
+        return event_index(self.observations, self.actions, self.rewards,
+                           self.action_count, self.reward_count)
+
+
+def _successors(env: Environment) -> np.ndarray:
+    """The state the event map enters from state s after action a and the
+    (observation, reward) pair p = o * R + r, as an (S, A, O * R) table."""
+    state, action, pair = np.indices(env.emissions.shape)
+    observation, reward = np.divmod(pair, env.reward_count)
+    return env.event_map.step_table[
+        state, event_index(observation, action, reward, env.action_count, env.reward_count)]
 
 
 def rollout(env: Environment, policy: Policy, n: int, seed: int) -> Rollout:
-    """Run the environment under the policy for n steps, reproducibly."""
+    """Run the environment under the policy for n steps, reproducibly.
+
+    One walk alternates two phases: state s draws action a and moves to
+    S + s * A + a, which draws the (observation, reward) pair and moves to the
+    state the event leads to. The uniforms interleave the two phases' draws.
+    """
     if n < 1:
         raise InputError("rollout length must be >= 1")
     if policy.probs.shape != (env.state_count, env.action_count):
         raise InputError(
             f"policy must have shape {(env.state_count, env.action_count)}, "
             f"got {policy.probs.shape}")
-    rng = rng_stream(seed)
-    u_action = rng.random(n)
-    u_pair = rng.random(n)
-    actions, observations, rewards = _kernels.rollout_steps(
-        env.event_map.step_table, env.event_map.start_state,
-        np.cumsum(policy.probs, axis=1), np.cumsum(env.emissions, axis=2),
-        u_action, u_pair, env.action_count, env.reward_count)
+    s_count, a_count = policy.probs.shape
+    outcome_states = s_count + np.arange(s_count * a_count).reshape(s_count, a_count)
+    cdf_rows = (np.cumsum(policy.probs, axis=1).tolist()
+                + np.cumsum(env.emissions, axis=2).reshape(s_count * a_count, -1).tolist())
+    step_rows = (outcome_states.tolist()
+                 + _successors(env).reshape(s_count * a_count, -1).tolist())
+    draws = _kernels.sample_walk(cdf_rows, step_rows, env.event_map.start_state,
+                                 rng_stream(seed).random((2, n)).T.ravel())
+    observations, rewards = np.divmod(draws[1::2], env.reward_count)
+    # copied, so the 2n draws are freed; a view would keep them all alive
     return Rollout(env.action_count, env.observation_count, env.reward_count,
-                   actions, observations, rewards)
+                   draws[0::2].copy(), observations, rewards)
 
 
 def policy_induced_chain(env: Environment, policy: Policy) -> np.ndarray:
     """Transition matrix of the environment states under the policy."""
     n = env.state_count
     out = np.zeros((n, n))
-    for s in range(n):
-        for a in range(env.action_count):
-            for pair in range(env.observation_count * env.reward_count):
-                p = policy.probs[s, a] * env.emissions[s, a, pair]
-                if p == 0.0:
-                    continue
-                o, r = divmod(pair, env.reward_count)
-                nxt = env.event_map.step_table[
-                    s, event_index(o, a, r, env.action_count, env.reward_count)]
-                out[s, nxt] += p
+    # one unbuffered scatter in (s, a, pair) order: every cell sums as a loop would
+    np.add.at(out, (np.arange(n)[:, None, None], _successors(env)),
+              policy.probs[:, :, None] * env.emissions)
     return out
 
 
@@ -185,8 +188,6 @@ def environment_to_json(env: Environment) -> dict:
 
 
 def environment_from_json(data: dict) -> Environment:
-    from .fmaps import load_fsm_map
-
     if not isinstance(data, dict):
         raise InputError("environment file must hold a JSON object")
     required = {"action_count", "observation_count", "reward_count",

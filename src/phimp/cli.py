@@ -17,18 +17,20 @@ from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .active import (Policy, active_select, read_environment, rollout)
+from .active import (Policy, active_select, environment_from_json,
+                     read_environment, rollout)
 from .errors import InputError, ResourceError
 from .estimation import PenaltyScheme
-from .fmaps import (enumerate_closed_suffix_maps, maps_from_json, memory_bound,
-                    read_maps, write_maps)
+from .fmaps import (_suffix_text, enumerate_closed_suffix_maps, maps_from_json,
+                    memory_bound, read_maps, write_maps)
 from .selection import (_check_class, consistency_run, score_map, select,
                         with_baseline)
-from .sequences import (PairedSequence, _is_int, _read_json, _read_text,
+from .sequences import (Alphabet, PairedSequence, _is_int, _read_json, _read_text,
                         _write_json, ergodicity_diagnostic, read_sequence,
                         write_sequence)
 from .sources import (FsmxSource, cross_entropy_exact_markov, cross_entropy_mc,
-                      induced_hmm, read_model, sample_fsmx, sample_hmm)
+                      induced_hmm, model_from_json, read_model, sample_fsmx,
+                      sample_hmm)
 
 SCORE_FIELDS = ("criterion", "data_cost", "map_id", "n", "penalty", "total")
 TRAJECTORY_HEADER = "seed,n,chosen_map_id,total,data_cost,penalty,stabilized"
@@ -70,10 +72,6 @@ def _write_lines(path, lines):
     Path(path).write_text("\n".join([_timestamp_line(), *lines]) + "\n")
 
 
-def _load_scheme(spec: str, alphabet_size: int) -> PenaltyScheme:
-    return PenaltyScheme.from_string(spec, alphabet_size)
-
-
 def _data_alphabet_size(data) -> int:
     if isinstance(data, PairedSequence):
         return data.y_alphabet.size
@@ -97,8 +95,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_maps_enumerate(args) -> int:
-    from .sequences import Alphabet
-
     maps = enumerate_closed_suffix_maps(Alphabet(args.alphabet), args.max_depth,
                                         padding_symbol=args.padding,
                                         context_cap=args.cap)
@@ -122,7 +118,7 @@ def _cmd_score(args) -> int:
     data = read_sequence(args.seq)
     maps = read_maps(args.maps)
     _check_class(maps)
-    scheme = _load_scheme(args.pen, _data_alphabet_size(data))
+    scheme = PenaltyScheme.from_string(args.pen, _data_alphabet_size(data))
     ordered = sorted(maps, key=lambda m: m.canonical_key)
     rows = [_score_row(score_map(m, data, args.criterion, scheme, args.smoothing))
             for m in ordered]
@@ -137,7 +133,7 @@ def _cmd_select(args) -> int:
     maps = read_maps(args.maps)
     candidates = with_baseline(maps, _candidate_alphabet_size(data),
                                include_baseline=not args.no_baseline)
-    scheme = _load_scheme(args.pen, _data_alphabet_size(data))
+    scheme = PenaltyScheme.from_string(args.pen, _data_alphabet_size(data))
     result = select(candidates, data, args.criterion, scheme, args.smoothing)
     chosen = result.total_of(result.chosen_map_id)
     if args.out:
@@ -209,9 +205,6 @@ def _load_experiment_config(path: Path) -> dict:
 
 
 def _resolve_experiment_inputs(config: dict, base: Path):
-    from .sequences import Alphabet
-    from .sources import model_from_json
-
     source_spec = config["source"]
     if isinstance(source_spec, str):
         model = read_model(base / source_spec)
@@ -232,7 +225,7 @@ def _resolve_experiment_inputs(config: dict, base: Path):
         raise InputError("class spec needs either a 'file' name or integer "
                          "'alphabet' + 'max_depth'")
 
-    scheme = _load_scheme(config["pen"], model.fmap.alphabet_size)
+    scheme = PenaltyScheme.from_string(config["pen"], model.fmap.alphabet_size)
     return model, maps, scheme
 
 
@@ -296,7 +289,7 @@ def _cmd_active(args) -> int:
         policy = Policy(_read_json(args.policy, "policy"))
     trace = rollout(env, policy, args.n, args.seed)
     maps = read_maps(args.maps)
-    scheme = _load_scheme(args.pen, env.reward_count)
+    scheme = PenaltyScheme.from_string(args.pen, env.reward_count)
     result = active_select(trace, maps, scheme, criterion=args.criterion,
                            include_baseline=not args.no_baseline,
                            smoothing=args.smoothing)
@@ -320,14 +313,11 @@ def _cmd_diagnose(args) -> int:
     report = ergodicity_diagnostic(data, args.max_pattern_len, args.tol,
                                    args.tail_fraction)
     if args.out:
-        # a digit per symbol is unambiguous up to 10 symbols; above, (1, 0)
-        # and (10,) would both read "10", so symbols are joined with "-"
-        sep = "" if data.alphabet.size <= 10 else "-"
         payload = {
             "all_converged": report.all_converged,
             "max_pattern_len": report.max_pattern_len,
             "patterns": {
-                sep.join(map(str, pat)): {
+                _suffix_text(pat, data.alphabet.size): {
                     "converged": rep.converged,
                     "final_spread": rep.final_spread,
                     "grid": rep.grid.tolist(),
@@ -356,13 +346,11 @@ def _check_artifact(path: Path) -> str:
             maps_from_json(data)
             return "map file"
         if isinstance(data, dict) and "event_map" in data:
-            from .active import environment_from_json
             environment_from_json(data)
             return "environment file"
         if isinstance(data, dict) and ({"T", "E", "initial"} <= data.keys()
                                        or {"map", "emit"} <= data.keys()
                                        or data.get("type") in ("hmm", "fsmx")):
-            from .sources import model_from_json
             model_from_json(data)
             return "model file"
         if isinstance(data, dict) and "n_grid" in data:

@@ -26,10 +26,10 @@ from .sequences import (DEFAULT_CONTEXT_CAP, Alphabet, SymbolSequence,
                         _write_json)
 
 
-def _suffix_text(suffix: tuple[int, ...]) -> str:
-    if max(suffix, default=0) < 10:
-        return "".join(str(v) for v in suffix)
-    return "-".join(str(v) for v in suffix)
+def _suffix_text(suffix: tuple[int, ...], alphabet_size: int) -> str:
+    # a digit per symbol is unambiguous up to 10 symbols; above, (1, 0) and
+    # (10,) would both read "10", so symbols are joined with "-"
+    return ("" if alphabet_size <= 10 else "-").join(str(v) for v in suffix)
 
 
 def _ends_with(string: tuple[int, ...], tail: tuple[int, ...]) -> bool:
@@ -70,7 +70,8 @@ class SuffixSet:
         return best
 
     def describe(self) -> str:
-        return "{" + ", ".join(_suffix_text(s) for s in self.suffixes) + "}"
+        size = self.alphabet.size
+        return "{" + ", ".join(_suffix_text(s, size) for s in self.suffixes) + "}"
 
 
 @dataclass(eq=False)
@@ -86,12 +87,13 @@ class ClosureReport:
     step_table: np.ndarray | None
     witness: tuple[tuple[int, ...], int] | None
 
-    def describe(self) -> str:
+    def describe(self, alphabet_size: int) -> str:
         if self.closed:
             return "closed"
         suffix, symbol = self.witness
-        return (f"not closed: extending state {_suffix_text(suffix)!r} by symbol "
-                f"{symbol} leaves the next state depending on unseen history")
+        state = _suffix_text(suffix, alphabet_size)
+        return (f"not closed: extending state {state!r} by symbol {symbol} leaves "
+                f"the next state depending on unseen history")
 
 
 def _guard_context_count(size: int, depth: int, cap: int):
@@ -110,14 +112,14 @@ def validate_suffix_set(suffix_set: SuffixSet,
     """
     violations: list[str] = []
     members = suffix_set.suffixes
+    size = suffix_set.alphabet.size
     proper = True
     for a, b in itertools.permutations(members, 2):
         if _ends_with(b, a):
             proper = False
-            violations.append(
-                f"{_suffix_text(a)!r} is an ending substring of {_suffix_text(b)!r}")
+            violations.append(f"{_suffix_text(a, size)!r} is an ending substring "
+                              f"of {_suffix_text(b, size)!r}")
 
-    size = suffix_set.alphabet.size
     depth = suffix_set.depth
     _guard_context_count(size, depth, context_cap)
     complete = True
@@ -126,10 +128,10 @@ def validate_suffix_set(suffix_set: SuffixSet,
         if len(hits) != 1:
             complete = False
             if not hits:
-                violations.append(f"{_suffix_text(ctx)!r} ends with no member")
+                violations.append(f"{_suffix_text(ctx, size)!r} ends with no member")
             else:
-                listed = ", ".join(_suffix_text(s) for s in hits)
-                violations.append(f"{_suffix_text(ctx)!r} ends with {listed}")
+                listed = ", ".join(_suffix_text(s, size) for s in hits)
+                violations.append(f"{_suffix_text(ctx, size)!r} ends with {listed}")
     return SuffixSetReport(proper=proper, complete=complete, violations=violations)
 
 
@@ -198,7 +200,8 @@ class FeatureMap:
 
     def _default_id(self) -> str:
         if self.kind == "suffix-tree":
-            return "st:" + "|".join(_suffix_text(s) for s in self.suffixes)
+            return "st:" + "|".join(_suffix_text(s, self.alphabet_size)
+                                    for s in self.suffixes)
         flat = ",".join(str(v) for v in self.step_table.ravel())
         return f"fsm:{self.state_count}s:{self.start_state}:{flat}"
 
@@ -235,7 +238,7 @@ class FeatureMap:
 
     def state_label(self, state: int) -> str:
         if self.kind == "suffix-tree":
-            return _suffix_text(self.suffixes[state])
+            return _suffix_text(self.suffixes[state], self.alphabet_size)
         return str(state)
 
     def to_json(self) -> dict:
@@ -263,7 +266,8 @@ def compile_suffix_map(suffix_set: SuffixSet, padding_symbol: int = 0,
         raise InputError(f"padding symbol {padding_symbol} outside the alphabet")
     closure = is_fsm_closed(suffix_set, context_cap)
     if not closure.closed:
-        raise InputError(f"suffix set {suffix_set.describe()} is {closure.describe()}")
+        raise InputError(f"suffix set {suffix_set.describe()} is "
+                         f"{closure.describe(suffix_set.alphabet.size)}")
     members = suffix_set.suffixes
     start = members.index(suffix_set.match((padding_symbol,) * suffix_set.depth))
     return FeatureMap(

@@ -9,7 +9,8 @@ product chain and by Monte Carlo.
 Randomness comes from named counter-based streams: ``rng_stream(seed, k)``
 yields the k-th independent stream of an experiment seed, so parallel runs
 reproduce serial ones bit-exactly. Samplers pre-draw uniforms and feed them
-to the kernels, so a seed fixes every draw.
+to one walk kernel (``_kernels.sample_walk``), which picks each draw by
+binary search over a CDF row, so a seed fixes every draw.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, ResourceError
-from .fmaps import FeatureMap
+from .fmaps import FeatureMap, load_fsm_map
 from .sequences import (Alphabet, SymbolSequence, _as_symbols, _number_table,
                         _read_json, _write_json)
 
@@ -113,24 +114,31 @@ def sample_fsmx(source: FsmxSource, n: int, seed: int, stream: int = 0) -> Symbo
     if n < 1:
         raise InputError("sample length must be >= 1")
     u = rng_stream(seed, stream).random(n)
-    cdf = np.cumsum(source.emit, axis=1)
-    items = _kernels.sample_symbols(source.fmap.step_table, source.fmap.start_state, cdf, u)
+    items = _kernels.sample_walk(np.cumsum(source.emit, axis=1).tolist(),
+                                 source.fmap.step_table.tolist(),
+                                 source.fmap.start_state, u)
     return SymbolSequence(source.alphabet, items)
 
 
 def sample_hmm(hmm: Hmm, n: int, seed: int, stream: int = 0) -> SymbolSequence:
-    """Draw a state chain from the transition matrix and emit one symbol per state."""
+    """Draw a state chain from the transition matrix and emit one symbol per state.
+
+    One walk alternates two phases: hidden state s < S draws the next hidden
+    state k and moves to S + k, which draws the symbol and moves back to k.
+    The uniforms interleave the two phases' draws.
+    """
     if n < 1:
         raise InputError("sample length must be >= 1")
     rng = rng_stream(seed, stream)
     start = int(np.searchsorted(np.cumsum(hmm.initial), rng.random(), side="right"))
     start = min(start, hmm.state_count - 1)
-    u_state = rng.random(n)
-    u_emit = rng.random(n)
-    items = _kernels.sample_hmm_symbols(
-        np.cumsum(hmm.transition, axis=1), np.cumsum(hmm.emission, axis=1),
-        start, u_state, u_emit)
-    return SymbolSequence(Alphabet(hmm.emission_size), items)
+    s_count = hmm.state_count
+    cdf_rows = (np.cumsum(hmm.transition, axis=1).tolist()
+                + np.cumsum(hmm.emission, axis=1).tolist())
+    step_rows = ([list(range(s_count, 2 * s_count))] * s_count
+                 + [[k] * hmm.emission_size for k in range(s_count)])
+    draws = _kernels.sample_walk(cdf_rows, step_rows, start, rng.random((2, n)).T.ravel())
+    return SymbolSequence(Alphabet(hmm.emission_size), draws[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +445,6 @@ def model_to_json(model: Hmm | FsmxSource) -> dict:
 
 
 def model_from_json(data: dict) -> Hmm | FsmxSource:
-    from .fmaps import load_fsm_map
-
     if not isinstance(data, dict):
         raise InputError("model file must hold a JSON object")
     kind = data.get("type")

@@ -271,3 +271,101 @@ def block_bootstrap_se_gather(losses, rng, replicates: int = 64) -> float:
         idx = (starts[:, None] + offsets[None, :]).ravel()[:n]
         means[b] = losses[idx].mean()
     return float(means.std(ddof=1))
+
+
+# The per-symbol sampler loops that ``_kernels.sample_walk`` replaced, as
+# they were: each draw is the first k with u < cdf[k], else the last index.
+
+
+def sample_symbols(step_table, start, emit_cdf, u):
+    # emit_cdf rows are cumulative distributions conditioned on the current
+    # state; u holds pre-drawn uniforms, one per output symbol
+    n = u.shape[0]
+    n_symbols = emit_cdf.shape[1]
+    out = np.empty(n, dtype=np.int64)
+    s = start
+    for t in range(n):
+        ut = u[t]
+        y = n_symbols - 1
+        for k in range(n_symbols - 1):
+            if ut < emit_cdf[s, k]:
+                y = k
+                break
+        out[t] = y
+        s = step_table[s, y]
+    return out
+
+
+def sample_hmm_symbols(transition_cdf, emission_cdf, start, u_state, u_emit):
+    n = u_state.shape[0]
+    n_states = transition_cdf.shape[1]
+    n_symbols = emission_cdf.shape[1]
+    out = np.empty(n, dtype=np.int64)
+    s = start
+    for t in range(n):
+        us = u_state[t]
+        nxt = n_states - 1
+        for k in range(n_states - 1):
+            if us < transition_cdf[s, k]:
+                nxt = k
+                break
+        s = nxt
+        ue = u_emit[t]
+        y = n_symbols - 1
+        for k in range(n_symbols - 1):
+            if ue < emission_cdf[s, k]:
+                y = k
+                break
+        out[t] = y
+    return out
+
+
+def rollout_steps(step_table, start, policy_cdf, pair_cdf, u_action, u_pair,
+                  n_actions, n_rewards):
+    # pair_cdf[s, a] is cumulative over joint (observation, reward) indices
+    # o * n_rewards + r; the event symbol fed to the map is
+    # (o * n_actions + a) * n_rewards + r
+    n = u_action.shape[0]
+    n_pairs = pair_cdf.shape[2]
+    actions = np.empty(n, dtype=np.int64)
+    observations = np.empty(n, dtype=np.int64)
+    rewards = np.empty(n, dtype=np.int64)
+    s = start
+    for t in range(n):
+        ua = u_action[t]
+        a = n_actions - 1
+        for k in range(n_actions - 1):
+            if ua < policy_cdf[s, k]:
+                a = k
+                break
+        up = u_pair[t]
+        pair = n_pairs - 1
+        for k in range(n_pairs - 1):
+            if up < pair_cdf[s, a, k]:
+                pair = k
+                break
+        o = pair // n_rewards
+        r = pair % n_rewards
+        event = (o * n_actions + a) * n_rewards + r
+        s = step_table[s, event]
+        actions[t] = a
+        observations[t] = o
+        rewards[t] = r
+    return actions, observations, rewards
+
+
+def policy_induced_chain_loop(env, policy):
+    """The triple loop over (state, action, pair) that
+    ``active.policy_induced_chain`` replaced."""
+    n = env.state_count
+    out = np.zeros((n, n))
+    for s in range(n):
+        for a in range(env.action_count):
+            for pair in range(env.observation_count * env.reward_count):
+                p = policy.probs[s, a] * env.emissions[s, a, pair]
+                if p == 0.0:
+                    continue
+                o, r = divmod(pair, env.reward_count)
+                event = (o * env.action_count + a) * env.reward_count + r
+                out[s, env.event_map.step_table[s, event]] += p
+    return out

@@ -107,6 +107,17 @@ class TestCompileAndStep:
         with pytest.raises(InputError):
             compile_suffix_map(sset((1,), (0, 0), (0, 1, 0), (1, 1, 0)))
 
+    def test_labels_and_ids_unambiguous_above_ten_symbols(self):
+        # expanding only symbol 0 over 11 symbols gives the states a0 and
+        # 1..10; with a digit per symbol, (1, 0) and (10,) would both read "10"
+        members = [(a, 0) for a in range(11)] + [(k,) for k in range(1, 11)]
+        fmap = compile_suffix_map(SuffixSet(Alphabet(11), tuple(members)))
+        labels = [fmap.state_label(s) for s in range(fmap.state_count)]
+        assert len(set(labels)) == fmap.state_count == 21
+        assert labels[fmap.suffixes.index((1, 0))] == "1-0"
+        assert labels[fmap.suffixes.index((10,))] == "10"
+        assert fmap.map_id == "st:" + "|".join(labels)
+
     def test_step_follows_suffix_semantics(self, reference_map):
         by_suffix = {s: i for i, s in enumerate(reference_map.suffixes)}
         assert reference_map.step(by_suffix[(0, 1)], 1) == by_suffix[(1, 1)]
