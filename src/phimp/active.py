@@ -27,7 +27,7 @@ from .fmaps import FeatureMap, load_fsm_map, memory_bound
 from .selection import SelectionResult, select, with_baseline
 from .sequences import (Alphabet, PairedSequence, _is_int, _number_table,
                         _read_json, _write_json)
-from .sources import _check_stochastic, rng_stream
+from .sources import _check_length, _check_stochastic, rng_stream
 
 
 def event_index(observation: int, action: int, reward: int,
@@ -128,8 +128,7 @@ def rollout(env: Environment, policy: Policy, n: int, seed: int) -> Rollout:
     S + s * A + a, which draws the (observation, reward) pair and moves to the
     state the event leads to. The uniforms interleave the two phases' draws.
     """
-    if n < 1:
-        raise InputError("rollout length must be >= 1")
+    _check_length(n, "rollout length")
     if policy.probs.shape != (env.state_count, env.action_count):
         raise InputError(
             f"policy must have shape {(env.state_count, env.action_count)}, "

@@ -263,7 +263,8 @@ def _cmd_experiment(args) -> int:
     if args.jobs > 1:
         payloads = [(source, maps, criterion, scheme, n_grid, seed,
                      include_baseline, smoothing) for seed in seeds]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a fork-started pool forks all its workers at once; a seed needs one
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds))) as pool:
             trajectories = list(pool.map(_experiment_worker, payloads))
     else:
         trajectories = consistency_run(source, maps, criterion, scheme, n_grid,
@@ -440,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--alphabet", type=int, required=True)
     pe.add_argument("--max-depth", type=int, required=True)
     pe.add_argument("--padding", type=int, default=0)
-    pe.add_argument("--cap", type=int, default=4096)
+    pe.add_argument("--cap", type=int, default=4096,
+                    help="most candidate suffix sets, counted before any is "
+                         "built, and most depth-length contexts (default %(default)s)")
     pe.add_argument("--out", "--output", required=True)
     pe.set_defaults(func=_cmd_maps_enumerate)
     pc = maps_sub.add_parser("check")

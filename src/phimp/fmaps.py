@@ -32,10 +32,6 @@ def _suffix_text(suffix: tuple[int, ...], alphabet_size: int) -> str:
     return ("" if alphabet_size <= 10 else "-").join(str(v) for v in suffix)
 
 
-def _ends_with(string: tuple[int, ...], tail: tuple[int, ...]) -> bool:
-    return len(tail) <= len(string) and string[-len(tail):] == tail
-
-
 @dataclass(frozen=True)
 class SuffixSet:
     """A finite set of non-empty strings, kept in sorted (canonical) order."""
@@ -53,21 +49,26 @@ class SuffixSet:
             if min(s) < 0 or max(s) >= self.alphabet.size:
                 raise InputError(f"suffix {s} uses symbols outside the alphabet")
         object.__setattr__(self, "suffixes", tuple(cleaned))
+        # lookups test a string's tails against the members, longest first
+        object.__setattr__(self, "_members", frozenset(cleaned))
+        object.__setattr__(self, "_lengths",
+                           sorted({len(s) for s in cleaned}, reverse=True))
 
     @property
     def depth(self) -> int:
-        return max(len(s) for s in self.suffixes)
+        return self._lengths[0]
+
+    def _tails(self, string: tuple[int, ...]):
+        """The members that are ending substrings of ``string``, longest first."""
+        return (string[-k:] for k in self._lengths
+                if k <= len(string) and string[-k:] in self._members)
 
     def match(self, history: tuple[int, ...]) -> tuple[int, ...] | None:
         """The member that is an ending substring of ``history``, if any.
 
         Unique for proper sets; the longest match is returned otherwise.
         """
-        best = None
-        for s in self.suffixes:
-            if _ends_with(history, s) and (best is None or len(s) > len(best)):
-                best = s
-        return best
+        return next(self._tails(history), None)
 
     def describe(self) -> str:
         size = self.alphabet.size
@@ -96,8 +97,14 @@ class ClosureReport:
                 f"the next state depending on unseen history")
 
 
+def _capped_power(base: int, exp: int, cap: int) -> int:
+    # min(base ** exp, cap + 1) without a huge power: from base 2 up, the
+    # power passes cap once exp reaches cap's bit length
+    return min(base ** min(exp, cap.bit_length()), cap + 1)
+
+
 def _guard_context_count(size: int, depth: int, cap: int):
-    if size ** depth > cap:
+    if _capped_power(size, depth, cap) > cap:
         raise ResourceError(
             f"{size}^{depth} contexts exceed the configured cap of {cap}")
 
@@ -110,29 +117,26 @@ def validate_suffix_set(suffix_set: SuffixSet,
     a longer string ends with a member exactly when its depth-length tail
     does, so this is conclusive. Each violation carries a witness.
     """
-    violations: list[str] = []
-    members = suffix_set.suffixes
     size = suffix_set.alphabet.size
-    proper = True
-    for a, b in itertools.permutations(members, 2):
-        if _ends_with(b, a):
-            proper = False
-            violations.append(f"{_suffix_text(a, size)!r} is an ending substring "
-                              f"of {_suffix_text(b, size)!r}")
+    # (a, b) with a a member ending the member b; the tails of b[1:] are the
+    # proper tails of b, and sorting lists the pairs in member order
+    nested = sorted((a, b) for b in suffix_set.suffixes
+                    for a in suffix_set._tails(b[1:]))
+    violations = [f"{_suffix_text(a, size)!r} is an ending substring "
+                  f"of {_suffix_text(b, size)!r}" for a, b in nested]
 
     depth = suffix_set.depth
     _guard_context_count(size, depth, context_cap)
-    complete = True
+    gaps = []
     for ctx in itertools.product(range(size), repeat=depth):
-        hits = [s for s in members if _ends_with(ctx, s)]
-        if len(hits) != 1:
-            complete = False
-            if not hits:
-                violations.append(f"{_suffix_text(ctx, size)!r} ends with no member")
-            else:
-                listed = ", ".join(_suffix_text(s, size) for s in hits)
-                violations.append(f"{_suffix_text(ctx, size)!r} ends with {listed}")
-    return SuffixSetReport(proper=proper, complete=complete, violations=violations)
+        hits = sorted(suffix_set._tails(ctx))
+        if not hits:
+            gaps.append(f"{_suffix_text(ctx, size)!r} ends with no member")
+        elif len(hits) > 1:
+            listed = ", ".join(_suffix_text(s, size) for s in hits)
+            gaps.append(f"{_suffix_text(ctx, size)!r} ends with {listed}")
+    return SuffixSetReport(proper=not nested, complete=not gaps,
+                           violations=violations + gaps)
 
 
 def is_fsm_closed(suffix_set: SuffixSet,
@@ -150,18 +154,22 @@ def is_fsm_closed(suffix_set: SuffixSet,
         raise InputError(
             "suffix set must be proper and complete before the closure check: "
             + "; ".join(report.violations))
+    return _closure(suffix_set)
 
+
+def _closure(suffix_set: SuffixSet) -> ClosureReport:
+    # the closure loop of is_fsm_closed, for a set known to be proper and complete
     members = suffix_set.suffixes
     index = {s: i for i, s in enumerate(members)}
-    size = suffix_set.alphabet.size
-    table = np.zeros((len(members), size), dtype=np.int64)
+    rows = []
     for s in members:
-        for y in range(size):
-            target = suffix_set.match(s + (y,))
-            if target is None:
-                return ClosureReport(closed=False, step_table=None, witness=(s, y))
-            table[index[s], y] = index[target]
-    return ClosureReport(closed=True, step_table=table, witness=None)
+        targets = [suffix_set.match(s + (y,)) for y in range(suffix_set.alphabet.size)]
+        if None in targets:
+            return ClosureReport(closed=False, step_table=None,
+                                 witness=(s, targets.index(None)))
+        rows.append([index[t] for t in targets])
+    return ClosureReport(closed=True, step_table=np.array(rows, dtype=np.int64),
+                         witness=None)
 
 
 @dataclass(eq=False)
@@ -262,12 +270,18 @@ def compile_suffix_map(suffix_set: SuffixSet, padding_symbol: int = 0,
     The start state is the member matched by the padding symbol repeated to
     the set's depth, realizing the implicit pre-history convention.
     """
-    if not 0 <= padding_symbol < suffix_set.alphabet.size:
-        raise InputError(f"padding symbol {padding_symbol} outside the alphabet")
     closure = is_fsm_closed(suffix_set, context_cap)
     if not closure.closed:
         raise InputError(f"suffix set {suffix_set.describe()} is "
                          f"{closure.describe(suffix_set.alphabet.size)}")
+    return _suffix_map(suffix_set, closure.step_table, padding_symbol)
+
+
+def _suffix_map(suffix_set: SuffixSet, step_table: np.ndarray,
+                padding_symbol: int) -> FeatureMap:
+    # a closed set and its closure table as a map started from the padding
+    if not 0 <= padding_symbol < suffix_set.alphabet.size:
+        raise InputError(f"padding symbol {padding_symbol} outside the alphabet")
     members = suffix_set.suffixes
     start = members.index(suffix_set.match((padding_symbol,) * suffix_set.depth))
     return FeatureMap(
@@ -275,7 +289,7 @@ def compile_suffix_map(suffix_set: SuffixSet, padding_symbol: int = 0,
         alphabet_size=suffix_set.alphabet.size,
         state_count=len(members),
         start_state=start,
-        step_table=closure.step_table,
+        step_table=step_table,
         suffixes=members,
     )
 
@@ -332,17 +346,14 @@ def _synchronizing_window(fmap: FeatureMap) -> MemoryBoundReport:
         k += 1
 
 
-def _subtree_leafsets(size: int, depth_left: int) -> list[list[tuple[int, ...]]]:
-    # leaf sets of one node, as reversed paths relative to it; () = leaf here
-    options: list[list[tuple[int, ...]]] = [[()]]
-    if depth_left >= 1:
-        child_options = _subtree_leafsets(size, depth_left - 1)
-        for combo in itertools.product(range(len(child_options)), repeat=size):
-            leaves = [(y,) + path
-                      for y in range(size)
-                      for path in child_options[combo[y]]]
-            options.append(leaves)
-    return options
+def _suffix_of(path) -> tuple[int, ...]:
+    # a linked path (y1, (y2, ... ())) from the root, newest symbol first, as
+    # the suffix it stands for, oldest symbol first
+    symbols = []
+    while path:
+        y, path = path
+        symbols.append(y)
+    return tuple(symbols[::-1])
 
 
 def enumerate_closed_suffix_maps(alphabet: Alphabet, max_depth: int,
@@ -353,33 +364,40 @@ def enumerate_closed_suffix_maps(alphabet: Alphabet, max_depth: int,
     Proper and complete sets are exactly the leaf sets of fully branching
     tries read from the newest symbol backwards (the root, i.e. the empty
     suffix, is always expanded), so candidates are generated from trie shapes
-    and filtered by the closure check. Results come back compiled, ordered by
-    state count and then lexicographically on the sorted suffix lists.
+    and filtered by the closure check. A node with d levels left has
+    1 + shapes(d - 1)^Y leaf sets, and the candidates are the root's expanded
+    ones; the cap bounds their count, which is checked before any is built.
+    Results come back compiled, ordered by state count and then
+    lexicographically on the sorted suffix lists.
     """
     if max_depth < 1:
         raise InputError("max_depth must be >= 1")
     size = alphabet.size
     _guard_context_count(size, max_depth, context_cap)
+    # a count past cap stays past it; over one symbol the count grows by one
+    # a level, so cap + 1 levels settle it, and over more the context guard
+    # has already kept max_depth below that
+    shapes = 1  # a node with no levels left is a leaf
+    for _ in range(min(max_depth, context_cap + 1)):
+        shapes = 1 + _capped_power(shapes, size, context_cap)
+    if shapes - 1 > context_cap:
+        raise ResourceError(
+            f"suffix-set enumeration exceeds the configured cap of {context_cap}")
 
-    child_options = _subtree_leafsets(size, max_depth - 1)
-    candidates: list[SuffixSet] = []
-    for combo in itertools.product(range(len(child_options)), repeat=size):
-        reversed_leaves = [(y,) + path
-                           for y in range(size)
-                           for path in child_options[combo[y]]]
-        if len(candidates) >= context_cap:
-            raise ResourceError(
-                f"suffix-set enumeration exceeds the configured cap of {context_cap}")
-        suffixes = tuple(tuple(reversed(path)) for path in reversed_leaves)
-        candidates.append(SuffixSet(alphabet, suffixes))
-
-    compiled = []
-    for suffix_set in candidates:
-        closure = is_fsm_closed(suffix_set, context_cap)
+    # the leaf sets of a node, as linked paths (y, rest) read from it, so a
+    # level costs a pair per leaf; () is the node itself
+    options = [[()]]
+    for _ in range(max_depth):
+        options = [[()]] + [[(y, path) for y, child in enumerate(combo) for path in child]
+                            for combo in itertools.product(options, repeat=size)]
+    maps = []
+    for paths in options[1:]:
+        suffix_set = SuffixSet(alphabet, tuple(map(_suffix_of, paths)))
+        closure = _closure(suffix_set)
         if closure.closed:
-            compiled.append(compile_suffix_map(suffix_set, padding_symbol, context_cap))
-    compiled.sort(key=lambda m: m.canonical_key)
-    return compiled
+            maps.append(_suffix_map(suffix_set, closure.step_table, padding_symbol))
+    maps.sort(key=lambda m: m.canonical_key)
+    return maps
 
 
 def load_fsm_map(description: dict) -> FeatureMap:

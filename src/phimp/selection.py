@@ -20,7 +20,8 @@ from .errors import InputError
 from .estimation import CostBreakdown, PenaltyScheme, cost, icost, ml_cost, ocost
 from .fmaps import FeatureMap, enumerate_closed_suffix_maps, memory_bound, trivial_map
 from .sequences import Alphabet, PairedSequence
-from .sources import FsmxSource, induced_hmm, is_ergodic_chain, sample_fsmx
+from .sources import (FsmxSource, _check_length, induced_hmm, is_ergodic_chain,
+                      sample_fsmx)
 
 CRITERIA = ("cost", "icost", "ocost", "ml")
 
@@ -139,9 +140,12 @@ def consistency_run(source: FsmxSource, maps: list[FeatureMap], criterion: str,
     all candidate costs per grid point, plus the first grid index from which
     the choice never changes again.
     """
-    n_grid = np.asarray(n_grid, dtype=np.int64)
-    if n_grid.size == 0 or np.any(np.diff(n_grid) <= 0) or n_grid[0] < 1:
+    # checked as Python numbers, so that no entry overflows int64 on the way
+    n_grid = list(n_grid)
+    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise InputError("n_grid must be non-empty and strictly increasing")
+    _check_length(n_grid[-1], "sample length")
+    n_grid = np.asarray(n_grid, dtype=np.int64)
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
         raise InputError("seeds must be distinct")

@@ -371,6 +371,8 @@ def read_sequence(path) -> SymbolSequence | PairedSequence:
             items = np.array([int(tok) for tok in tokens], dtype=np.int64)
         except ValueError as exc:
             raise InputError(f"{path}: malformed symbol token") from exc
+        except OverflowError as exc:
+            raise InputError(f"{path}: symbol token beyond the int64 range") from exc
         return SymbolSequence(Alphabet(sizes[0]), items)
     if len(sizes) == 2:
         xs, ys = [], []
@@ -383,8 +385,11 @@ def read_sequence(path) -> SymbolSequence | PairedSequence:
                 ys.append(int(parts[1]))
             except ValueError as exc:
                 raise InputError(f"{path}: malformed paired token {tok!r}") from exc
-        return PairedSequence(Alphabet(sizes[0]), Alphabet(sizes[1]),
-                              np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64))
+        try:
+            xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+        except OverflowError as exc:
+            raise InputError(f"{path}: paired token beyond the int64 range") from exc
+        return PairedSequence(Alphabet(sizes[0]), Alphabet(sizes[1]), xs, ys)
     raise InputError(f"{path}: alphabet header must have one or two sizes")
 
 

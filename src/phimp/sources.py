@@ -30,6 +30,9 @@ from .sequences import (Alphabet, SymbolSequence, _as_symbols, _number_table,
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 DEFAULT_PATH_CAP = 10_000_000
+# the longest walk a sampler takes: its uniforms, up to two 8-byte draws a
+# step, must fit in one array, whose size in bytes numpy holds in an intp
+_MAX_STEPS = np.iinfo(np.intp).max // 16
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -38,6 +41,14 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
         raise InputError(f"seed and stream must lie in 0..2**64-1, got {seed} and {stream}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _check_length(n: int, what: str):
+    if n < 1:
+        raise InputError(f"{what} must be >= 1")
+    if n > _MAX_STEPS:
+        raise ResourceError(f"{what} {n} exceeds {_MAX_STEPS}, the most steps "
+                            f"whose uniforms fit in one array")
 
 
 def _check_stochastic(matrix: np.ndarray, what: str):
@@ -111,8 +122,7 @@ class CrossEntropyEstimate:
 
 def sample_fsmx(source: FsmxSource, n: int, seed: int, stream: int = 0) -> SymbolSequence:
     """Draw y_t from the current state's distribution, then step the map."""
-    if n < 1:
-        raise InputError("sample length must be >= 1")
+    _check_length(n, "sample length")
     u = rng_stream(seed, stream).random(n)
     items = _kernels.sample_walk(np.cumsum(source.emit, axis=1).tolist(),
                                  source.fmap.step_table.tolist(),
@@ -127,8 +137,7 @@ def sample_hmm(hmm: Hmm, n: int, seed: int, stream: int = 0) -> SymbolSequence:
     state k and moves to S + k, which draws the symbol and moves back to k.
     The uniforms interleave the two phases' draws.
     """
-    if n < 1:
-        raise InputError("sample length must be >= 1")
+    _check_length(n, "sample length")
     rng = rng_stream(seed, stream)
     start = int(np.searchsorted(np.cumsum(hmm.initial), rng.random(), side="right"))
     start = min(start, hmm.state_count - 1)

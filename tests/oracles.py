@@ -76,6 +76,37 @@ def closure_oracle(members, size: int):
     return True, table
 
 
+def subtree_leafsets(size: int, depth_left: int) -> list[list[tuple[int, ...]]]:
+    # leaf sets of one node, as reversed paths relative to it; () = leaf here
+    options: list[list[tuple[int, ...]]] = [[()]]
+    if depth_left >= 1:
+        child_options = subtree_leafsets(size, depth_left - 1)
+        for combo in itertools.product(range(len(child_options)), repeat=size):
+            leaves = [(y,) + path
+                      for y in range(size)
+                      for path in child_options[combo[y]]]
+            options.append(leaves)
+    return options
+
+
+def closed_suffix_maps_oracle(size: int, max_depth: int, padding: int):
+    """Closed suffix maps from the recursive trie-shape generator, filtered
+    by closure_oracle: (sorted suffixes, table, start state) per closed set,
+    ordered by state count and then by the suffix lists."""
+    found = []
+    for combo in itertools.product(subtree_leafsets(size, max_depth - 1), repeat=size):
+        members = sorted(tuple(reversed((y,) + path))
+                         for y in range(size) for path in combo[y])
+        closed, detail = closure_oracle(members, size)
+        if closed:
+            index = {s: i for i, s in enumerate(members)}
+            table = [[index[detail[s, y]] for y in range(size)] for s in members]
+            depth = max(len(s) for s in members)
+            start = index[match_unique(members, (padding,) * depth)]
+            found.append((tuple(members), table, start))
+    return sorted(found, key=lambda entry: (len(entry[0]), entry[0]))
+
+
 def walk(step_table, start, symbols) -> int:
     state = start
     for y in symbols:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,21 @@ class TestSampleAndMaps:
     def test_enumeration_cap_exit_code(self, workdir):
         assert run("maps", "enumerate", "--alphabet", 2, "--max-depth", 9,
                    "--cap", 64, "--out", workdir / "maps.json") == 3
+        assert not (workdir / "maps.json").exists()
+
+    # each of these once hung or crashed before the cap was checked
+    @pytest.mark.parametrize("argv", [
+        ("--alphabet", 2, "--max-depth", 7),
+        ("--alphabet", 3, "--max-depth", 5),
+        ("--alphabet", 2, "--max-depth", 2 ** 70),
+        ("--alphabet", 1, "--max-depth", 1200, "--cap", 1000),
+    ], ids=["binary depth 7", "ternary depth 5", "depth 2^70", "unary depth 1200"])
+    def test_enumeration_over_cap_exits_three_at_once(self, workdir, capsys, argv):
+        start = time.perf_counter()
+        assert run("maps", "enumerate", *argv, "--out", workdir / "maps.json") == 3
+        assert time.perf_counter() - start < 1.0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("resource error: ")
         assert not (workdir / "maps.json").exists()
 
     def test_missing_sequence_file_exit_code(self, workdir):
@@ -140,6 +156,33 @@ class TestExperiment:
                    workdir / "parallel.csv", "--jobs", 2) == 0
         assert nontimestamp_bytes(workdir / "serial.csv") == \
             nontimestamp_bytes(workdir / "parallel.csv")
+
+    def test_parallel_jobs_start_one_worker_per_seed(self, workdir, monkeypatch):
+        # a pool that records its size and maps in this process, so no worker starts
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr("phimp.cli.ProcessPoolExecutor", InProcessPool)
+        config = self.make_config(workdir)
+        assert run("experiment", "--config", config, "--out",
+                   workdir / "pooled.csv", "--jobs", 500) == 0
+        assert sizes == [2]
+        assert run("experiment", "--config", config, "--out",
+                   workdir / "serial.csv") == 0
+        assert nontimestamp_bytes(workdir / "serial.csv") == \
+            nontimestamp_bytes(workdir / "pooled.csv")
 
 
 class TestDeterminism:
@@ -326,6 +369,12 @@ BAD_INPUTS = {
         d, "--policy", _written(d / "policy.json", '[["x", 1], [0.5, 0.5]]')),
     "sequence file not text": lambda d: [
         "diagnose", "--seq", _written(d / "data.txt", b"alphabet=2\n\xff")],
+    "sequence token beyond int64": lambda d: [
+        "diagnose", "--check-file",
+        _written(d / "data.txt", "alphabet=2\n0 99999999999999999999\n")],
+    "paired token beyond int64": lambda d: [
+        "select", "--maps", _written(d / "maps.json", '{"maps": []}'),
+        "--seq", _written(d / "data.txt", "alphabet=2,2\n0,1 0,99999999999999999999\n")],
 }
 
 
@@ -338,23 +387,26 @@ def test_bad_input_exits_two_with_one_line(workdir, capsys, case):
     assert captured.out == ""
 
 
-# 2^55 symbols need 2^58 bytes of uniforms, more than any 64-bit address
-# space, so the allocation fails at once and nothing is allocated
-HUGE_N = 2 ** 55
-
-HUGE_LENGTHS = {
-    "sample": lambda d: ["sample", "--source", d / "source.json", "--n", HUGE_N,
-                         "--out", d / "out.txt"],
-    "xent mc": lambda d: ["xent", "--true", d / "source.json", "--model",
-                          d / "source.json", "--mode", "mc", "--n", HUGE_N],
-    "active": lambda d: _active(d, "--n", HUGE_N),  # the last --n wins
-    "experiment": lambda d: _experiment(d, n_grid=[100, HUGE_N]),
+HUGE_LENGTH_COMMANDS = {
+    "sample": lambda d, n: ["sample", "--source", d / "source.json", "--n", n,
+                            "--out", d / "out.txt"],
+    "xent mc": lambda d, n: ["xent", "--true", d / "source.json", "--model",
+                             d / "source.json", "--mode", "mc", "--n", n],
+    "active": lambda d, n: _active(d, "--n", n),  # the last --n wins
+    "experiment": lambda d, n: _experiment(d, n_grid=[100, n]),
 }
+# 2^55 symbols need 2^58 bytes of uniforms, more than any 64-bit address
+# space, so the allocation fails at once and nothing is allocated; 2^62 and
+# 2^70 are beyond any array numpy can express and are refused before it
+HUGE_LENGTHS = {(name if power == 55 else f"{name} 2^{power}"): (command, 2 ** power)
+                for name, command in HUGE_LENGTH_COMMANDS.items()
+                for power in (55, 62, 70)}
 
 
 @pytest.mark.parametrize("case", sorted(HUGE_LENGTHS))
 def test_oversized_length_exits_three_with_one_line(workdir, capsys, case):
-    assert run(*HUGE_LENGTHS[case](workdir)) == 3
+    command, n = HUGE_LENGTHS[case]
+    assert run(*command(workdir, n)) == 3
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("resource error: ")

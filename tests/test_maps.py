@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_proper_complete_sets, closure_oracle, memory_oracle
+from oracles import (_is_complete, _is_proper, all_proper_complete_sets,
+                     closed_suffix_maps_oracle, closure_oracle, ends_with,
+                     memory_oracle)
 from phimp import (Alphabet, FeatureMap, InputError, ResourceError, SuffixSet,
                    SymbolSequence, compile_suffix_map,
                    enumerate_closed_suffix_maps, is_fsm_closed, load_fsm_map,
@@ -33,6 +35,17 @@ class TestValidateSuffixSet:
         assert not report.proper
         assert any("'1'" in v and "'01'" in v for v in report.violations)
 
+    def test_violation_texts_list_members_in_order(self):
+        report = validate_suffix_set(sset((0,), (1,), (1, 0)))
+        assert report.violations == ["'0' is an ending substring of '10'",
+                                     "'10' ends with 0, 10"]
+
+    def test_context_cap_bounds_the_depth(self):
+        deep = sset((1,), (0, 0), (0, 1, 0), (1, 1, 0))
+        assert validate_suffix_set(deep, context_cap=8).complete
+        with pytest.raises(ResourceError, match="2\\^3 contexts"):
+            validate_suffix_set(deep, context_cap=7)
+
     def test_incomplete_set(self):
         report = validate_suffix_set(sset((0, 0), (1, 1)))
         assert not report.complete
@@ -45,6 +58,22 @@ class TestValidateSuffixSet:
     def test_empty_string_rejected(self):
         with pytest.raises(InputError):
             SuffixSet(BINARY, ((),))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_lookups_agree_with_a_scan_of_the_members(self, data):
+        size = data.draw(st.integers(1, 3))
+        symbols = st.integers(0, size - 1)
+        strings = data.draw(st.lists(st.lists(symbols, min_size=1, max_size=4),
+                                     min_size=1, max_size=8))
+        suffix_set = SuffixSet(Alphabet(size), tuple(map(tuple, strings)))
+        members = suffix_set.suffixes
+        report = validate_suffix_set(suffix_set)
+        assert report.proper == _is_proper(members)
+        assert report.complete == _is_complete(members, size, suffix_set.depth)
+        for history in data.draw(st.lists(st.lists(symbols, max_size=6), max_size=5)):
+            hits = [s for s in members if ends_with(history, s)]
+            assert suffix_set.match(tuple(history)) == max(hits, key=len, default=None)
 
 
 class TestClosure:
@@ -230,13 +259,22 @@ class TestEnumeration:
 
     def test_matches_bruteforce_generation_depth3(self):
         # generation oracle: filter all subsets, then filter by closure oracle
-        candidates = all_proper_complete_sets(2, 3)
-        expected = {frozenset(members) for members in candidates
-                    if closure_oracle(members, 2)[0]}
-        maps = enumerate_closed_suffix_maps(BINARY, 3)
-        got = {frozenset(m.suffixes) for m in maps}
-        assert got == expected
-        assert len(maps) == len(got)  # no duplicates
+        for size, max_depth in ((2, 3), (3, 2)):
+            candidates = all_proper_complete_sets(size, max_depth)
+            expected = {frozenset(members) for members in candidates
+                        if closure_oracle(members, size)[0]}
+            maps = enumerate_closed_suffix_maps(Alphabet(size), max_depth)
+            got = {frozenset(m.suffixes) for m in maps}
+            assert got == expected
+            assert len(maps) == len(got)  # no duplicates
+
+    @pytest.mark.parametrize("size, max_depth",
+                             [(2, 4), (3, 3)] + [(1, d) for d in range(1, 7)])
+    def test_matches_recursive_generator(self, size, max_depth):
+        for padding in sorted({0, size - 1}):
+            maps = enumerate_closed_suffix_maps(Alphabet(size), max_depth, padding)
+            got = [(m.suffixes, m.step_table.tolist(), m.start_state) for m in maps]
+            assert got == closed_suffix_maps_oracle(size, max_depth, padding)
 
     def test_every_enumerated_map_validates(self):
         for fmap in enumerate_closed_suffix_maps(BINARY, 3):
@@ -254,6 +292,20 @@ class TestEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(ResourceError, match="cap"):
             enumerate_closed_suffix_maps(BINARY, 5, context_cap=16)
+
+    def test_cap_admits_exactly_its_count(self):
+        # 2, 5 and 26 leaf sets below a node with 1, 2 and 3 levels left, so
+        # binary depth 3 has 5^2 = 25 candidates and depth 4 has 26^2 = 676
+        assert len(enumerate_closed_suffix_maps(BINARY, 3, context_cap=25)) == 21
+        with pytest.raises(ResourceError, match="enumeration exceeds"):
+            enumerate_closed_suffix_maps(BINARY, 3, context_cap=24)
+        assert len(enumerate_closed_suffix_maps(BINARY, 4, context_cap=676)) == 390
+        with pytest.raises(ResourceError, match="enumeration exceeds"):
+            enumerate_closed_suffix_maps(BINARY, 4, context_cap=675)
+        # one symbol: one candidate per depth
+        assert len(enumerate_closed_suffix_maps(Alphabet(1), 40, context_cap=40)) == 40
+        with pytest.raises(ResourceError, match="enumeration exceeds"):
+            enumerate_closed_suffix_maps(Alphabet(1), 41, context_cap=40)
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
