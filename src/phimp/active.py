@@ -219,14 +219,11 @@ def embed_reward_map(reward_map: FeatureMap, action_count: int,
     """Lift a map over rewards to the event alphabet, ignoring (o, a)."""
     reward_count = reward_map.alphabet_size
     event_size = observation_count * action_count * reward_count
-    table = np.empty((reward_map.state_count, event_size), dtype=np.int64)
-    for e in range(event_size):
-        table[:, e] = reward_map.step_table[:, e % reward_count]
     return FeatureMap(
         kind="general-fsm",
         alphabet_size=event_size,
         state_count=reward_map.state_count,
         start_state=reward_map.start_state,
-        step_table=table,
+        step_table=reward_map.step_table[:, np.arange(event_size) % reward_count],
         map_id=f"embed-r:{reward_map.map_id}",
     )

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 input error, 3 resource-cap or out-of-memory error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,8 +24,7 @@ from .errors import InputError, ResourceError
 from .estimation import PenaltyScheme
 from .fmaps import (_suffix_text, enumerate_closed_suffix_maps, maps_from_json,
                     memory_bound, read_maps, write_maps)
-from .selection import (_check_class, consistency_run, score_map, select,
-                        with_baseline)
+from .selection import consistency_run, select, with_baseline
 from .sequences import (Alphabet, PairedSequence, _is_int, _read_json, _read_text,
                         _write_json, ergodicity_diagnostic, read_sequence,
                         write_sequence)
@@ -56,8 +56,8 @@ def _timestamp_line() -> str:
     return f"# generated {datetime.now(timezone.utc).isoformat()}"
 
 
-def _score_row(breakdown) -> str:
-    record = {
+def _score_record(breakdown) -> dict:
+    return {
         "criterion": breakdown.criterion,
         "data_cost": _json_float(breakdown.data_cost),
         "map_id": breakdown.map_id,
@@ -65,7 +65,10 @@ def _score_row(breakdown) -> str:
         "penalty": _json_float(breakdown.penalty),
         "total": _json_float(breakdown.total),
     }
-    return json.dumps(record, sort_keys=True)
+
+
+def _score_row(breakdown) -> str:
+    return json.dumps(_score_record(breakdown), sort_keys=True)
 
 
 def _write_lines(path, lines):
@@ -117,11 +120,9 @@ def _cmd_maps_check(args) -> int:
 def _cmd_score(args) -> int:
     data = read_sequence(args.seq)
     maps = read_maps(args.maps)
-    _check_class(maps)
     scheme = PenaltyScheme.from_string(args.pen, _data_alphabet_size(data))
-    ordered = sorted(maps, key=lambda m: m.canonical_key)
-    rows = [_score_row(score_map(m, data, args.criterion, scheme, args.smoothing))
-            for m in ordered]
+    result = select(maps, data, args.criterion, scheme, args.smoothing)
+    rows = [_score_row(b) for b in result.costs]
     _write_lines(args.out, rows)
     print(f"score: {len(rows)} maps scored with {args.criterion}/{args.pen} "
           f"on {args.seq} -> {args.out}")
@@ -141,7 +142,7 @@ def _cmd_select(args) -> int:
             "chosen_map_id": result.chosen_map_id,
             "criterion": args.criterion,
             "tie_broken": result.tie_broken,
-            "costs": [json.loads(_score_row(b)) for b in result.costs],
+            "costs": [_score_record(b) for b in result.costs],
         })
     print(f"select: chose {result.chosen_map_id} (total {_display(chosen, args.bits)}, "
           f"tie_broken={str(result.tie_broken).lower()})")
@@ -229,14 +230,6 @@ def _resolve_experiment_inputs(config: dict, base: Path):
     return model, maps, scheme
 
 
-def _experiment_worker(payload):
-    source, maps, criterion, scheme, n_grid, seed, include_baseline, smoothing = payload
-    trajectory = consistency_run(source, maps, criterion, scheme, n_grid, [seed],
-                                 include_baseline=include_baseline,
-                                 smoothing=smoothing)[0]
-    return trajectory
-
-
 def _trajectory_rows(trajectory) -> list[str]:
     rows = []
     for idx, n in enumerate(trajectory.n_grid):
@@ -254,29 +247,26 @@ def _cmd_experiment(args) -> int:
     config_path = Path(args.config)
     config = _load_experiment_config(config_path)
     source, maps, scheme = _resolve_experiment_inputs(config, config_path.parent)
-    criterion = config["criterion"]
-    include_baseline = config.get("include_baseline", True)
-    smoothing = float(config.get("smoothing", 0.0))
     n_grid = [int(v) for v in config["n_grid"]]
-    seeds = [int(v) for v in config["seeds"]]
-
+    # one run per seed, serially or one seed per worker
+    seeds = [[int(v)] for v in config["seeds"]]
+    run = functools.partial(consistency_run, source, maps, config["criterion"], scheme,
+                            n_grid, include_baseline=config.get("include_baseline", True),
+                            smoothing=float(config.get("smoothing", 0.0)))
     if args.jobs > 1:
-        payloads = [(source, maps, criterion, scheme, n_grid, seed,
-                     include_baseline, smoothing) for seed in seeds]
         # a fork-started pool forks all its workers at once; a seed needs one
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds))) as pool:
-            trajectories = list(pool.map(_experiment_worker, payloads))
+            runs = list(pool.map(run, seeds))
     else:
-        trajectories = consistency_run(source, maps, criterion, scheme, n_grid,
-                                       seeds, include_baseline=include_baseline,
-                                       smoothing=smoothing)
+        runs = list(map(run, seeds))
 
     rows = [TRAJECTORY_HEADER]
-    for trajectory in trajectories:
+    for [trajectory] in runs:
         rows.extend(_trajectory_rows(trajectory))
     _write_lines(args.out, rows)
-    final = [t.final_choice for t in trajectories]
-    winner = max(set(final), key=final.count)
+    final = [trajectory.final_choice for [trajectory] in runs]
+    # the first seed's choice among equally frequent ones
+    winner = max(final, key=final.count)
     print(f"experiment: {len(seeds)} seeds x {len(n_grid)} grid points -> {args.out}; "
           f"final choice {winner} in {final.count(winner)}/{len(final)} seeds")
     return 0

@@ -21,7 +21,7 @@ symbol walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,32 +155,35 @@ def _estimate_from_counts(trans_counts, emis_counts, n, smoothing) -> EmpiricalH
     )
 
 
-def estimate(fmap: FeatureMap, seq: SymbolSequence, smoothing: float = 0.0) -> EmpiricalHmm:
-    """Estimate transition and emission frequencies of the induced state path."""
-    if len(seq) < 1:
+def estimate(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
+             smoothing: float = 0.0) -> EmpiricalHmm:
+    """Estimate transition and emission frequencies of the induced state path.
+
+    A plain sequence drives the map and emits itself. Pairs drive it by the
+    joint symbol x * |Y| + y and emit y.
+    """
+    if len(data) < 1:
         raise InputError("cannot estimate from an empty sequence")
     _check_smoothing(smoothing)
-    if seq.alphabet.size != fmap.alphabet_size:
-        raise InputError(
-            f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
-            f"sequence has {seq.alphabet.size}")
-    trans, emis = _count(fmap, seq.items, seq.items, fmap.alphabet_size)
-    return _estimate_from_counts(trans, emis, len(seq), smoothing)
+    paired = isinstance(data, PairedSequence)
+    size = data.joint_size if paired else data.alphabet.size
+    if size != fmap.alphabet_size:
+        raise InputError(f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
+                         f"{'pairs span' if paired else 'sequence has'} {size}")
+    if paired:
+        # the joint symbols fit in int64, since a map's table has that many columns
+        n_emit = data.y_alphabet.size
+        drive, emit = data.xs * n_emit + data.ys, data.ys
+    else:
+        n_emit, drive, emit = size, data.items, data.items
+    trans, emis = _count(fmap, drive, emit, n_emit)
+    return _estimate_from_counts(trans, emis, len(data), smoothing)
 
 
 def estimate_paired(fmap: FeatureMap, paired: PairedSequence,
                     smoothing: float = 0.0) -> EmpiricalHmm:
     """Drive the state path with pair symbols but count emissions of y only."""
-    if len(paired) < 1:
-        raise InputError("cannot estimate from an empty sequence")
-    _check_smoothing(smoothing)
-    if paired.joint_size != fmap.alphabet_size:
-        raise InputError(
-            f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
-            f"pairs span {paired.joint_size}")
-    drive = paired.joint_sequence().items
-    trans, emis = _count(fmap, drive, paired.ys, paired.y_alphabet.size)
-    return _estimate_from_counts(trans, emis, len(paired), smoothing)
+    return estimate(fmap, paired, smoothing)
 
 
 def counts_nll(counts: np.ndarray, probs: np.ndarray) -> float:
@@ -209,27 +212,30 @@ def log_likelihood(fmap: FeatureMap, emp: EmpiricalHmm, seq: SymbolSequence) -> 
     return counts_nll(trans, emp.transition) + counts_nll(emis, emp.emission)
 
 
-def _self_code_length(emp: EmpiricalHmm) -> float:
-    # the data an estimate was counted on, coded under that estimate: the
-    # counts are already at hand, so no second walk over the data
-    return (counts_nll(emp.transition_counts, emp.transition)
-            + counts_nll(emp.emission_counts, emp.emission))
+def _score(criterion: str, fmap: FeatureMap, data, scheme: PenaltyScheme | None,
+           smoothing: float) -> CostBreakdown:
+    # one estimate, the data coded under it, plus the penalty (none for ml).
+    # The estimate's own counts code the data, so no second walk is needed;
+    # icost on pairs with |X| > 1 marginalizes the states with the forward
+    # recursion instead, since x is not coded.
+    emp = estimate(fmap, data, smoothing)
+    if criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1:
+        initial = np.zeros(fmap.state_count)
+        initial[fmap.start_state] = 1.0
+        total = float(_kernels.forward_nll_steps(emp.transition, emp.emission,
+                                                 initial, data.ys).sum())
+        data_cost = math.inf if math.isinf(total) or math.isnan(total) else total
+    else:
+        data_cost = (counts_nll(emp.transition_counts, emp.transition)
+                     + counts_nll(emp.emission_counts, emp.emission))
+    pen = 0.0 if criterion == "ml" else scheme.value(len(data), fmap.state_count)
+    return CostBreakdown.build(criterion, fmap.map_id, len(data), data_cost, pen)
 
 
 def cost(fmap: FeatureMap, seq: SymbolSequence, scheme: PenaltyScheme,
          smoothing: float = 0.0) -> CostBreakdown:
     """Self-estimated code length plus complexity penalty."""
-    data = _self_code_length(estimate(fmap, seq, smoothing))
-    pen = scheme.value(len(seq), fmap.state_count)
-    return CostBreakdown.build("cost", fmap.map_id, len(seq), data, pen)
-
-
-def _forward_data_cost(emp: EmpiricalHmm, fmap: FeatureMap, ys: np.ndarray) -> float:
-    initial = np.zeros(fmap.state_count)
-    initial[fmap.start_state] = 1.0
-    steps = _kernels.forward_nll_steps(emp.transition, emp.emission, initial, ys)
-    total = float(steps.sum())
-    return math.inf if math.isinf(total) or math.isnan(total) else total
+    return _score("cost", fmap, seq, scheme, smoothing)
 
 
 def icost(fmap: FeatureMap, paired: PairedSequence, scheme: PenaltyScheme,
@@ -238,30 +244,21 @@ def icost(fmap: FeatureMap, paired: PairedSequence, scheme: PenaltyScheme,
 
     With degenerate side information (|X| = 1) the observation sequence
     determines the state path, the marginal collapses to the single
-    compatible path, and the computation is delegated to :func:`cost` so the
-    two criteria agree exactly.
+    compatible path, and y is coded along it, so icost, ocost and the cost
+    of the y sequence agree exactly.
     """
-    if paired.x_alphabet.size == 1:
-        breakdown = cost(fmap, paired.y_sequence(), scheme, smoothing)
-        return replace(breakdown, criterion="icost")
-    emp = estimate_paired(fmap, paired, smoothing)
-    data = _forward_data_cost(emp, fmap, paired.ys)
-    pen = scheme.value(len(paired), fmap.state_count)
-    return CostBreakdown.build("icost", fmap.map_id, len(paired), data, pen)
+    return _score("icost", fmap, paired, scheme, smoothing)
 
 
 def ocost(fmap: FeatureMap, paired: PairedSequence, scheme: PenaltyScheme,
           smoothing: float = 0.0) -> CostBreakdown:
     """State-path-plus-observations criterion: code the realized path and y."""
-    data = _self_code_length(estimate_paired(fmap, paired, smoothing))
-    pen = scheme.value(len(paired), fmap.state_count)
-    return CostBreakdown.build("ocost", fmap.map_id, len(paired), data, pen)
+    return _score("ocost", fmap, paired, scheme, smoothing)
 
 
 def ml_cost(fmap: FeatureMap, seq: SymbolSequence, smoothing: float = 0.0) -> CostBreakdown:
     """Pure maximum-likelihood criterion: the cost with a zero penalty."""
-    data = _self_code_length(estimate(fmap, seq, smoothing))
-    return CostBreakdown.build("ml", fmap.map_id, len(seq), data, 0.0)
+    return _score("ml", fmap, seq, None, smoothing)
 
 
 def state_determines_pair(fmap: FeatureMap, paired: PairedSequence) -> bool:

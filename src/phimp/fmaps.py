@@ -294,8 +294,15 @@ def _suffix_map(suffix_set: SuffixSet, step_table: np.ndarray,
     )
 
 
+# the most int64 entries one array can hold, and so the widest table row
+_MAX_ROW = np.iinfo(np.intp).max // 8
+
+
 def trivial_map(alphabet_size: int) -> FeatureMap:
     """The single-state map that forgets the whole history."""
+    if alphabet_size > _MAX_ROW:
+        raise ResourceError(f"a map over {alphabet_size} symbols needs a table row "
+                            f"wider than {_MAX_ROW}, the most entries one array can hold")
     return FeatureMap(
         kind="general-fsm",
         alphabet_size=alphabet_size,

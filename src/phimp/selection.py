@@ -12,12 +12,13 @@ nonnegative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .estimation import CostBreakdown, PenaltyScheme, cost, icost, ml_cost, ocost
+from .estimation import CostBreakdown, PenaltyScheme, _score
 from .fmaps import FeatureMap, enumerate_closed_suffix_maps, memory_bound, trivial_map
 from .sequences import Alphabet, PairedSequence
 from .sources import (FsmxSource, _check_length, induced_hmm, is_ergodic_chain,
@@ -63,24 +64,9 @@ def score_map(fmap: FeatureMap, data, criterion: str, scheme: PenaltyScheme,
     """
     if criterion not in CRITERIA:
         raise InputError(f"unknown criterion {criterion!r} (expected one of {CRITERIA})")
-    if isinstance(data, PairedSequence):
-        if criterion == "icost":
-            return icost(fmap, data, scheme, smoothing)
-        if criterion == "ocost":
-            return ocost(fmap, data, scheme, smoothing)
-        joint = data.joint_sequence()
-        if criterion == "cost":
-            return cost(fmap, joint, scheme, smoothing)
-        return ml_cost(fmap, joint, smoothing)
-    if criterion == "cost":
-        return cost(fmap, data, scheme, smoothing)
-    if criterion == "ml":
-        return ml_cost(fmap, data, smoothing)
-    degenerate = PairedSequence(Alphabet(1), data.alphabet,
-                                np.zeros(len(data), dtype=np.int64), data.items)
-    if criterion == "icost":
-        return icost(fmap, degenerate, scheme, smoothing)
-    return ocost(fmap, degenerate, scheme, smoothing)
+    if isinstance(data, PairedSequence) and criterion in ("cost", "ml"):
+        data = data.joint_sequence()
+    return _score(criterion, fmap, data, scheme, smoothing)
 
 
 def _check_class(maps):
@@ -104,7 +90,12 @@ def select(maps: list[FeatureMap], data, criterion: str,
     if len(data) < 1:
         raise InputError("data must be non-empty")
     ordered = sorted(maps, key=lambda m: m.canonical_key)
-    scored = [(score_map(m, data, criterion, scheme, smoothing), m) for m in ordered]
+    return _pick([(score_map(m, data, criterion, scheme, smoothing), m) for m in ordered])
+
+
+def _pick(scored: list[tuple[CostBreakdown, FeatureMap]]) -> SelectionResult:
+    # the lowest total wins, then fewer states, then the canonical order; the
+    # tie flag says another candidate had the same total
     best, _ = min(scored, key=lambda pair: (pair[0].total, pair[1].state_count,
                                             pair[1].canonical_key))
     ties = sum(1 for breakdown, _ in scored if breakdown.total == best.total)
@@ -196,6 +187,11 @@ def countable_search(alphabet: Alphabet, data, criterion: str, scheme: PenaltySc
     A candidate whose penalty alone exceeds the best total so far cannot win
     (its data cost is nonnegative), so it is logged and skipped; the outcome
     matches exhaustive selection over the same budget-limited class.
+
+    The scan stops at the first pruned candidate and logs every later one
+    against the same best total. That loses nothing: the penalty never
+    decreases as the state count grows, the canonical order sorts by state
+    count first, and the best total changes only when a candidate is scored.
     """
     if state_budget < 1 or depth_budget < 1:
         raise InputError("state and depth budgets must be >= 1")
@@ -211,26 +207,20 @@ def countable_search(alphabet: Alphabet, data, criterion: str, scheme: PenaltySc
     n = len(data)
     if n < 1:
         raise InputError("data must be non-empty")
-    best: CostBreakdown | None = None
-    best_map: FeatureMap | None = None
-    scored: list[CostBreakdown] = []
+
+    def penalty(fmap):
+        return 0.0 if criterion == "ml" else scheme.value(n, fmap.state_count)
+
+    best_total = math.inf
+    scored: list[tuple[CostBreakdown, FeatureMap]] = []
     pruned: list[PruningLogEntry] = []
-    ties = 1
-    for fmap in candidates:
-        pen = 0.0 if criterion == "ml" else scheme.value(n, fmap.state_count)
-        if best is not None and pen > best.total:
-            pruned.append(PruningLogEntry(map_id=fmap.map_id,
-                                          state_count=fmap.state_count,
-                                          penalty=pen, best_total=best.total))
-            continue
+    for idx, fmap in enumerate(candidates):
+        if penalty(fmap) > best_total:
+            pruned = [PruningLogEntry(map_id=m.map_id, state_count=m.state_count,
+                                      penalty=penalty(m), best_total=best_total)
+                      for m in candidates[idx:]]
+            break
         breakdown = score_map(fmap, data, criterion, scheme, smoothing)
-        scored.append(breakdown)
-        if best is None or breakdown.total < best.total:
-            best, best_map = breakdown, fmap
-            ties = 1
-        elif breakdown.total == best.total:
-            ties += 1
-    if best is None:
-        raise InputError("no candidate map could be scored within the budgets")
-    return SelectionResult(chosen_map_id=best.map_id, costs=scored,
-                           tie_broken=ties > 1), pruned
+        scored.append((breakdown, fmap))
+        best_total = min(best_total, breakdown.total)
+    return _pick(scored), pruned

@@ -123,6 +123,9 @@ class PairedSequence:
 
     def joint_sequence(self) -> SymbolSequence:
         """Pairs encoded as single symbols x * |Y| + y."""
+        if self.joint_size > np.iinfo(np.int64).max:
+            raise ResourceError(f"a joint alphabet of {self.joint_size} pair symbols "
+                                f"does not fit in int64")
         joint = self.xs * self.y_alphabet.size + self.ys
         return SymbolSequence(Alphabet(self.joint_size), joint)
 

@@ -165,26 +165,21 @@ def induced_hmm(source: FsmxSource) -> Hmm:
     """
     fmap, emit = source.fmap, source.emit
     s_count, a_size = emit.shape
+    state, symbol = np.indices(emit.shape).reshape(2, -1)
+    entered = fmap.step_table[state, symbol]
     transition = np.zeros((s_count, s_count))
-    for s in range(s_count):
-        for y in range(a_size):
-            transition[s, fmap.step_table[s, y]] += emit[s, y]
+    # unbuffered scatters in (state, symbol) order: every cell sums as a loop would
+    np.add.at(transition, (state, entered), emit[state, symbol])
 
     emission = np.zeros((s_count, a_size))
     if fmap.kind == "suffix-tree":
-        for s, suffix in enumerate(fmap.suffixes):
-            emission[s, suffix[-1]] = 1.0
+        emission[np.arange(s_count), [suffix[-1] for suffix in fmap.suffixes]] = 1.0
     else:
-        pi = stationary(transition)
-        for s in range(s_count):
-            for y in range(a_size):
-                emission[fmap.step_table[s, y], y] += pi[s] * emit[s, y]
-        inflow = emission.sum(axis=1)
-        for s in range(s_count):
-            if inflow[s] > 0:
-                emission[s] /= inflow[s]
-            else:
-                emission[s] = 1.0 / a_size
+        np.add.at(emission, (entered, symbol),
+                  stationary(transition)[state] * emit[state, symbol])
+        inflow = emission.sum(axis=1, keepdims=True)
+        emission = np.divide(emission, inflow, where=inflow > 0,
+                             out=np.full_like(emission, 1.0 / a_size))
 
     initial = np.zeros(s_count)
     initial[fmap.start_state] = 1.0

@@ -12,6 +12,13 @@ import math
 
 import numpy as np
 
+from phimp.errors import InputError
+from phimp.estimation import CostBreakdown, PenaltyScheme
+from phimp.fmaps import FeatureMap, enumerate_closed_suffix_maps
+from phimp.selection import (PruningLogEntry, SelectionResult, _check_class,
+                             score_map, with_baseline)
+from phimp.sequences import Alphabet
+
 
 def count_substring_naive(seq, pattern) -> int:
     """Overlapping occurrences by literal slice comparison."""
@@ -400,3 +407,59 @@ def policy_induced_chain_loop(env, policy):
                 event = (o * env.action_count + a) * env.reward_count + r
                 out[s, env.event_map.step_table[s, event]] += p
     return out
+
+
+# The countable-class search as a full scan: every candidate is visited, and
+# one pruned candidate does not stop the loop. Kept as written apart from its
+# name, so the early-stopping search can be compared with it exactly. Unlike
+# the oracles above it scores candidates with the library's ``score_map``;
+# what it checks is the search loop, its tie rule and its pruning log.
+
+def countable_search_loop(alphabet: Alphabet, data, criterion: str, scheme: PenaltyScheme,
+                          state_budget: int, depth_budget: int,
+                          smoothing: float = 0.0,
+                          include_baseline: bool = True) -> tuple[SelectionResult, list[PruningLogEntry]]:
+    """Best-first scan of the suffix-map class in canonical order with
+    penalty-based pruning.
+
+    A candidate whose penalty alone exceeds the best total so far cannot win
+    (its data cost is nonnegative), so it is logged and skipped; the outcome
+    matches exhaustive selection over the same budget-limited class.
+    """
+    if state_budget < 1 or depth_budget < 1:
+        raise InputError("state and depth budgets must be >= 1")
+    candidates = enumerate_closed_suffix_maps(alphabet, depth_budget)
+    candidates = [m for m in candidates if m.state_count <= state_budget]
+    if include_baseline:
+        candidates = with_baseline(candidates, alphabet.size)
+    candidates.sort(key=lambda m: m.canonical_key)
+    if not candidates:
+        raise InputError("budgets exclude every candidate map")
+    _check_class(candidates)
+
+    n = len(data)
+    if n < 1:
+        raise InputError("data must be non-empty")
+    best: CostBreakdown | None = None
+    best_map: FeatureMap | None = None
+    scored: list[CostBreakdown] = []
+    pruned: list[PruningLogEntry] = []
+    ties = 1
+    for fmap in candidates:
+        pen = 0.0 if criterion == "ml" else scheme.value(n, fmap.state_count)
+        if best is not None and pen > best.total:
+            pruned.append(PruningLogEntry(map_id=fmap.map_id,
+                                          state_count=fmap.state_count,
+                                          penalty=pen, best_total=best.total))
+            continue
+        breakdown = score_map(fmap, data, criterion, scheme, smoothing)
+        scored.append(breakdown)
+        if best is None or breakdown.total < best.total:
+            best, best_map = breakdown, fmap
+            ties = 1
+        elif breakdown.total == best.total:
+            ties += 1
+    if best is None:
+        raise InputError("no candidate map could be scored within the budgets")
+    return SelectionResult(chosen_map_id=best.map_id, costs=scored,
+                           tie_broken=ties > 1), pruned

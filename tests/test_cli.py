@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phimp
 from phimp import (Alphabet, Environment, SuffixSet, compile_suffix_map,
                    embed_reward_map, write_environment, write_maps, write_model)
 from phimp.cli import main
@@ -183,6 +187,24 @@ class TestExperiment:
                    workdir / "serial.csv") == 0
         assert nontimestamp_bytes(workdir / "serial.csv") == \
             nontimestamp_bytes(workdir / "pooled.csv")
+
+    def test_summary_line_does_not_depend_on_the_hash_seed(self, workdir):
+        # the three seeds end on three different maps, so the summary must
+        # name the first seed's choice whatever order a set of ids would have
+        config = self.make_config(workdir, n_grid=[30], seeds=[0, 1, 3])
+        src = str(Path(phimp.__file__).parents[1])
+        outputs = []
+        for hash_seed in ("0", "1", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run(
+                [sys.executable, "-m", "phimp.cli", "experiment", "--config", str(config),
+                 "--out", str(workdir / "traj.csv")],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "final choice st:0|1 in 1/3 seeds" in outputs[0]
 
 
 class TestDeterminism:
@@ -411,6 +433,33 @@ def test_oversized_length_exits_three_with_one_line(workdir, capsys, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("resource error: ")
     assert "Traceback" not in captured.err
+
+
+# headers this wide reach the single-state map, whose table row no array can
+# hold: 2^62 int64 entries are too many bytes, and 2^63 or 2e20 too many
+# entries; a |Y| beyond int64 overflows the joint symbols x * |Y| + y
+HUGE_ALPHABETS = {
+    "alphabet 2^62": ("select", "alphabet=4611686018427387904\n0 1\n"),
+    "alphabet 2^63": ("select", "alphabet=9223372036854775808\n0 1\n"),
+    "paired alphabet 1e20 x 2": ("select", "alphabet=100000000000000000000,2\n0,1 1,1\n"),
+    "paired alphabet 2 x 1e20": ("diagnose", "alphabet=2,100000000000000000000\n0,1 1,1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_ALPHABETS))
+def test_huge_alphabet_header_exits_with_one_line(workdir, capsys, case):
+    command, text = HUGE_ALPHABETS[case]
+    data = _written(workdir / "data.txt", text)
+    if command == "select":
+        code = run("select", "--maps", _written(workdir / "maps.json", '{"maps": []}'),
+                   "--seq", data)
+    else:
+        code = run("diagnose", "--seq", data)
+    assert code in (2, 3)
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(("error: ", "resource error: "))
+    assert captured.out == ""
 
 
 class TestActiveCommand:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from phimp import (Alphabet, FeatureMap, FsmxSource, InputError, PenaltyScheme,
                    SuffixSet, SymbolSequence, compile_suffix_map, consistency_run,
                    cost, countable_search, cross_entropy_exact_markov,
@@ -242,6 +243,30 @@ class TestCountableSearch:
         with pytest.raises(InputError):
             countable_search(BINARY, seq([0, 1]), "cost", BIC_MARKOV,
                              state_budget=0, depth_budget=3)
+
+    def test_matches_full_scan_oracle_exactly(self):
+        # the early stop must leave the choice, the tie flag, every scored
+        # cost and every pruning-log field as the full scan has them
+        rng = rng_stream(302)
+        datasets = [seq(rng.integers(0, 2, n)) for n in (12, 400)] + \
+            [seq([0] * 12), seq([1] * 400)]
+        pruned_runs = tied_runs = 0
+        for data in datasets:
+            for spec in ("bic:markov", "bic:full", "cubic"):
+                scheme = PenaltyScheme.from_string(spec, 2)
+                for criterion in ("cost", "ml"):
+                    for budget in (1, 3, 8):
+                        args = (BINARY, data, criterion, scheme, budget, 3)
+                        result, pruned = countable_search(*args)
+                        expected, expected_pruned = oracles.countable_search_loop(*args)
+                        assert result.chosen_map_id == expected.chosen_map_id
+                        assert result.tie_broken == expected.tie_broken
+                        assert result.costs == expected.costs
+                        assert [vars(e) for e in pruned] == \
+                            [vars(e) for e in expected_pruned]
+                        pruned_runs += bool(pruned)
+                        tied_runs += result.tie_broken
+        assert pruned_runs > 0 and tied_runs > 0
 
 
 class TestScoreMapDispatch:
