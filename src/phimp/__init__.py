@@ -22,10 +22,10 @@ from .sequences import (Alphabet, ErgodicityReport, FrequencyReport,
                         ergodicity_diagnostic, frequency_trajectory,
                         read_sequence, substring_frequency, write_sequence)
 from .sources import (CrossEntropyEstimate, FsmxSource, Hmm, brute_force_loglik,
-                      cross_entropy_exact_markov, cross_entropy_mc, forward_loglik,
-                      forward_loglik_steps, hmm_from_map_model, induced_hmm,
-                      is_ergodic_chain, limiting_parameters, model_from_json,
-                      model_to_json, read_model, rng_stream, sample_fsmx,
-                      sample_hmm, stationary, write_model)
+                      cross_entropy_exact_fsmx, cross_entropy_exact_markov,
+                      cross_entropy_mc, forward_loglik, forward_loglik_steps,
+                      hmm_from_map_model, induced_hmm, is_ergodic_chain,
+                      limiting_parameters, model_from_json, model_to_json, read_model,
+                      rng_stream, sample_fsmx, sample_hmm, stationary, write_model)
 
 __version__ = "0.1.0"

@@ -28,9 +28,8 @@ from .selection import consistency_run, select, with_baseline
 from .sequences import (Alphabet, PairedSequence, _is_int, _read_json, _read_text,
                         _write_json, ergodicity_diagnostic, read_sequence,
                         write_sequence)
-from .sources import (FsmxSource, cross_entropy_exact_markov, cross_entropy_mc,
-                      induced_hmm, model_from_json, read_model, sample_fsmx,
-                      sample_hmm)
+from .sources import (FsmxSource, cross_entropy_exact_fsmx, cross_entropy_mc,
+                      model_from_json, read_model, sample_fsmx, sample_hmm)
 
 SCORE_FIELDS = ("criterion", "data_cost", "map_id", "n", "penalty", "total")
 TRAJECTORY_HEADER = "seed,n,chosen_map_id,total,data_cost,penalty,stabilized"
@@ -161,12 +160,9 @@ def _cmd_xent(args) -> int:
     if args.mode == "exact":
         if not isinstance(true_model, FsmxSource) or not isinstance(model, FsmxSource):
             raise InputError("exact mode needs finite-state (fsmx) models on both sides")
-        params = induced_hmm(model)
-        estimate = cross_entropy_exact_markov(true_model, model.fmap,
-                                              params.transition, params.emission)
+        estimate = cross_entropy_exact_fsmx(true_model, model)
     else:
-        model_hmm = induced_hmm(model) if isinstance(model, FsmxSource) else model
-        estimate = cross_entropy_mc(true_model, model_hmm, args.n, args.seed)
+        estimate = cross_entropy_mc(true_model, model, args.n, args.seed)
     detail = f"value={_display(estimate.value, args.bits)} mode={estimate.mode}"
     if estimate.std_error is not None:
         detail += f" std_error={_display(estimate.std_error, args.bits)}"

@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .errors import InputError
 from .fmaps import FeatureMap, memory_bound
-from .sequences import PairedSequence, SymbolSequence
+from .sequences import PairedSequence, SymbolSequence, _check_int
 
 
 @dataclass(eq=False)
@@ -84,6 +84,7 @@ class PenaltyScheme:
         if self.spec not in ("bic:markov", "bic:full", "cubic"):
             raise InputError(f"unknown penalty spec {self.spec!r} "
                              "(expected bic:markov, bic:full, or cubic)")
+        _check_int(self.alphabet_size, "penalty alphabet size")
         if self.alphabet_size < 1:
             raise InputError("penalties need the emission alphabet size")
 

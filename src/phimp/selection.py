@@ -20,9 +20,8 @@ import numpy as np
 from .errors import InputError
 from .estimation import CostBreakdown, PenaltyScheme, _score
 from .fmaps import FeatureMap, enumerate_closed_suffix_maps, memory_bound, trivial_map
-from .sequences import Alphabet, PairedSequence
-from .sources import (FsmxSource, _check_length, induced_hmm, is_ergodic_chain,
-                      sample_fsmx)
+from .sequences import Alphabet, PairedSequence, _check_int
+from .sources import FsmxSource, _check_length, is_ergodic_chain, sample_fsmx
 
 CRITERIA = ("cost", "icost", "ocost", "ml")
 
@@ -126,13 +125,15 @@ def consistency_run(source: FsmxSource, maps: list[FeatureMap], criterion: str,
                     smoothing: float = 0.0) -> list[SelectionTrajectory]:
     """Sample the source once per seed and re-select on each prefix length.
 
-    Refuses sources whose induced state chain is not ergodic and candidate
+    Refuses sources whose state chain is not ergodic and candidate
     maps without bounded memory. Each trajectory records the chosen map and
     all candidate costs per grid point, plus the first grid index from which
     the choice never changes again.
     """
     # checked as Python numbers, so that no entry overflows int64 on the way
     n_grid = list(n_grid)
+    for n in n_grid:
+        _check_int(n, "n_grid entry")
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise InputError("n_grid must be non-empty and strictly increasing")
     _check_length(n_grid[-1], "sample length")
@@ -141,7 +142,11 @@ def consistency_run(source: FsmxSource, maps: list[FeatureMap], criterion: str,
     if len(set(seeds)) != len(seeds):
         raise InputError("seeds must be distinct")
 
-    if not is_ergodic_chain(induced_hmm(source).transition):
+    # the source's own state chain: s -> step[s, y] wherever emit[s, y] > 0
+    state, symbol = np.nonzero(source.emit > 0)
+    support = np.zeros((source.fmap.state_count,) * 2, dtype=bool)
+    support[state, source.fmap.step_table[state, symbol]] = True
+    if not is_ergodic_chain(support):
         raise InputError(
             "source state chain is not ergodic (some state cannot reach some "
             "other); consistency experiments need an ergodic source")

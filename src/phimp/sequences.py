@@ -29,6 +29,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_int(value, what: str):
+    """InputError unless ``value`` is an int or a numpy integer, not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 def _number_table(value, what: str, integer: bool = False) -> np.ndarray:
     """``value`` (nested lists or an array) as a float64 array, or an int64
     one when ``integer``; InputError unless the nesting is rectangular and
@@ -68,6 +74,7 @@ class Alphabet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        _check_int(self.size, "alphabet size")
         if self.size < 1:
             raise InputError(f"alphabet size must be >= 1, got {self.size}")
         if self.labels is not None:

@@ -24,8 +24,8 @@ import numpy as np
 from . import _kernels
 from .errors import InputError, ResourceError
 from .fmaps import FeatureMap, load_fsm_map
-from .sequences import (Alphabet, SymbolSequence, _as_symbols, _number_table,
-                        _read_json, _write_json)
+from .sequences import (Alphabet, SymbolSequence, _as_symbols, _check_int,
+                        _number_table, _read_json, _write_json)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -37,6 +37,8 @@ _MAX_STEPS = np.iinfo(np.intp).max // 16
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream index)."""
+    _check_int(seed, "seed")
+    _check_int(stream, "stream")
     if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
         raise InputError(f"seed and stream must lie in 0..2**64-1, got {seed} and {stream}")
     key = np.array([seed, stream], dtype=np.uint64)
@@ -44,6 +46,7 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _check_length(n: int, what: str):
+    _check_int(n, what)
     if n < 1:
         raise InputError(f"{what} must be >= 1")
     if n > _MAX_STEPS:
@@ -368,25 +371,43 @@ def limiting_parameters(source: FsmxSource, model_map: FeatureMap):
     return normalize(trans_flow), normalize(emis_flow)
 
 
+def _flow_code_length(flow: np.ndarray, p_model: np.ndarray) -> CrossEntropyEstimate:
+    # the stationary mean of -ln p_model; +inf where the model gives a flow
+    # of the source probability zero
+    if np.any(p_model <= 0.0):
+        return CrossEntropyEstimate(value=math.inf, mode="exact-markov")
+    return CrossEntropyEstimate(value=-float(flow @ np.log(p_model)), mode="exact-markov")
+
+
 def cross_entropy_exact_markov(source: FsmxSource, model_map: FeatureMap,
                                transition: np.ndarray,
                                emission: np.ndarray) -> CrossEntropyEstimate:
-    """Asymptotic per-symbol code length of source data under a map model.
+    """Asymptotic per-symbol code length of source data under map parameters.
 
-    The model charges -ln(T[v, v'] * E[v', y]) for each symbol, where v' is
-    its deterministic successor state; averaging over the stationary law of
-    the (source state, model state) chain gives the exact limit. The value is
+    The (T, E) law, for estimated or limiting parameters of a map: the model
+    charges -ln(T[v, v'] * E[v', y]) for each symbol, where v' is its
+    deterministic successor state; averaging over the stationary law of the
+    (source state, model state) chain gives the exact limit. The value is
     +inf when the model assigns zero probability where the source has
     support.
     """
     transition = np.asarray(transition, dtype=np.float64)
     emission = np.asarray(emission, dtype=np.float64)
     v, y, nxt, flow = _stationary_flows(source, model_map)
-    p_model = transition[v, nxt] * emission[nxt, y]
-    if np.any(p_model <= 0.0):
-        return CrossEntropyEstimate(value=math.inf, mode="exact-markov")
-    value = -float(flow @ np.log(p_model))
-    return CrossEntropyEstimate(value=value, mode="exact-markov")
+    return _flow_code_length(flow, transition[v, nxt] * emission[nxt, y])
+
+
+def cross_entropy_exact_fsmx(source: FsmxSource, model: FsmxSource) -> CrossEntropyEstimate:
+    """Asymptotic per-symbol code length of source data under a finite-state model.
+
+    The model's own path law: its state is fixed by the history, so it
+    charges -ln emit[v, y] for symbol y read in model state v. Averaging over
+    the stationary law of the (source state, model state) chain gives the
+    exact limit; +inf when the model gives a symbol the source emits
+    probability zero.
+    """
+    v, y, _, flow = _stationary_flows(source, model.fmap)
+    return _flow_code_length(flow, model.emit[v, y])
 
 
 def _block_bootstrap_se(losses: np.ndarray, rng: np.random.Generator,
@@ -407,20 +428,32 @@ def _block_bootstrap_se(losses: np.ndarray, rng: np.random.Generator,
     return float(means.std(ddof=1))
 
 
-def cross_entropy_mc(true_model: FsmxSource | Hmm, model: Hmm, n: int,
+def cross_entropy_mc(true_model: FsmxSource | Hmm, model: FsmxSource | Hmm, n: int,
                      seed: int) -> CrossEntropyEstimate:
     """Monte-Carlo cross-entropy: sample from the source, average the model's
     per-symbol code length, and attach a moving-block bootstrap standard
-    error (block length ~ sqrt(n))."""
+    error (block length ~ sqrt(n)).
+
+    A finite-state model codes by its own path law: one walk of its map over
+    the sample fixes the state before each symbol, and symbol y_t costs
+    -ln emit[s_{t-1}, y_t]. A hidden-Markov model codes by the normalized
+    forward recursion.
+    """
     if n < 1_000:
         raise InputError("Monte-Carlo cross-entropy needs n >= 1000")
     if isinstance(true_model, FsmxSource):
         sample = sample_fsmx(true_model, n, seed)
     else:
         sample = sample_hmm(true_model, n, seed)
-    if sample.alphabet.size != model.emission_size:
+    if isinstance(model, FsmxSource):
+        # one walk fixes the state before each symbol; InputError on an
+        # alphabet mismatch
+        with np.errstate(divide="ignore"):
+            steps = -np.log(model.emit[model.fmap.walk(sample)[:-1], sample.items])
+    elif sample.alphabet.size != model.emission_size:
         raise InputError("alphabet mismatch between source and model")
-    steps = forward_loglik_steps(model, sample.items)
+    else:
+        steps = forward_loglik_steps(model, sample.items)
     if np.isinf(steps).any():
         return CrossEntropyEstimate(value=math.inf, mode="monte-carlo", n_used=n)
     se = _block_bootstrap_se(steps, rng_stream(seed, stream=1))

@@ -18,6 +18,8 @@ from phimp.fmaps import FeatureMap, enumerate_closed_suffix_maps
 from phimp.selection import (PruningLogEntry, SelectionResult, _check_class,
                              score_map, with_baseline)
 from phimp.sequences import Alphabet
+from phimp.sources import (cross_entropy_exact_markov, cross_entropy_mc,
+                           induced_hmm)
 
 
 def count_substring_naive(seq, pattern) -> int:
@@ -463,3 +465,19 @@ def countable_search_loop(alphabet: Alphabet, data, criterion: str, scheme: Pena
         raise InputError("no candidate map could be scored within the budgets")
     return SelectionResult(chosen_map_id=best.map_id, costs=scored,
                            tie_broken=ties > 1), pruned
+
+
+# How ``phimp xent`` scored a finite-state model before it coded along the
+# model's own state path: the model rebuilt as its induced HMM, then the
+# (T, E) law on the stationary flows (exact) or the forward recursion over a
+# sample (mc). Like the search loop above it calls the library; what it
+# checks is that suffix-tree models, whose induced HMM is exact, score the
+# same bit for bit.
+
+def xent_via_induced_hmm(true_model, model, mode: str, n: int = 100_000, seed: int = 0):
+    """``phimp xent`` on an fsmx model file as it was, for both modes."""
+    if mode == "exact":
+        params = induced_hmm(model)
+        return cross_entropy_exact_markov(true_model, model.fmap,
+                                          params.transition, params.emission)
+    return cross_entropy_mc(true_model, induced_hmm(model), n, seed)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +123,47 @@ class TestXent:
                    workdir / "hmm.json", "--mode", "exact") == 2
 
 
+# general maps, not suffix trees: the state is the parity of the ones read
+PARITY_MODEL = json.dumps({
+    "type": "fsmx",
+    "map": {"kind": "general-fsm", "alphabet_size": 2, "states": 2, "start_state": 0,
+            "psi": [[0, 1], [1, 0]]},
+    "emit": [[0.6, 0.4], [0.3, 0.7]],
+})
+# the state is the last symbol, except the start state 2, which no symbol enters
+TRANSIENT_START_MODEL = json.dumps({
+    "type": "fsmx",
+    "map": {"kind": "general-fsm", "alphabet_size": 2, "states": 3, "start_state": 2,
+            "psi": [[0, 1]] * 3},
+    "emit": [[0.7, 0.3], [0.4, 0.6], [0.5, 0.5]],
+})
+
+
+class TestXentOwnLaw:
+    def xent(self, workdir, model_json, mode):
+        model = _written(workdir / "model.json", model_json)
+        assert run("xent", "--true", workdir / "source.json", "--model", model,
+                   "--mode", mode, "--out", workdir / f"{mode}.json") == 0
+        return json.loads((workdir / f"{mode}.json").read_text())
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_transient_start_model_is_scored(self, workdir, mode):
+        assert math.isfinite(self.xent(workdir, TRANSIENT_START_MODEL, mode)["value"])
+
+    def test_fsmx_paths_build_no_hmm(self, workdir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an fsmx path built an HMM or ran the forward recursion")
+
+        monkeypatch.setattr(phimp.sources, "induced_hmm", refuse)
+        monkeypatch.setattr(phimp._kernels, "forward_nll_steps", refuse)
+        parity = _written(workdir / "parity.json", PARITY_MODEL)
+        for model in (workdir / "source.json", parity):
+            for mode in ("exact", "mc"):
+                assert run("xent", "--true", workdir / "source.json", "--model", model,
+                           "--mode", mode, "--n", 2000) == 0
+        assert run(*_experiment(workdir, n_grid=[100, 1000])) == 0
+
+
 class TestExperiment:
     def make_config(self, workdir, **overrides):
         config = {
@@ -187,6 +229,18 @@ class TestExperiment:
                    workdir / "serial.csv") == 0
         assert nontimestamp_bytes(workdir / "serial.csv") == \
             nontimestamp_bytes(workdir / "pooled.csv")
+
+    def test_near_singular_ergodic_source_runs(self, workdir):
+        config = self.make_config(workdir, source=json.loads(NEAR_SINGULAR_MODEL),
+                                  n_grid=[100, 1000], seeds=[0],
+                                  **{"class": {"alphabet": 4, "max_depth": 1}})
+        assert run("experiment", "--config", config, "--out", workdir / "traj.csv") == 0
+
+    def test_transient_start_source_refused(self, workdir, capsys):
+        config = self.make_config(workdir, source=json.loads(TRANSIENT_START_MODEL))
+        assert run("experiment", "--config", config, "--out", workdir / "traj.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: source state chain is not ergodic")
 
     def test_summary_line_does_not_depend_on_the_hash_seed(self, workdir):
         # the three seeds end on three different maps, so the summary must
@@ -300,6 +354,7 @@ def _experiment(workdir, **overrides):
 
 
 # ergodic by support, but 1e-300 next to 1.0 makes the stationary solve singular
+# (exact mode solves the product chain of source and model)
 NEAR_SINGULAR_MODEL = json.dumps({
     "type": "fsmx",
     "map": {"kind": "general-fsm", "alphabet_size": 4, "states": 4, "start_state": 0,
@@ -312,6 +367,12 @@ NEAR_SINGULAR_MODEL = json.dumps({
 def _xent_near_singular(workdir, mode):
     model = _written(workdir / "m.json", NEAR_SINGULAR_MODEL)
     return ["xent", "--true", model, "--model", model, "--mode", mode, "--n", 1000]
+
+
+def test_near_singular_model_mc_exits_zero_with_finite_value(workdir):
+    # mc codes along the model's own state path and solves no stationary law
+    assert run(*_xent_near_singular(workdir, "mc"), "--out", workdir / "xent.json") == 0
+    assert math.isfinite(json.loads((workdir / "xent.json").read_text())["value"])
 
 
 def _env_with_emissions(workdir, emissions):
@@ -338,7 +399,6 @@ def _score_twice(workdir):
 
 BAD_INPUTS = {
     "stationary solve singular (exact)": lambda d: _xent_near_singular(d, "exact"),
-    "stationary solve singular (mc)": lambda d: _xent_near_singular(d, "mc"),
     "map psi not a number": lambda d: [
         "maps", "check", _written(d / "maps.json", json.dumps({"maps": [{
             "kind": "general-fsm", "alphabet_size": 2, "states": 2,

@@ -155,6 +155,11 @@ class TestPenalty:
         with pytest.raises(InputError):
             PenaltyScheme.from_string("aic", 2)
 
+    @pytest.mark.parametrize("size", [2.5, True, 2.0])
+    def test_alphabet_size_must_be_an_integer(self, size):
+        with pytest.raises(InputError, match="must be an integer"):
+            PenaltyScheme("bic:markov", size)
+
     def test_invalid_arguments(self):
         with pytest.raises(InputError):
             BIC_MARKOV.value(0, 1)

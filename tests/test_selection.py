@@ -208,6 +208,24 @@ class TestConsistencyRun:
             consistency_run(reference_source, [trivial_map(2)], "cost", BIC_MARKOV,
                             n_grid=[100], seeds=[1, 1])
 
+    def test_non_integer_grid_point_refused(self, reference_source):
+        with pytest.raises(InputError, match="n_grid entry must be an integer"):
+            consistency_run(reference_source, [trivial_map(2)], "cost", BIC_MARKOV,
+                            n_grid=[100.5, 1000], seeds=[0])
+
+    def test_non_integer_seed_refused(self, reference_source):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            consistency_run(reference_source, [trivial_map(2)], "cost", BIC_MARKOV,
+                            n_grid=[100], seeds=[1.5])
+
+    def test_numpy_integer_grid_and_seed_accepted(self, reference_source):
+        [got] = consistency_run(reference_source, [trivial_map(2)], "cost", BIC_MARKOV,
+                                n_grid=[np.int64(100)], seeds=[np.int64(7)])
+        [want] = consistency_run(reference_source, [trivial_map(2)], "cost", BIC_MARKOV,
+                                 n_grid=[100], seeds=[7])
+        assert got.costs_per_n[0][0].total == want.costs_per_n[0][0].total
+        assert list(got.n_grid) == [100]
+
 
 class TestCountableSearch:
     def test_matches_exhaustive_selection(self):

@@ -155,6 +155,12 @@ class TestValidation:
         with pytest.raises(InputError):
             seq([0, 2])
 
+    @pytest.mark.parametrize("size", [2.5, True, 3.0])
+    def test_alphabet_size_must_be_an_integer(self, size):
+        with pytest.raises(InputError, match="alphabet size must be an integer"):
+            SymbolSequence(Alphabet(size), np.array([0, 1, 2]))
+        assert Alphabet(np.int64(3)).size == 3
+
     def test_alphabet_labels(self):
         with pytest.raises(InputError):
             Alphabet(2, labels=("a", "a"))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,11 +8,12 @@ import pytest
 from oracles import (binary_entropy, block_bootstrap_se_gather,
                      cross_entropy_from_flows, first_zero_probability_step,
                      forward_nll_steps_loop, limiting_parameters_from_flows,
-                     product_chain_flows)
+                     product_chain_flows, xent_via_induced_hmm)
 from phimp import (Alphabet, FeatureMap, FsmxSource, Hmm, InputError,
                    ResourceError, SuffixSet, SymbolSequence, brute_force_loglik,
-                   compile_suffix_map, cross_entropy_exact_markov,
-                   cross_entropy_mc, estimate, forward_loglik,
+                   compile_suffix_map, cross_entropy_exact_fsmx,
+                   cross_entropy_exact_markov, cross_entropy_mc,
+                   enumerate_closed_suffix_maps, estimate, forward_loglik,
                    forward_loglik_steps, induced_hmm,
                    is_ergodic_chain, limiting_parameters, model_from_json,
                    model_to_json, read_model, sample_fsmx, sample_hmm,
@@ -49,6 +51,20 @@ class TestSampling:
         c = sample_fsmx(reference_source, 1000, seed=8)
         assert np.array_equal(a.items, b.items)
         assert not np.array_equal(a.items, c.items)
+
+    @pytest.mark.parametrize("seed, stream", [(2.9, 0), (True, 0), (2, 1.5), (2, False)])
+    def test_seed_and_stream_must_be_integers(self, seed, stream):
+        with pytest.raises(InputError, match="must be an integer"):
+            rng_stream(seed, stream)
+
+    def test_numpy_integer_seed_gives_that_seed(self, reference_source):
+        assert rng_stream(np.int64(7), np.uint8(1)).random() == rng_stream(7, 1).random()
+        assert np.array_equal(sample_fsmx(reference_source, 100, np.int64(7)).items,
+                              sample_fsmx(reference_source, 100, 7).items)
+
+    def test_length_must_be_an_integer(self, reference_source):
+        with pytest.raises(InputError, match="sample length must be an integer"):
+            sample_fsmx(reference_source, 10.7, 0)
 
     def test_streams_are_independent(self, reference_source):
         a = sample_fsmx(reference_source, 1000, seed=7, stream=0)
@@ -514,6 +530,76 @@ class TestCrossEntropyMc:
         a = cross_entropy_mc(reference_source, chain, 5000, seed=9)
         b = cross_entropy_mc(reference_source, chain, 5000, seed=9)
         assert a.value == b.value and a.std_error == b.std_error
+
+
+def random_suffix_models(reference_source):
+    """62 suffix-tree models with random emissions, each with a source over
+    its alphabet: every closed binary map of depth <= 3 and full binary
+    depths 4 and 5 against the reference source, and every closed ternary
+    map of depth <= 2 against a ternary suffix source, each drawn twice."""
+    rng = rng_stream(4242)
+    binary = enumerate_closed_suffix_maps(BINARY, 3) + [
+        compile_suffix_map(SuffixSet(BINARY, tuple(itertools.product(range(2), repeat=d))))
+        for d in (4, 5)]
+    ternary = enumerate_closed_suffix_maps(Alphabet(3), 2)
+    ternary_source = FsmxSource(ternary[5], rng.dirichlet(np.ones(3), ternary[5].state_count))
+    return [(source, FsmxSource(fmap, rng.dirichlet(np.ones(fmap.alphabet_size),
+                                                    fmap.state_count)))
+            for _ in range(2)
+            for source, maps in ((reference_source, binary), (ternary_source, ternary))
+            for fmap in maps]
+
+
+# a model whose state is the parity of the ones read so far; general, not a
+# suffix tree, so two symbols can enter one state
+PARITY_MODEL = FsmxSource(
+    FeatureMap(kind="general-fsm", alphabet_size=2, state_count=2, start_state=0,
+               step_table=np.array([[0, 1], [1, 0]])),
+    np.array([[0.6, 0.4], [0.3, 0.7]]))
+
+
+class TestOneLawPerModel:
+    def test_suffix_models_score_as_their_induced_hmm(self, reference_source):
+        # a suffix-tree model's induced HMM is exact, so coding along the
+        # model's own state path changes no bit in either mode
+        models = random_suffix_models(reference_source)
+        assert len(models) >= 60
+        for k, (source, model) in enumerate(models):
+            got = cross_entropy_exact_fsmx(source, model)
+            want = xent_via_induced_hmm(source, model, "exact")
+            assert (got.value, got.mode) == (want.value, want.mode)
+            for n in (1000, 4099, 100_000):
+                got = cross_entropy_mc(source, model, n, seed=k)
+                want = xent_via_induced_hmm(source, model, "mc", n, seed=k)
+                assert (got.value, got.std_error) == (want.value, want.std_error)
+
+    def test_parity_model_scored_by_its_own_law(self, reference_source):
+        flows, _ = product_chain_flows(
+            reference_source.fmap.step_table, reference_source.fmap.start_state,
+            reference_source.emit, PARITY_MODEL.fmap.step_table, 0)
+        want = sum(-flow * math.log(PARITY_MODEL.emit[v, y])
+                   for (_, v, y), flow in flows.items())
+        exact = cross_entropy_exact_fsmx(reference_source, PARITY_MODEL)
+        assert exact.value == pytest.approx(want, rel=1e-12)
+        mc = cross_entropy_mc(reference_source, PARITY_MODEL, 100_000, seed=0)
+        assert abs(mc.value - exact.value) <= 4 * mc.std_error
+        # the induced-HMM reference scores a general map by another law
+        assert abs(xent_via_induced_hmm(reference_source, PARITY_MODEL,
+                                        "exact").value - want) > 0.5
+
+    def test_zero_emit_on_the_path_is_infinite(self, reference_source):
+        model = FsmxSource(reference_source.fmap,
+                           np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 0.8]]))
+        assert cross_entropy_exact_fsmx(reference_source, model).value == math.inf
+        got = cross_entropy_mc(reference_source, model, 2000, seed=0)
+        assert got.value == math.inf and got.std_error is None
+
+    def test_alphabet_mismatch_rejected(self, reference_source):
+        model = FsmxSource(trivial_map(3), np.full((1, 3), 1 / 3))
+        with pytest.raises(InputError, match="alphabet"):
+            cross_entropy_exact_fsmx(reference_source, model)
+        with pytest.raises(InputError, match="alphabet"):
+            cross_entropy_mc(reference_source, model, 2000, seed=0)
 
 
 class TestGibbsDirection:
