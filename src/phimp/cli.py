@@ -21,7 +21,7 @@ from pathlib import Path
 from .active import (Policy, active_select, environment_from_json,
                      read_environment, rollout)
 from .errors import InputError, ResourceError
-from .estimation import PenaltyScheme
+from .estimation import CRITERIA, PenaltyScheme
 from .fmaps import (_suffix_text, enumerate_closed_suffix_maps, maps_from_json,
                     memory_bound, read_maps, write_maps)
 from .selection import consistency_run, select, with_baseline
@@ -398,8 +398,8 @@ def _check_artifact(path: Path) -> str:
 # argument parsing
 
 
-def _add_pen_criterion(parser, criteria=("cost", "icost", "ocost", "ml")):
-    parser.add_argument("--criterion", default="cost", choices=criteria)
+def _add_pen_criterion(parser):
+    parser.add_argument("--criterion", default="cost", choices=CRITERIA)
     parser.add_argument("--pen", default="bic:markov",
                         help="bic:markov | bic:full | cubic")
     parser.add_argument("--smoothing", type=float, default=0.0,
@@ -478,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--maps", required=True)
-    _add_pen_criterion(p, criteria=("icost", "ocost", "cost", "ml"))
+    _add_pen_criterion(p)
     p.set_defaults(criterion="icost")
     p.add_argument("--no-baseline", action="store_true")
     p.add_argument("--out", "--output")

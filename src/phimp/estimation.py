@@ -7,6 +7,13 @@ driving sequence itself follow the unique realized state path; the
 observations-only criterion marginalizes hidden states with the forward
 recursion, starting from a point mass at the start state.
 
+One rule reads the data for ``estimate``, ``score_map`` and
+``log_likelihood``: a plain sequence drives the map and emits itself; pairs
+drive it by the joint symbol x * |Y| + y and emit y, except under ``cost``
+and ``ml``, where they emit the joint symbol. ``score_map`` is the only
+function that scores a map, and ``cost``, ``icost``, ``ocost`` and
+``ml_cost`` equal it under their own criterion.
+
 Counts come from one of two forms with identical integers, so every total is
 the same either way. A map with memory bound kappa (``memory_bound``) is in a
 state after any L = kappa + 1 symbols that those symbols alone fix, so its
@@ -156,6 +163,31 @@ def _estimate_from_counts(trans_counts, emis_counts, n, smoothing) -> EmpiricalH
     )
 
 
+def _read(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
+          joint: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+    # what drives the map, what it emits and the emission alphabet's size:
+    # plain data drives the map and emits itself; pairs drive it by
+    # x * |Y| + y and emit y, or that joint symbol itself when ``joint``
+    paired = isinstance(data, PairedSequence)
+    size = data.joint_size if paired else data.alphabet.size
+    if size != fmap.alphabet_size:
+        raise InputError(f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
+                         f"{'pairs span' if paired else 'sequence has'} {size}")
+    if not paired:
+        return data.items, data.items, size
+    # the joint symbols fit in int64, since a map's table has that many columns
+    drive = data.xs * data.y_alphabet.size + data.ys
+    return (drive, drive, size) if joint else (drive, data.ys, data.y_alphabet.size)
+
+
+def _estimate(fmap: FeatureMap, data, smoothing: float, joint: bool) -> EmpiricalHmm:
+    if len(data) < 1:
+        raise InputError("cannot estimate from an empty sequence")
+    _check_smoothing(smoothing)
+    trans, emis = _count(fmap, *_read(fmap, data, joint))
+    return _estimate_from_counts(trans, emis, len(data), smoothing)
+
+
 def estimate(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
              smoothing: float = 0.0) -> EmpiricalHmm:
     """Estimate transition and emission frequencies of the induced state path.
@@ -163,22 +195,7 @@ def estimate(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
     A plain sequence drives the map and emits itself. Pairs drive it by the
     joint symbol x * |Y| + y and emit y.
     """
-    if len(data) < 1:
-        raise InputError("cannot estimate from an empty sequence")
-    _check_smoothing(smoothing)
-    paired = isinstance(data, PairedSequence)
-    size = data.joint_size if paired else data.alphabet.size
-    if size != fmap.alphabet_size:
-        raise InputError(f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
-                         f"{'pairs span' if paired else 'sequence has'} {size}")
-    if paired:
-        # the joint symbols fit in int64, since a map's table has that many columns
-        n_emit = data.y_alphabet.size
-        drive, emit = data.xs * n_emit + data.ys, data.ys
-    else:
-        n_emit, drive, emit = size, data.items, data.items
-    trans, emis = _count(fmap, drive, emit, n_emit)
-    return _estimate_from_counts(trans, emis, len(data), smoothing)
+    return _estimate(fmap, data, smoothing, joint=False)
 
 
 def estimate_paired(fmap: FeatureMap, paired: PairedSequence,
@@ -200,43 +217,56 @@ def counts_nll(counts: np.ndarray, probs: np.ndarray) -> float:
 def log_likelihood(fmap: FeatureMap, emp: EmpiricalHmm, seq: SymbolSequence) -> float:
     """Code length of ``seq`` under the estimated parameters, in nats.
 
-    The update is deterministic, so the state path compatible with the
-    sequence is unique and the likelihood is the product of transition and
-    emission factors along it. Evaluating parameters estimated from a
-    different sequence can hit a zero factor, reported as +inf.
+    The data is read as ``estimate`` reads it. The update is deterministic,
+    so the state path compatible with the sequence is unique and the
+    likelihood is the product of transition and emission factors along it.
+    Evaluating parameters estimated from a different sequence can hit a zero
+    factor, reported as +inf.
     """
-    if seq.alphabet.size != fmap.alphabet_size:
-        raise InputError("alphabet mismatch between map and sequence")
     if emp.state_count != fmap.state_count:
         raise InputError("state count mismatch between map and estimate")
-    trans, emis = _count(fmap, seq.items, seq.items, fmap.alphabet_size)
+    trans, emis = _count(fmap, *_read(fmap, seq))
     return counts_nll(trans, emp.transition) + counts_nll(emis, emp.emission)
 
 
-def _score(criterion: str, fmap: FeatureMap, data, scheme: PenaltyScheme | None,
-           smoothing: float) -> CostBreakdown:
-    # one estimate, the data coded under it, plus the penalty (none for ml).
-    # The estimate's own counts code the data, so no second walk is needed;
-    # icost on pairs with |X| > 1 marginalizes the states with the forward
-    # recursion instead, since x is not coded.
-    emp = estimate(fmap, data, smoothing)
+CRITERIA = ("cost", "icost", "ocost", "ml")
+
+
+def _penalty(criterion: str, scheme: PenaltyScheme | None, n: int, state_count: int) -> float:
+    return 0.0 if criterion == "ml" else scheme.value(n, state_count)
+
+
+def score_map(fmap: FeatureMap, data, criterion: str, scheme: PenaltyScheme | None,
+              smoothing: float = 0.0) -> CostBreakdown:
+    """One candidate's cost under the requested criterion.
+
+    One estimate, the data coded under it, plus the penalty (none for
+    ``ml``). The estimate's own counts code the data, so no second walk is
+    needed; ``icost`` on pairs with |X| > 1 marginalizes the states with the
+    forward recursion instead, since x is not coded. Plain sequences admit
+    every criterion: the side-information criteria treat the side channel as
+    degenerate, which makes ``cost``, ``icost`` and ``ocost`` coincide. On
+    pairs ``cost`` and ``ml`` code the joint pair symbols.
+    """
+    if criterion not in CRITERIA:
+        raise InputError(f"unknown criterion {criterion!r} (expected one of {CRITERIA})")
+    emp = _estimate(fmap, data, smoothing, joint=criterion in ("cost", "ml"))
     if criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1:
         initial = np.zeros(fmap.state_count)
         initial[fmap.start_state] = 1.0
-        total = float(_kernels.forward_nll_steps(emp.transition, emp.emission,
-                                                 initial, data.ys).sum())
-        data_cost = math.inf if math.isinf(total) or math.isnan(total) else total
+        data_cost = float(_kernels.forward_nll_steps(emp.transition, emp.emission,
+                                                     initial, data.ys).sum())
     else:
         data_cost = (counts_nll(emp.transition_counts, emp.transition)
                      + counts_nll(emp.emission_counts, emp.emission))
-    pen = 0.0 if criterion == "ml" else scheme.value(len(data), fmap.state_count)
-    return CostBreakdown.build(criterion, fmap.map_id, len(data), data_cost, pen)
+    return CostBreakdown.build(criterion, fmap.map_id, len(data), data_cost,
+                               _penalty(criterion, scheme, len(data), fmap.state_count))
 
 
 def cost(fmap: FeatureMap, seq: SymbolSequence, scheme: PenaltyScheme,
          smoothing: float = 0.0) -> CostBreakdown:
     """Self-estimated code length plus complexity penalty."""
-    return _score("cost", fmap, seq, scheme, smoothing)
+    return score_map(fmap, seq, "cost", scheme, smoothing)
 
 
 def icost(fmap: FeatureMap, paired: PairedSequence, scheme: PenaltyScheme,
@@ -248,18 +278,18 @@ def icost(fmap: FeatureMap, paired: PairedSequence, scheme: PenaltyScheme,
     compatible path, and y is coded along it, so icost, ocost and the cost
     of the y sequence agree exactly.
     """
-    return _score("icost", fmap, paired, scheme, smoothing)
+    return score_map(fmap, paired, "icost", scheme, smoothing)
 
 
 def ocost(fmap: FeatureMap, paired: PairedSequence, scheme: PenaltyScheme,
           smoothing: float = 0.0) -> CostBreakdown:
     """State-path-plus-observations criterion: code the realized path and y."""
-    return _score("ocost", fmap, paired, scheme, smoothing)
+    return score_map(fmap, paired, "ocost", scheme, smoothing)
 
 
 def ml_cost(fmap: FeatureMap, seq: SymbolSequence, smoothing: float = 0.0) -> CostBreakdown:
     """Pure maximum-likelihood criterion: the cost with a zero penalty."""
-    return _score("ml", fmap, seq, None, smoothing)
+    return score_map(fmap, seq, "ml", None, smoothing)
 
 
 def state_determines_pair(fmap: FeatureMap, paired: PairedSequence) -> bool:

@@ -22,8 +22,8 @@ import numpy as np
 from . import _kernels
 from .errors import InputError, ResourceError
 from .sequences import (DEFAULT_CONTEXT_CAP, Alphabet, SymbolSequence,
-                        _as_symbols, _is_int, _number_table, _read_json,
-                        _write_json)
+                        _as_symbols, _check_int, _is_int, _number_table,
+                        _read_json, _write_json)
 
 
 def _suffix_text(suffix: tuple[int, ...], alphabet_size: int) -> str:
@@ -270,6 +270,7 @@ def compile_suffix_map(suffix_set: SuffixSet, padding_symbol: int = 0,
     The start state is the member matched by the padding symbol repeated to
     the set's depth, realizing the implicit pre-history convention.
     """
+    _check_int(padding_symbol, "padding symbol")
     closure = is_fsm_closed(suffix_set, context_cap)
     if not closure.closed:
         raise InputError(f"suffix set {suffix_set.describe()} is "
@@ -300,6 +301,7 @@ _MAX_ROW = np.iinfo(np.intp).max // 8
 
 def trivial_map(alphabet_size: int) -> FeatureMap:
     """The single-state map that forgets the whole history."""
+    _check_int(alphabet_size, "alphabet size")
     if alphabet_size > _MAX_ROW:
         raise ResourceError(f"a map over {alphabet_size} symbols needs a table row "
                             f"wider than {_MAX_ROW}, the most entries one array can hold")
@@ -377,6 +379,9 @@ def enumerate_closed_suffix_maps(alphabet: Alphabet, max_depth: int,
     Results come back compiled, ordered by state count and then
     lexicographically on the sorted suffix lists.
     """
+    _check_int(max_depth, "max_depth")
+    _check_int(padding_symbol, "padding symbol")
+    _check_int(context_cap, "context cap")
     if max_depth < 1:
         raise InputError("max_depth must be >= 1")
     size = alphabet.size

@@ -1,7 +1,13 @@
 """Model selection over classes of feature maps.
 
-Candidates are scored with a chosen criterion and the minimum total wins;
-ties break toward fewer states and then the canonical map order, so the
+Candidates are scored with a chosen criterion through
+``estimation.score_map``, the one function that scores a map (re-exported
+here), and the minimum total wins. It reads the data by one rule: a plain
+sequence drives the map and emits itself; pairs drive it by x * |Y| + y and
+emit y, or the joint symbol under ``cost`` and ``ml``. The named criteria
+``cost``, ``icost``, ``ocost`` and ``ml_cost`` equal it.
+
+Ties break toward fewer states and then the canonical map order, so the
 result does not depend on how the candidate list was arranged. Experiment
 harnesses re-score growing prefixes of sampled data and record when the
 choice stops changing. The countable-class search walks maps in canonical
@@ -18,12 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimation import CostBreakdown, PenaltyScheme, _score
+from .estimation import CostBreakdown, PenaltyScheme, _penalty, score_map
 from .fmaps import FeatureMap, enumerate_closed_suffix_maps, memory_bound, trivial_map
-from .sequences import Alphabet, PairedSequence, _check_int
+from .sequences import Alphabet, _check_int
 from .sources import FsmxSource, _check_length, is_ergodic_chain, sample_fsmx
-
-CRITERIA = ("cost", "icost", "ocost", "ml")
 
 
 @dataclass(eq=False)
@@ -50,22 +54,6 @@ class SelectionTrajectory:
     @property
     def final_choice(self) -> str:
         return self.chosen_ids[-1]
-
-
-def score_map(fmap: FeatureMap, data, criterion: str, scheme: PenaltyScheme,
-              smoothing: float = 0.0) -> CostBreakdown:
-    """One candidate's cost under the requested criterion.
-
-    Plain sequences admit ``cost`` and ``ml``; the side-information criteria
-    accept them too by treating the side channel as degenerate, which makes
-    all three coincide. On paired data ``cost`` and ``ml`` code the joint
-    pair sequence.
-    """
-    if criterion not in CRITERIA:
-        raise InputError(f"unknown criterion {criterion!r} (expected one of {CRITERIA})")
-    if isinstance(data, PairedSequence) and criterion in ("cost", "ml"):
-        data = data.joint_sequence()
-    return _score(criterion, fmap, data, scheme, smoothing)
 
 
 def _check_class(maps):
@@ -198,6 +186,8 @@ def countable_search(alphabet: Alphabet, data, criterion: str, scheme: PenaltySc
     decreases as the state count grows, the canonical order sorts by state
     count first, and the best total changes only when a candidate is scored.
     """
+    _check_int(state_budget, "state budget")
+    _check_int(depth_budget, "depth budget")
     if state_budget < 1 or depth_budget < 1:
         raise InputError("state and depth budgets must be >= 1")
     candidates = enumerate_closed_suffix_maps(alphabet, depth_budget)
@@ -213,16 +203,14 @@ def countable_search(alphabet: Alphabet, data, criterion: str, scheme: PenaltySc
     if n < 1:
         raise InputError("data must be non-empty")
 
-    def penalty(fmap):
-        return 0.0 if criterion == "ml" else scheme.value(n, fmap.state_count)
-
     best_total = math.inf
     scored: list[tuple[CostBreakdown, FeatureMap]] = []
     pruned: list[PruningLogEntry] = []
     for idx, fmap in enumerate(candidates):
-        if penalty(fmap) > best_total:
+        if _penalty(criterion, scheme, n, fmap.state_count) > best_total:
             pruned = [PruningLogEntry(map_id=m.map_id, state_count=m.state_count,
-                                      penalty=penalty(m), best_total=best_total)
+                                      penalty=_penalty(criterion, scheme, n, m.state_count),
+                                      best_total=best_total)
                       for m in candidates[idx:]]
             break
         breakdown = score_map(fmap, data, criterion, scheme, smoothing)

@@ -268,6 +268,8 @@ def frequency_trajectory(seq: SymbolSequence, pattern: SymbolSequence, grid,
 
 def default_grid(n: int, points: int = 16) -> np.ndarray:
     """Geometric grid of prefix lengths ending at ``n``."""
+    _check_int(n, "grid length")
+    _check_int(points, "grid points")
     if n < 1:
         raise InputError("sequence must be non-empty")
     lo = max(1, n // 100)
@@ -285,6 +287,7 @@ def ergodicity_diagnostic(seq: SymbolSequence, max_pattern_len: int,
     patterns, of which there may be at most ``DEFAULT_CONTEXT_CAP``. The values
     equal :func:`frequency_trajectory`'s for each pattern.
     """
+    _check_int(max_pattern_len, "max_pattern_len")
     if max_pattern_len < 1:
         raise InputError("max_pattern_len must be >= 1")
     size = seq.alphabet.size
@@ -378,7 +381,8 @@ def read_sequence(path) -> SymbolSequence | PairedSequence:
 
     if len(sizes) == 1:
         try:
-            items = np.array([int(tok) for tok in tokens], dtype=np.int64)
+            # numpy parses each token with int(), in one call
+            items = np.array(tokens, dtype=np.int64)
         except ValueError as exc:
             raise InputError(f"{path}: malformed symbol token") from exc
         except OverflowError as exc:
@@ -404,6 +408,9 @@ def read_sequence(path) -> SymbolSequence | PairedSequence:
 
 
 def write_sequence(path, seq: SymbolSequence | PairedSequence, per_line: int = 40):
+    _check_int(per_line, "per_line")
+    if per_line < 1:
+        raise InputError(f"per_line must be >= 1, got {per_line}")
     path = Path(path)
     lines = []
     if isinstance(seq, PairedSequence):

@@ -12,12 +12,15 @@ import math
 
 import numpy as np
 
+from phimp import _kernels
 from phimp.errors import InputError
-from phimp.estimation import CostBreakdown, PenaltyScheme
+from phimp.estimation import (CRITERIA, CostBreakdown, EmpiricalHmm, PenaltyScheme,
+                              _check_smoothing, _count, _estimate_from_counts,
+                              counts_nll)
 from phimp.fmaps import FeatureMap, enumerate_closed_suffix_maps
 from phimp.selection import (PruningLogEntry, SelectionResult, _check_class,
                              score_map, with_baseline)
-from phimp.sequences import Alphabet
+from phimp.sequences import Alphabet, PairedSequence, SymbolSequence
 from phimp.sources import (cross_entropy_exact_markov, cross_entropy_mc,
                            induced_hmm)
 
@@ -481,3 +484,73 @@ def xent_via_induced_hmm(true_model, model, mode: str, n: int = 100_000, seed: i
         return cross_entropy_exact_markov(true_model, model.fmap,
                                           params.transition, params.emission)
     return cross_entropy_mc(true_model, induced_hmm(model), n, seed)
+
+
+# How a map was scored while two paths existed: ``score_map_before`` (once
+# ``selection.score_map``) recoded pairs as a joint sequence under ``cost``
+# and ``ml`` and passed the rest to ``score_before`` (once
+# ``estimation._score``), which estimated through ``estimate_before`` (once
+# ``estimation.estimate``). Kept as written apart from their names, so the
+# one scoring path can be compared with them exactly. Like the search loop
+# above they call the library, here for counting and normalizing; what they
+# check is how the data is read, which criterion codes what, and the penalty.
+
+def score_map_before(fmap: FeatureMap, data, criterion: str, scheme: PenaltyScheme,
+                     smoothing: float = 0.0) -> CostBreakdown:
+    """One candidate's cost under the requested criterion.
+
+    Plain sequences admit ``cost`` and ``ml``; the side-information criteria
+    accept them too by treating the side channel as degenerate, which makes
+    all three coincide. On paired data ``cost`` and ``ml`` code the joint
+    pair sequence.
+    """
+    if criterion not in CRITERIA:
+        raise InputError(f"unknown criterion {criterion!r} (expected one of {CRITERIA})")
+    if isinstance(data, PairedSequence) and criterion in ("cost", "ml"):
+        data = data.joint_sequence()
+    return score_before(criterion, fmap, data, scheme, smoothing)
+
+
+def score_before(criterion: str, fmap: FeatureMap, data, scheme: PenaltyScheme | None,
+                 smoothing: float) -> CostBreakdown:
+    # one estimate, the data coded under it, plus the penalty (none for ml).
+    # The estimate's own counts code the data, so no second walk is needed;
+    # icost on pairs with |X| > 1 marginalizes the states with the forward
+    # recursion instead, since x is not coded.
+    emp = estimate_before(fmap, data, smoothing)
+    if criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1:
+        initial = np.zeros(fmap.state_count)
+        initial[fmap.start_state] = 1.0
+        total = float(_kernels.forward_nll_steps(emp.transition, emp.emission,
+                                                 initial, data.ys).sum())
+        data_cost = math.inf if math.isinf(total) or math.isnan(total) else total
+    else:
+        data_cost = (counts_nll(emp.transition_counts, emp.transition)
+                     + counts_nll(emp.emission_counts, emp.emission))
+    pen = 0.0 if criterion == "ml" else scheme.value(len(data), fmap.state_count)
+    return CostBreakdown.build(criterion, fmap.map_id, len(data), data_cost, pen)
+
+
+def estimate_before(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
+                    smoothing: float = 0.0) -> EmpiricalHmm:
+    """Estimate transition and emission frequencies of the induced state path.
+
+    A plain sequence drives the map and emits itself. Pairs drive it by the
+    joint symbol x * |Y| + y and emit y.
+    """
+    if len(data) < 1:
+        raise InputError("cannot estimate from an empty sequence")
+    _check_smoothing(smoothing)
+    paired = isinstance(data, PairedSequence)
+    size = data.joint_size if paired else data.alphabet.size
+    if size != fmap.alphabet_size:
+        raise InputError(f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
+                         f"{'pairs span' if paired else 'sequence has'} {size}")
+    if paired:
+        # the joint symbols fit in int64, since a map's table has that many columns
+        n_emit = data.y_alphabet.size
+        drive, emit = data.xs * n_emit + data.ys, data.ys
+    else:
+        n_emit, drive, emit = size, data.items, data.items
+    trans, emis = _count(fmap, drive, emit, n_emit)
+    return _estimate_from_counts(trans, emis, len(data), smoothing)

@@ -205,6 +205,23 @@ class TestLogLikelihood:
         emp = estimate(fmap, seq([0, 0, 0, 0]), smoothing=1e-3)
         assert math.isfinite(log_likelihood(fmap, emp, seq([0, 1, 0, 1])))
 
+    def test_alphabet_mismatch_names_both_sizes(self):
+        fmap = depth_one_map()
+        emp = estimate(fmap, seq([0, 1, 1]))
+        with pytest.raises(InputError, match="^alphabet mismatch: map expects 2 symbols, "
+                                             "sequence has 3$"):
+            log_likelihood(fmap, emp, seq([0, 2, 1], size=3))
+
+    def test_pairs_are_read_as_estimate_reads_them(self):
+        # pairs drive the map by x * |Y| + y and emit y, so the self-coded
+        # pairs cost what ocost's data cost is
+        rng = rng_stream(9)
+        data = PairedSequence(Alphabet(2), Alphabet(2), rng.integers(0, 2, 200),
+                              rng.integers(0, 2, 200))
+        fmap = compile_suffix_map(SuffixSet(Alphabet(4), ((0,), (1,), (2,), (3,))))
+        emp = estimate(fmap, data)
+        assert log_likelihood(fmap, emp, data) == ocost(fmap, data, BIC_MARKOV).data_cost
+
 
 class TestCost:
     def test_single_state_total(self):

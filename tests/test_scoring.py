@@ -1,0 +1,226 @@
+"""One scoring path: every criterion, ``select`` and ``countable_search``
+score through ``estimation.score_map``.
+
+The harness compares the library with ``oracles.score_map_before``, the
+scoring as it was while the named criteria had a path of their own, on plain
+and paired data, i.i.d. and sampled from finite-state sources, with every
+criterion, penalty spec and map kind.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+import phimp
+from phimp import (Alphabet, FeatureMap, FsmxSource, InputError, PairedSequence,
+                   PenaltyScheme, SuffixSet, SymbolSequence, compile_suffix_map,
+                   cost, countable_search, enumerate_closed_suffix_maps, icost,
+                   ml_cost, ocost, sample_fsmx, select, trivial_map)
+from phimp import estimation, selection
+from phimp.estimation import CRITERIA
+from phimp.fmaps import memory_bound
+from phimp.sources import rng_stream
+
+SPECS = ("bic:markov", "bic:full", "cubic")
+SMOOTHINGS = (0.0, 0.5, 1e-3)
+
+
+def general_map(table, start=0):
+    table = np.asarray(table, dtype=np.int64)
+    return FeatureMap(kind="general-fsm", alphabet_size=table.shape[1],
+                      state_count=table.shape[0], start_state=start, step_table=table)
+
+
+def depth_one_map(size):
+    return compile_suffix_map(SuffixSet(Alphabet(size), tuple((y,) for y in range(size))))
+
+
+def depth_one_source(size, rng):
+    return FsmxSource(depth_one_map(size), rng.dirichlet(np.ones(size), size))
+
+
+def paired(x_size, y_size, joint):
+    xs, ys = np.divmod(np.asarray(joint, dtype=np.int64), y_size)
+    return PairedSequence(Alphabet(x_size), Alphabet(y_size), xs, ys)
+
+
+def drive_size(data):
+    return data.joint_size if isinstance(data, PairedSequence) else data.alphabet.size
+
+
+def emit_size(data):
+    return data.y_alphabet.size if isinstance(data, PairedSequence) else data.alphabet.size
+
+
+def candidate_maps(size, rng):
+    """Suffix, general, unbounded-memory and trivial maps over ``size`` symbols."""
+    suffix = enumerate_closed_suffix_maps(Alphabet(size), 2 if size <= 3 else 1)[:4]
+    general = general_map(rng.integers(0, 3, (3, size)), start=1)
+    # the parity of the odd symbols seen: no window of recent symbols fixes it
+    parity = general_map([[y % 2 for y in range(size)],
+                          [1 - y % 2 for y in range(size)]])
+    assert not memory_bound(parity).bounded
+    return [*suffix, general, parity, trivial_map(size)]
+
+
+def datasets():
+    """(id, data) pairs: plain and paired, i.i.d. and finite-state samples."""
+    rng = rng_stream(1201)
+    cases = []
+    for n in (1, 2, 7, 60, 2000):
+        cases.append((f"iid-binary-{n}",
+                      SymbolSequence(Alphabet(2), rng.integers(0, 2, n))))
+    for n in (5, 300):
+        cases.append((f"iid-ternary-{n}",
+                      SymbolSequence(Alphabet(3), rng.integers(0, 3, n))))
+    reference = FsmxSource(compile_suffix_map(SuffixSet(Alphabet(2), ((0,), (0, 1), (1, 1)))),
+                           np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]]))
+    for seed, n in enumerate((1, 3, 400, 2000)):
+        cases.append((f"fsm-binary-{n}", sample_fsmx(reference, n, seed)))
+    for x_size, y_size in ((1, 2), (2, 2), (3, 2), (2, 3)):
+        size = x_size * y_size
+        for n in (1, 50, 2000):
+            cases.append((f"iid-pairs-{x_size}x{y_size}-{n}",
+                          paired(x_size, y_size, rng.integers(0, size, n))))
+        for seed, n in enumerate((4, 1500)):
+            sample = sample_fsmx(depth_one_source(size, rng), n, seed)
+            cases.append((f"fsm-pairs-{x_size}x{y_size}-{n}",
+                          paired(x_size, y_size, sample.items)))
+    return cases
+
+
+DATASETS = datasets()
+
+
+@pytest.fixture
+def old_scoring(monkeypatch):
+    # the full-scan search oracle, scoring the way the library used to
+    monkeypatch.setattr(oracles, "score_map", oracles.score_map_before)
+
+
+class TestNamedCriteriaEqualScoreMap:
+    @pytest.mark.parametrize("x_size", [1, 2, 3])
+    @pytest.mark.parametrize("y_size", [1, 2, 3])
+    def test_on_pairs(self, x_size, y_size):
+        rng = rng_stream(1)
+        size = x_size * y_size
+        data = paired(x_size, y_size, rng.integers(0, size, 500))
+        scheme = PenaltyScheme("bic:markov", y_size)
+        maps = [trivial_map(size), general_map(rng.integers(0, 2, (2, size))),
+                depth_one_map(size)]
+        for fmap in maps:
+            assert cost(fmap, data, scheme) == estimation.score_map(fmap, data, "cost", scheme)
+            assert ml_cost(fmap, data) == estimation.score_map(fmap, data, "ml", scheme)
+            assert ocost(fmap, data, scheme) == estimation.score_map(fmap, data, "ocost", scheme)
+            assert icost(fmap, data, scheme) == estimation.score_map(fmap, data, "icost", scheme)
+            # cost and ml code the pairs as their joint symbols
+            joint = data.joint_sequence()
+            assert cost(fmap, data, scheme) == cost(fmap, joint, scheme)
+            assert ml_cost(fmap, data) == ml_cost(fmap, joint)
+
+    def test_cost_on_pairs_codes_the_joint_symbols(self):
+        # cost codes the joint pair symbols; ocost codes the path and y only
+        rng = rng_stream(1)
+        data = PairedSequence(Alphabet(2), Alphabet(2), rng.integers(0, 2, 500),
+                              rng.integers(0, 2, 500))
+        scheme = PenaltyScheme("bic:markov", 2)
+        fmap = trivial_map(4)
+        assert cost(fmap, data, scheme).total == pytest.approx(696.1504763300901, abs=1e-9)
+        assert ml_cost(fmap, data).total == pytest.approx(693.043172280879, abs=1e-9)
+        assert ocost(fmap, data, scheme).total == pytest.approx(349.5808876614502, abs=1e-9)
+
+    def test_both_import_paths_are_one_function(self):
+        assert selection.score_map is estimation.score_map is phimp.score_map
+
+
+class TestOneScoringPathMatchesOracle:
+    @pytest.mark.parametrize("name,data", DATASETS, ids=[name for name, _ in DATASETS])
+    def test_select_and_every_cost(self, name, data):
+        maps = candidate_maps(drive_size(data), rng_stream(1202))
+        ordered = sorted(maps, key=lambda m: m.canonical_key)
+        for spec in SPECS:
+            scheme = PenaltyScheme(spec, emit_size(data))
+            for criterion in CRITERIA:
+                for smoothing in SMOOTHINGS:
+                    result = select(maps, data, criterion, scheme, smoothing)
+                    expected = selection._pick([
+                        (oracles.score_map_before(m, data, criterion, scheme, smoothing), m)
+                        for m in ordered])
+                    assert result.costs == expected.costs
+                    assert result.chosen_map_id == expected.chosen_map_id
+                    assert result.tie_broken == expected.tie_broken
+
+    @pytest.mark.parametrize("name,data", DATASETS, ids=[name for name, _ in DATASETS])
+    def test_countable_search(self, name, data, old_scoring):
+        size = drive_size(data)
+        for spec in SPECS:
+            scheme = PenaltyScheme(spec, emit_size(data))
+            for criterion in CRITERIA:
+                for smoothing in SMOOTHINGS:
+                    for budget in (1, 3, 8):
+                        args = (Alphabet(size), data, criterion, scheme, budget,
+                                2 if size <= 2 else 1, smoothing)
+                        result, pruned = countable_search(*args)
+                        expected, expected_pruned = oracles.countable_search_loop(*args)
+                        assert result.chosen_map_id == expected.chosen_map_id
+                        assert result.tie_broken == expected.tie_broken
+                        assert result.costs == expected.costs
+                        assert [vars(e) for e in pruned] == \
+                            [vars(e) for e in expected_pruned]
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def error_cases():
+    rng = rng_stream(1203)
+    plain = SymbolSequence(Alphabet(2), rng.integers(0, 2, 30))
+    pairs = paired(2, 2, rng.integers(0, 4, 30))
+    cases = []
+    for criterion in CRITERIA:
+        cases += [
+            (f"empty-plain-{criterion}", trivial_map(2), plain.prefix(0), criterion, 0.0),
+            (f"empty-pairs-{criterion}", trivial_map(4), pairs.prefix(0), criterion, 0.0),
+            (f"mismatch-plain-{criterion}", trivial_map(3), plain, criterion, 0.0),
+        ]
+        for smoothing in (-1.0, math.nan, math.inf):
+            cases.append((f"smoothing-{smoothing}-{criterion}", trivial_map(2), plain,
+                          criterion, smoothing))
+    for criterion in ("icost", "ocost"):
+        cases.append((f"mismatch-pairs-{criterion}", trivial_map(3), pairs, criterion, 0.0))
+    cases.append(("unknown-criterion", trivial_map(2), plain, "aic", 0.0))
+    cases.append(("unknown-criterion-empty", trivial_map(2), plain.prefix(0), "bic", -1.0))
+    return cases
+
+
+ERROR_CASES = error_cases()
+
+
+class TestErrorsMatchOracle:
+    @pytest.mark.parametrize("name,fmap,data,criterion,smoothing", ERROR_CASES,
+                             ids=[case[0] for case in ERROR_CASES])
+    def test_same_type_and_message(self, name, fmap, data, criterion, smoothing):
+        scheme = PenaltyScheme("bic:markov", 2)
+        got = _raised(lambda: estimation.score_map(fmap, data, criterion, scheme, smoothing))
+        want = _raised(lambda: oracles.score_map_before(fmap, data, criterion, scheme,
+                                                        smoothing))
+        assert got == want
+        assert got[0] is InputError
+
+    @pytest.mark.parametrize("criterion", ["cost", "ml"])
+    def test_joint_reading_names_the_pairs(self, criterion):
+        # the oracle recodes the pairs as a sequence before reading them; the
+        # library reads the pairs, so a mismatch names them as under icost
+        pairs = paired(2, 2, [0, 3, 1])
+        scheme = PenaltyScheme("bic:markov", 2)
+        with pytest.raises(InputError) as old:
+            oracles.score_map_before(trivial_map(3), pairs, criterion, scheme)
+        with pytest.raises(InputError) as new:
+            estimation.score_map(trivial_map(3), pairs, criterion, scheme)
+        assert str(old.value) == "alphabet mismatch: map expects 3 symbols, sequence has 4"
+        assert str(new.value) == "alphabet mismatch: map expects 3 symbols, pairs span 4"

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import count_substring_naive
-from phimp import (Alphabet, InputError, PairedSequence, SymbolSequence,
+from phimp import (Alphabet, InputError, PairedSequence, PenaltyScheme,
+                   SuffixSet, SymbolSequence, compile_suffix_map, countable_search,
+                   default_grid, enumerate_closed_suffix_maps,
                    ergodicity_diagnostic, frequency_trajectory, read_sequence,
-                   sample_fsmx, substring_frequency, write_sequence)
+                   sample_fsmx, substring_frequency, trivial_map, write_sequence)
 from phimp.sources import rng_stream
 
 
@@ -177,6 +179,52 @@ class TestValidation:
             data.items[0] = 1
 
 
+def _integer_argument_calls(tmp_path):
+    data = seq([0, 1, 1, 0, 1, 0])
+    scheme = PenaltyScheme("bic:markov", 2)
+    depth_one = SuffixSet(Alphabet(2), ((0,), (1,)))
+    search = lambda state, depth: countable_search(  # noqa: E731
+        Alphabet(2), data, "cost", scheme, state, depth)
+    return {
+        "state_budget=2.5": lambda: search(2.5, 2),
+        "state_budget=True": lambda: search(True, 2),
+        "depth_budget=1.5": lambda: search(2, 1.5),
+        "max_depth=2.5": lambda: enumerate_closed_suffix_maps(Alphabet(2), 2.5),
+        "enumerate padding_symbol=1.0":
+            lambda: enumerate_closed_suffix_maps(Alphabet(2), 2, padding_symbol=1.0),
+        "context_cap=64.0":
+            lambda: enumerate_closed_suffix_maps(Alphabet(2), 2, context_cap=64.0),
+        "compile padding_symbol=1.0": lambda: compile_suffix_map(depth_one, 1.0),
+        "max_pattern_len=1.5": lambda: ergodicity_diagnostic(data, 1.5),
+        "default_grid n=10.5": lambda: default_grid(10.5),
+        "default_grid points=4.0": lambda: default_grid(10, 4.0),
+        "trivial_map(2.5)": lambda: trivial_map(2.5),
+        "trivial_map(True)": lambda: trivial_map(True),
+        "per_line=0": lambda: write_sequence(tmp_path / "out.txt", data, per_line=0),
+        "per_line=-1": lambda: write_sequence(tmp_path / "out.txt", data, per_line=-1),
+        "per_line=2.0": lambda: write_sequence(tmp_path / "out.txt", data, per_line=2.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_integer_argument_calls(None)))
+def test_integer_arguments_are_checked(case, tmp_path):
+    with pytest.raises(InputError):
+        _integer_argument_calls(tmp_path)[case]()
+
+
+def test_numpy_integer_arguments_are_accepted(tmp_path):
+    data = seq([0, 1, 1, 0, 1, 0])
+    result, _ = countable_search(Alphabet(2), data, "cost",
+                                 PenaltyScheme("bic:markov", 2), np.int64(2), np.int64(1))
+    assert result.chosen_map_id
+    assert len(enumerate_closed_suffix_maps(Alphabet(2), np.int64(2),
+                                            padding_symbol=np.int64(1))) == 4
+    assert trivial_map(np.int64(3)).alphabet_size == 3
+    assert default_grid(np.int64(50), np.int64(4)).tolist() == default_grid(50, 4).tolist()
+    write_sequence(tmp_path / "out.txt", data, per_line=np.int64(4))
+    assert (tmp_path / "out.txt").read_text() == "alphabet=2\n0 1 1 0\n1 0\n"
+
+
 class TestSequenceFiles:
     def test_round_trip_plain(self, tmp_path):
         data = seq([0, 1, 1, 0, 1])
@@ -207,6 +255,31 @@ class TestSequenceFiles:
         path = tmp_path / "data.txt"
         path.write_text("0 1 1\n")
         with pytest.raises(InputError):
+            read_sequence(path)
+
+    @pytest.mark.parametrize("text,items", [
+        ("+1 0 1", [1, 0, 1]),
+        ("1_0 0", [10, 0]),
+        ("0\t1\n\n 1", [0, 1, 1]),
+        ("", []),
+    ])
+    def test_tokens_read_as_int_reads_them(self, tmp_path, text, items):
+        path = tmp_path / "data.txt"
+        path.write_text(f"alphabet=11\n{text}\n")
+        assert read_sequence(path).items.tolist() == items
+
+    @pytest.mark.parametrize("token,message", [
+        ("1.5", "malformed symbol token"),
+        ("0x10", "malformed symbol token"),
+        ("1e1", "malformed symbol token"),
+        ("one", "malformed symbol token"),
+        ("99999999999999999999", "beyond the int64 range"),
+        ("-99999999999999999999", "beyond the int64 range"),
+    ])
+    def test_tokens_int_refuses_are_refused(self, tmp_path, token, message):
+        path = tmp_path / "data.txt"
+        path.write_text(f"alphabet=2\n0 {token} 1\n")
+        with pytest.raises(InputError, match=message):
             read_sequence(path)
 
     def test_missing_file(self, tmp_path):
