@@ -428,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--max-depth", type=int, required=True)
     pe.add_argument("--padding", type=int, default=0)
     pe.add_argument("--cap", type=int, default=4096,
-                    help="most candidate suffix sets, counted before any is "
-                         "built, and most depth-length contexts (default %(default)s)")
+                    help="most candidate suffix sets and most alphabet symbols, "
+                         "both checked before any set is built (default %(default)s)")
     pe.add_argument("--out", "--output", required=True)
     pe.set_defaults(func=_cmd_maps_enumerate)
     pc = maps_sub.add_parser("check")

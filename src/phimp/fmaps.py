@@ -58,17 +58,13 @@ class SuffixSet:
     def depth(self) -> int:
         return self._lengths[0]
 
-    def _tails(self, string: tuple[int, ...]):
-        """The members that are ending substrings of ``string``, longest first."""
-        return (string[-k:] for k in self._lengths
-                if k <= len(string) and string[-k:] in self._members)
-
     def match(self, history: tuple[int, ...]) -> tuple[int, ...] | None:
         """The member that is an ending substring of ``history``, if any.
 
         Unique for proper sets; the longest match is returned otherwise.
         """
-        return next(self._tails(history), None)
+        return next((history[-k:] for k in self._lengths
+                     if k <= len(history) and history[-k:] in self._members), None)
 
     def describe(self) -> str:
         size = self.alphabet.size
@@ -97,50 +93,47 @@ class ClosureReport:
                 f"the next state depending on unseen history")
 
 
-def _capped_power(base: int, exp: int, cap: int) -> int:
-    # min(base ** exp, cap + 1) without a huge power: from base 2 up, the
-    # power passes cap once exp reaches cap's bit length
-    return min(base ** min(exp, cap.bit_length()), cap + 1)
-
-
-def _guard_context_count(size: int, depth: int, cap: int):
-    if _capped_power(size, depth, cap) > cap:
-        raise ResourceError(
-            f"{size}^{depth} contexts exceed the configured cap of {cap}")
-
-
-def validate_suffix_set(suffix_set: SuffixSet,
-                        context_cap: int = DEFAULT_CONTEXT_CAP) -> SuffixSetReport:
+def validate_suffix_set(suffix_set: SuffixSet) -> SuffixSetReport:
     """Check properness (no member ends another) and completeness.
 
-    Completeness is checked exhaustively over all strings of the set's depth:
-    a longer string ends with a member exactly when its depth-length tail
-    does, so this is conclusive. Each violation carries a witness.
+    Both are read off the trie the members form from the newest symbol back.
+    The set is proper when no member is an inner node, and complete when it
+    is proper and every inner node has a child for each symbol: then every
+    history of the set's depth ends with exactly one member. The work grows
+    with the members' total length, not with the number of contexts. Each
+    violation carries a witness: a member that ends with others, listed with
+    every member ending it, or the first missing child of an incomplete
+    node, which ends with no member.
     """
     size = suffix_set.alphabet.size
-    # (a, b) with a a member ending the member b; the tails of b[1:] are the
-    # proper tails of b, and sorting lists the pairs in member order
-    nested = sorted((a, b) for b in suffix_set.suffixes
-                    for a in suffix_set._tails(b[1:]))
-    violations = [f"{_suffix_text(a, size)!r} is an ending substring "
-                  f"of {_suffix_text(b, size)!r}" for a, b in nested]
+    trie = {}  # a node's children by the symbol before it
+    for s in suffix_set.suffixes:
+        node = trie
+        for y in reversed(s):
+            node = node.setdefault(y, {})
+    # witnesses: strings with the members ending them, () when none does
+    witnesses, stack = [], [((), trie, ())]
+    while stack:
+        string, children, hits = stack.pop()
+        if string in suffix_set._members:
+            hits += (string,)
+            if len(hits) > 1:
+                witnesses.append((string, hits))
+        elif not hits and len(children) < size:
+            # below a member every string ends with it, so gaps are sought above
+            y = next(y for y in range(size) if y not in children)
+            witnesses.append(((y, *string), ()))
+        stack += [((y, *string), child, hits) for y, child in children.items()]
+    nested = sorted((a, b) for b, hits in witnesses for a in hits[:-1])
+    text = functools.partial(_suffix_text, alphabet_size=size)
+    violations = [f"{text(a)!r} is an ending substring of {text(b)!r}" for a, b in nested]
+    violations += [f"{text(w)!r} ends with {', '.join(map(text, sorted(hits))) or 'no member'}"
+                   for w, hits in sorted(witnesses)]
+    return SuffixSetReport(proper=not nested, complete=not witnesses,
+                           violations=violations)
 
-    depth = suffix_set.depth
-    _guard_context_count(size, depth, context_cap)
-    gaps = []
-    for ctx in itertools.product(range(size), repeat=depth):
-        hits = sorted(suffix_set._tails(ctx))
-        if not hits:
-            gaps.append(f"{_suffix_text(ctx, size)!r} ends with no member")
-        elif len(hits) > 1:
-            listed = ", ".join(_suffix_text(s, size) for s in hits)
-            gaps.append(f"{_suffix_text(ctx, size)!r} ends with {listed}")
-    return SuffixSetReport(proper=not nested, complete=not gaps,
-                           violations=violations + gaps)
 
-
-def is_fsm_closed(suffix_set: SuffixSet,
-                  context_cap: int = DEFAULT_CONTEXT_CAP) -> ClosureReport:
+def is_fsm_closed(suffix_set: SuffixSet) -> ClosureReport:
     """Decide whether (state, next symbol) determines the next state.
 
     For a proper and complete set this holds at (s, y) exactly when some
@@ -149,7 +142,7 @@ def is_fsm_closed(suffix_set: SuffixSet,
     further back into the history, which varies. The returned table maps
     (state index, symbol) to the next state index in canonical state order.
     """
-    report = validate_suffix_set(suffix_set, context_cap)
+    report = validate_suffix_set(suffix_set)
     if not (report.proper and report.complete):
         raise InputError(
             "suffix set must be proper and complete before the closure check: "
@@ -263,15 +256,15 @@ class FeatureMap:
         return data
 
 
-def compile_suffix_map(suffix_set: SuffixSet, padding_symbol: int = 0,
-                       context_cap: int = DEFAULT_CONTEXT_CAP) -> FeatureMap:
+def compile_suffix_map(suffix_set: SuffixSet, padding_symbol: int = 0) -> FeatureMap:
     """Turn an FSM-closed suffix set into a FeatureMap.
 
     The start state is the member matched by the padding symbol repeated to
-    the set's depth, realizing the implicit pre-history convention.
+    the set's depth, realizing the implicit pre-history convention. No check
+    enumerates contexts, so sets of any depth compile.
     """
     _check_int(padding_symbol, "padding symbol")
-    closure = is_fsm_closed(suffix_set, context_cap)
+    closure = is_fsm_closed(suffix_set)
     if not closure.closed:
         raise InputError(f"suffix set {suffix_set.describe()} is "
                          f"{closure.describe(suffix_set.alphabet.size)}")
@@ -375,26 +368,29 @@ def enumerate_closed_suffix_maps(alphabet: Alphabet, max_depth: int,
     suffix, is always expanded), so candidates are generated from trie shapes
     and filtered by the closure check. A node with d levels left has
     1 + shapes(d - 1)^Y leaf sets, and the candidates are the root's expanded
-    ones; the cap bounds their count, which is checked before any is built.
-    Results come back compiled, ordered by state count and then
-    lexicographically on the sorted suffix lists.
+    ones. The cap bounds their count, and the alphabet size, since the one
+    candidate of depth 1 has a state per symbol; both are checked before any
+    candidate is built. Results come back compiled, ordered by state count
+    and then lexicographically on the sorted suffix lists.
     """
     _check_int(max_depth, "max_depth")
     _check_int(padding_symbol, "padding symbol")
     _check_int(context_cap, "context cap")
     if max_depth < 1:
         raise InputError("max_depth must be >= 1")
+    if context_cap < 1:
+        raise InputError("context cap must be >= 1")
     size = alphabet.size
-    _guard_context_count(size, max_depth, context_cap)
-    # a count past cap stays past it; over one symbol the count grows by one
-    # a level, so cap + 1 levels settle it, and over more the context guard
-    # has already kept max_depth below that
+    # the depth-1 candidate has a state per symbol; the count grows by one a
+    # level at least, so it passes the cap within cap + 1 levels. Counts are
+    # held to cap + 1 without a huge power: from base 2 up, a power passes
+    # the cap once its exponent reaches the cap's bit length
     shapes = 1  # a node with no levels left is a leaf
-    for _ in range(min(max_depth, context_cap + 1)):
-        shapes = 1 + _capped_power(shapes, size, context_cap)
-    if shapes - 1 > context_cap:
-        raise ResourceError(
-            f"suffix-set enumeration exceeds the configured cap of {context_cap}")
+    for _ in range(max_depth):
+        shapes = 1 + min(shapes ** min(size, context_cap.bit_length()), context_cap + 1)
+        if max(shapes - 1, size) > context_cap:
+            raise ResourceError(
+                f"suffix-set enumeration exceeds the configured cap of {context_cap}")
 
     # the leaf sets of a node, as linked paths (y, rest) read from it, so a
     # level costs a pair per leaf; () is the node itself
@@ -415,9 +411,9 @@ def enumerate_closed_suffix_maps(alphabet: Alphabet, max_depth: int,
 def load_fsm_map(description: dict) -> FeatureMap:
     """Build a FeatureMap from its JSON description.
 
-    Suffix-tree descriptions are recompiled from their suffixes and must
-    agree with the stored table; general-FSM descriptions are validated for
-    a full table with in-range entries.
+    Suffix-tree descriptions are recompiled from their suffixes, at any
+    depth, and must agree with the stored table; general-FSM descriptions are
+    validated for a full table with in-range entries.
     """
     if not isinstance(description, dict):
         raise InputError("map description must be a JSON object")

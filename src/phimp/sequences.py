@@ -20,8 +20,8 @@ from . import _kernels
 from .errors import InputError, ResourceError
 
 
-# the most substring patterns a diagnostic scores, and the most contexts a
-# suffix-set check enumerates
+# the most substring patterns a diagnostic scores, and the most candidate
+# suffix sets (and alphabet symbols) a map-class enumeration admits
 DEFAULT_CONTEXT_CAP = 4096
 
 
@@ -272,6 +272,8 @@ def default_grid(n: int, points: int = 16) -> np.ndarray:
     _check_int(points, "grid points")
     if n < 1:
         raise InputError("sequence must be non-empty")
+    if points < 1:
+        raise InputError("grid points must be >= 1")
     lo = max(1, n // 100)
     raw = np.geomspace(lo, n, num=min(points, n)).round().astype(np.int64)
     return np.unique(raw)

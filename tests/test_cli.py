@@ -77,7 +77,9 @@ class TestSampleAndMaps:
         ("--alphabet", 3, "--max-depth", 5),
         ("--alphabet", 2, "--max-depth", 2 ** 70),
         ("--alphabet", 1, "--max-depth", 1200, "--cap", 1000),
-    ], ids=["binary depth 7", "ternary depth 5", "depth 2^70", "unary depth 1200"])
+        ("--alphabet", 10 ** 9, "--max-depth", 1),
+    ], ids=["binary depth 7", "ternary depth 5", "depth 2^70", "unary depth 1200",
+            "1e9 symbols depth 1"])
     def test_enumeration_over_cap_exits_three_at_once(self, workdir, capsys, argv):
         start = time.perf_counter()
         assert run("maps", "enumerate", *argv, "--out", workdir / "maps.json") == 3
@@ -421,6 +423,12 @@ BAD_INPUTS = {
     "tail fraction zero": lambda d: _diagnose(d, "--tail-fraction", 0),
     "tail fraction negative": lambda d: _diagnose(d, "--tail-fraction", -1),
     "tail fraction above one": lambda d: _diagnose(d, "--tail-fraction", 5),
+    "enumeration cap zero": lambda d: [
+        "maps", "enumerate", "--alphabet", 2, "--max-depth", 2, "--cap", 0,
+        "--out", d / "maps.json"],
+    "enumeration cap negative": lambda d: [
+        "maps", "enumerate", "--alphabet", 2, "--max-depth", 2, "--cap", -1,
+        "--out", d / "maps.json"],
     "negative seed": lambda d: [
         "sample", "--source", d / "source.json", "--n", 10, "--seed", -1,
         "--out", d / "out.txt"],

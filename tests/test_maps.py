@@ -11,8 +11,9 @@ from oracles import (_is_complete, _is_proper, all_proper_complete_sets,
 from phimp import (Alphabet, FeatureMap, InputError, ResourceError, SuffixSet,
                    SymbolSequence, compile_suffix_map,
                    enumerate_closed_suffix_maps, is_fsm_closed, load_fsm_map,
-                   maps_from_json, maps_to_json, memory_bound,
-                   trivial_map, validate_suffix_set)
+                   maps_from_json, maps_to_json, memory_bound, read_maps,
+                   trivial_map, validate_suffix_set, write_maps)
+from phimp.cli import main
 
 BINARY = Alphabet(2)
 
@@ -22,6 +23,11 @@ def sset(*suffixes):
 
 
 REFERENCE = sset((0,), (0, 1), (1, 1))
+
+
+def run_length(depth):
+    """The closed set {1, 10, ..., 10^(depth-1), 0^depth}: the 0s since the last 1."""
+    return sset(*[(1,) + (0,) * k for k in range(depth)], (0,) * depth)
 
 
 class TestValidateSuffixSet:
@@ -40,11 +46,27 @@ class TestValidateSuffixSet:
         assert report.violations == ["'0' is an ending substring of '10'",
                                      "'10' ends with 0, 10"]
 
-    def test_context_cap_bounds_the_depth(self):
-        deep = sset((1,), (0, 0), (0, 1, 0), (1, 1, 0))
-        assert validate_suffix_set(deep, context_cap=8).complete
-        with pytest.raises(ResourceError, match="2\\^3 contexts"):
-            validate_suffix_set(deep, context_cap=7)
+    def test_depth_three_set_is_proper_and_complete(self):
+        report = validate_suffix_set(sset((1,), (0, 0), (0, 1, 0), (1, 1, 0)))
+        assert report.proper and report.complete and report.violations == []
+
+    def test_one_witness_per_incomplete_node(self):
+        # the root is full; node '1' lacks its child '01', node '11' its '011'
+        report = validate_suffix_set(sset((0,), (1, 1, 1)))
+        assert report.proper and not report.complete
+        assert report.violations == ["'01' ends with no member",
+                                     "'011' ends with no member"]
+
+    def test_no_gap_is_sought_below_a_member(self):
+        # '01' lacks '101', which ends with the member '1'; only the nesting shows
+        report = validate_suffix_set(sset((0,), (1,), (0, 0, 1)))
+        assert report.violations == ["'1' is an ending substring of '001'",
+                                     "'001' ends with 001, 1"]
+
+    def test_wide_alphabet_is_checked_without_its_contexts(self):
+        report = validate_suffix_set(SuffixSet(Alphabet(10 ** 9), ((0,),)))
+        assert report.proper and not report.complete
+        assert report.violations == ["'1' ends with no member"]
 
     def test_incomplete_set(self):
         report = validate_suffix_set(sset((0, 0), (1, 1)))
@@ -71,6 +93,13 @@ class TestValidateSuffixSet:
         report = validate_suffix_set(suffix_set)
         assert report.proper == _is_proper(members)
         assert report.complete == _is_complete(members, size, suffix_set.depth)
+        for violation in report.violations:
+            witness, _, listed = violation.partition(" ends with ")
+            if not listed:
+                continue  # an "is an ending substring of" pair
+            string = tuple(map(int, witness.strip("'")))
+            hits = [] if listed == "no member" else listed.split(", ")
+            assert hits == ["".join(map(str, s)) for s in members if ends_with(string, s)]
         for history in data.draw(st.lists(st.lists(symbols, max_size=6), max_size=5)):
             hits = [s for s in members if ends_with(history, s)]
             assert suffix_set.match(tuple(history)) == max(hits, key=len, default=None)
@@ -292,6 +321,9 @@ class TestEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(ResourceError, match="cap"):
             enumerate_closed_suffix_maps(BINARY, 5, context_cap=16)
+        for cap in (0, -1):
+            with pytest.raises(InputError, match="context cap"):
+                enumerate_closed_suffix_maps(BINARY, 2, context_cap=cap)
 
     def test_cap_admits_exactly_its_count(self):
         # 2, 5 and 26 leaf sets below a node with 1, 2 and 3 levels left, so
@@ -320,6 +352,25 @@ class TestEnumeration:
             for symbol in range(2):
                 extended = suffix_set.match((history + (symbol,))[-depth:])
                 assert fmap.step_table[matched, symbol] == index[extended]
+
+
+class TestDeepMaps:
+    # 2^13 and 2^64 contexts: a check that enumerated them could not run
+    @pytest.mark.parametrize("depth", [13, 64])
+    def test_run_length_map_compiles_loads_and_checks(self, tmp_path, capsys, depth):
+        fmap = compile_suffix_map(run_length(depth))
+        assert fmap.state_count == depth + 1
+        assert fmap.suffixes[fmap.start_state] == (0,) * depth
+        states = fmap.walk([1] + [0] * (depth + 1))
+        assert [fmap.suffixes[s] for s in states[1:]] == (
+            [(1,) + (0,) * k for k in range(depth)] + [(0,) * depth] * 2)
+        path = tmp_path / "maps.json"
+        write_maps(path, [fmap])
+        back, = read_maps(path)
+        assert back.map_id == fmap.map_id and back.suffixes == fmap.suffixes
+        assert np.array_equal(back.step_table, fmap.step_table)
+        assert main(["maps", "check", str(path)]) == 0
+        assert "1 valid maps" in capsys.readouterr().out
 
 
 class TestSerialization:

@@ -198,6 +198,8 @@ def _integer_argument_calls(tmp_path):
         "max_pattern_len=1.5": lambda: ergodicity_diagnostic(data, 1.5),
         "default_grid n=10.5": lambda: default_grid(10.5),
         "default_grid points=4.0": lambda: default_grid(10, 4.0),
+        "default_grid points=0": lambda: default_grid(10, 0),
+        "default_grid points=-1": lambda: default_grid(10, -1),
         "trivial_map(2.5)": lambda: trivial_map(2.5),
         "trivial_map(True)": lambda: trivial_map(True),
         "per_line=0": lambda: write_sequence(tmp_path / "out.txt", data, per_line=0),
