@@ -93,6 +93,18 @@ class ClosureReport:
                 f"the next state depending on unseen history")
 
 
+def _unlink(path) -> tuple:
+    # a linked path (a, (b, ... ())) as the tuple (a, b, ...)
+    items = []
+    while path:
+        item, path = path
+        items.append(item)
+    return tuple(items)
+
+
+_REPORTED = 10  # witnesses a report spells out; the rest are counted
+
+
 def validate_suffix_set(suffix_set: SuffixSet) -> SuffixSetReport:
     """Check properness (no member ends another) and completeness.
 
@@ -101,36 +113,41 @@ def validate_suffix_set(suffix_set: SuffixSet) -> SuffixSetReport:
     is proper and every inner node has a child for each symbol: then every
     history of the set's depth ends with exactly one member. The work grows
     with the members' total length, not with the number of contexts. Each
-    violation carries a witness: a member that ends with others, listed with
+    violation has a witness: a member that ends with others, listed with
     every member ending it, or the first missing child of an incomplete
-    node, which ends with no member.
+    node, which ends with no member. The ten shallowest witnesses are spelled
+    out, sorted; any further ones are only counted, so a report stays short.
     """
     size = suffix_set.alphabet.size
-    trie = {}  # a node's children by the symbol before it
+    trie, ends = {}, set()  # a node's children by the symbol before it; members' nodes
     for s in suffix_set.suffixes:
         node = trie
         for y in reversed(s):
             node = node.setdefault(y, {})
-    # witnesses: strings with the members ending them, () when none does
-    witnesses, stack = [], [((), trie, ())]
-    while stack:
-        string, children, hits = stack.pop()
-        if string in suffix_set._members:
-            hits += (string,)
-            if len(hits) > 1:
-                witnesses.append((string, hits))
+        ends.add(id(node))
+    # breadth first, each node with its string as a linked path (oldest
+    # symbol, rest) and the members ending it as a linked list, longest first
+    witnesses, queue = [], [((), trie, ())]
+    for path, children, hits in queue:
+        if id(children) in ends:
+            if hits:
+                witnesses.append((path, (path, hits)))
+            hits = (path, hits)
         elif not hits and len(children) < size:
             # below a member every string ends with it, so gaps are sought above
-            y = next(y for y in range(size) if y not in children)
-            witnesses.append(((y, *string), ()))
-        stack += [((y, *string), child, hits) for y, child in children.items()]
-    nested = sorted((a, b) for b, hits in witnesses for a in hits[:-1])
+            witnesses.append(((next(y for y in range(size) if y not in children), path), ()))
+        queue += [((y, path), child, hits) for y, child in children.items()]
+    shown = sorted((_unlink(w), sorted(map(_unlink, _unlink(hits))))
+                   for w, hits in witnesses[:_REPORTED])
     text = functools.partial(_suffix_text, alphabet_size=size)
-    violations = [f"{text(a)!r} is an ending substring of {text(b)!r}" for a, b in nested]
-    violations += [f"{text(w)!r} ends with {', '.join(map(text, sorted(hits))) or 'no member'}"
-                   for w, hits in sorted(witnesses)]
-    return SuffixSetReport(proper=not nested, complete=not witnesses,
-                           violations=violations)
+    violations = [f"{text(a)!r} is an ending substring of {text(w)!r}"
+                  for a, w in sorted((a, w) for w, hits in shown for a in hits if a != w)]
+    violations += [f"{text(w)!r} ends with {', '.join(map(text, hits)) or 'no member'}"
+                   for w, hits in shown]
+    if len(witnesses) > _REPORTED:
+        violations.append(f"and {len(witnesses) - _REPORTED} more witnesses")
+    return SuffixSetReport(proper=not any(hits for _, hits in witnesses),
+                           complete=not witnesses, violations=violations)
 
 
 def is_fsm_closed(suffix_set: SuffixSet) -> ClosureReport:
@@ -143,10 +160,9 @@ def is_fsm_closed(suffix_set: SuffixSet) -> ClosureReport:
     (state index, symbol) to the next state index in canonical state order.
     """
     report = validate_suffix_set(suffix_set)
-    if not (report.proper and report.complete):
-        raise InputError(
-            "suffix set must be proper and complete before the closure check: "
-            + "; ".join(report.violations))
+    if not report.complete:  # a complete set is proper too
+        raise InputError("suffix set must be proper and complete before the closure "
+                         "check: " + "; ".join(report.violations))
     return _closure(suffix_set)
 
 
@@ -348,16 +364,6 @@ def _synchronizing_window(fmap: FeatureMap) -> MemoryBoundReport:
         k += 1
 
 
-def _suffix_of(path) -> tuple[int, ...]:
-    # a linked path (y1, (y2, ... ())) from the root, newest symbol first, as
-    # the suffix it stands for, oldest symbol first
-    symbols = []
-    while path:
-        y, path = path
-        symbols.append(y)
-    return tuple(symbols[::-1])
-
-
 def enumerate_closed_suffix_maps(alphabet: Alphabet, max_depth: int,
                                  padding_symbol: int = 0,
                                  context_cap: int = DEFAULT_CONTEXT_CAP) -> list[FeatureMap]:
@@ -373,24 +379,22 @@ def enumerate_closed_suffix_maps(alphabet: Alphabet, max_depth: int,
     candidate is built. Results come back compiled, ordered by state count
     and then lexicographically on the sorted suffix lists.
     """
-    _check_int(max_depth, "max_depth")
+    _check_int(max_depth, "max_depth", 1)
     _check_int(padding_symbol, "padding symbol")
-    _check_int(context_cap, "context cap")
-    if max_depth < 1:
-        raise InputError("max_depth must be >= 1")
-    if context_cap < 1:
-        raise InputError("context cap must be >= 1")
+    _check_int(context_cap, "context cap", 1)
     size = alphabet.size
-    # the depth-1 candidate has a state per symbol; the count grows by one a
-    # level at least, so it passes the cap within cap + 1 levels. Counts are
-    # held to cap + 1 without a huge power: from base 2 up, a power passes
-    # the cap once its exponent reaches the cap's bit length
+    too_many = f"suffix-set enumeration exceeds the configured cap of {context_cap}"
+    if size > context_cap:  # the depth-1 candidate has a state per symbol
+        raise ResourceError(too_many)
+    # the count grows by one a level at least, so it passes the cap within
+    # cap + 1 levels. Counts are held to cap + 1 without a huge power: from
+    # base 2 up, a power passes the cap once its exponent reaches the cap's
+    # bit length
     shapes = 1  # a node with no levels left is a leaf
     for _ in range(max_depth):
         shapes = 1 + min(shapes ** min(size, context_cap.bit_length()), context_cap + 1)
-        if max(shapes - 1, size) > context_cap:
-            raise ResourceError(
-                f"suffix-set enumeration exceeds the configured cap of {context_cap}")
+        if shapes - 1 > context_cap:
+            raise ResourceError(too_many)
 
     # the leaf sets of a node, as linked paths (y, rest) read from it, so a
     # level costs a pair per leaf; () is the node itself
@@ -400,7 +404,7 @@ def enumerate_closed_suffix_maps(alphabet: Alphabet, max_depth: int,
                             for combo in itertools.product(options, repeat=size)]
     maps = []
     for paths in options[1:]:
-        suffix_set = SuffixSet(alphabet, tuple(map(_suffix_of, paths)))
+        suffix_set = SuffixSet(alphabet, tuple(_unlink(p)[::-1] for p in paths))
         closure = _closure(suffix_set)
         if closure.closed:
             maps.append(_suffix_map(suffix_set, closure.step_table, padding_symbol))

@@ -29,10 +29,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_int(value, what: str):
-    """InputError unless ``value`` is an int or a numpy integer, not a bool."""
+def _check_int(value, what: str, minimum: int | None = None):
+    """InputError unless ``value`` is an int or a numpy integer, not a bool,
+    and at least ``minimum`` when one is given."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{what} must be >= {minimum}")
 
 
 def _number_table(value, what: str, integer: bool = False) -> np.ndarray:
@@ -269,11 +272,9 @@ def frequency_trajectory(seq: SymbolSequence, pattern: SymbolSequence, grid,
 def default_grid(n: int, points: int = 16) -> np.ndarray:
     """Geometric grid of prefix lengths ending at ``n``."""
     _check_int(n, "grid length")
-    _check_int(points, "grid points")
+    _check_int(points, "grid points", 1)
     if n < 1:
         raise InputError("sequence must be non-empty")
-    if points < 1:
-        raise InputError("grid points must be >= 1")
     lo = max(1, n // 100)
     raw = np.geomspace(lo, n, num=min(points, n)).round().astype(np.int64)
     return np.unique(raw)
@@ -289,9 +290,7 @@ def ergodicity_diagnostic(seq: SymbolSequence, max_pattern_len: int,
     patterns, of which there may be at most ``DEFAULT_CONTEXT_CAP``. The values
     equal :func:`frequency_trajectory`'s for each pattern.
     """
-    _check_int(max_pattern_len, "max_pattern_len")
-    if max_pattern_len < 1:
-        raise InputError("max_pattern_len must be >= 1")
+    _check_int(max_pattern_len, "max_pattern_len", 1)
     size = seq.alphabet.size
     patterns = 0
     # counted with an early exit, so a huge max_pattern_len costs nothing

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -67,6 +68,19 @@ class TestValidateSuffixSet:
         report = validate_suffix_set(SuffixSet(Alphabet(10 ** 9), ((0,),)))
         assert report.proper and not report.complete
         assert report.violations == ["'1' ends with no member"]
+
+    def test_report_spells_out_the_ten_shallowest_witnesses(self):
+        # every node on the chain above 0^50 lacks its child with a leading 1
+        report = validate_suffix_set(sset((0,) * 50))
+        assert report.proper and not report.complete
+        assert report.violations == [f"'1{'0' * k}' ends with no member" for k in range(10)] + [
+            "and 40 more witnesses"]
+
+    def test_nested_chain_lists_each_member_once_per_witness(self):
+        report = validate_suffix_set(sset(*[(0,) * k for k in range(1, 31)], (1,)))
+        assert not report.proper and not report.complete
+        assert report.violations[-2:] == ["'00000000000' ends with " + ", ".join(
+            "0" * k for k in range(1, 12)), "and 19 more witnesses"]
 
     def test_incomplete_set(self):
         report = validate_suffix_set(sset((0, 0), (1, 1)))
@@ -371,6 +385,17 @@ class TestDeepMaps:
         assert np.array_equal(back.step_table, fmap.step_table)
         assert main(["maps", "check", str(path)]) == 0
         assert "1 valid maps" in capsys.readouterr().out
+
+    def test_one_deep_member_is_refused_with_a_short_message(self, tmp_path, capsys):
+        # the chain above 0^(10^5) has 10^5 incomplete nodes; ten are named
+        path = tmp_path / "maps.json"
+        path.write_text(json.dumps({"maps": [{
+            "kind": "suffix-tree", "alphabet_size": 2, "states": 1, "start_state": 0,
+            "psi": [[0, 0]], "suffixes": [[0] * 10 ** 5]}]}))
+        assert main(["maps", "check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err) < 500
+        assert err.rstrip().endswith("'1000000000' ends with no member; and 99990 more witnesses")
 
 
 class TestSerialization:
