@@ -6,6 +6,11 @@ finite-state maps given by an explicit update table. Either way the state
 after a history is reached by the deterministic update
 ``state' = step_table[state, symbol]`` from a fixed start state.
 
+A suffix set is indexed by one trie of its members, read from the newest
+symbol back, and nothing else: member lookups, the properness and
+completeness check, the closure check and the start state all walk it, so
+none of them enumerates the |A|^depth contexts.
+
 Histories shorter than the deepest suffix are handled by an implicit
 pre-history of the padding symbol, so the map is defined for every length;
 states from the suffix depth onward do not depend on the padding.
@@ -32,9 +37,27 @@ def _suffix_text(suffix: tuple[int, ...], alphabet_size: int) -> str:
     return ("" if alphabet_size <= 10 else "-").join(str(v) for v in suffix)
 
 
+class _Node(dict):
+    """A node of a suffix set's trie: its children by the symbol before it,
+    and the index of the member that ends here, if one does."""
+
+    __slots__ = ("member",)
+
+    def __init__(self):
+        self.member = None
+
+    def __missing__(self, symbol):  # indexing adds a missing child; get() does not
+        self[symbol] = child = _Node()
+        return child
+
+
 @dataclass(frozen=True)
 class SuffixSet:
-    """A finite set of non-empty strings, kept in sorted (canonical) order."""
+    """A finite set of non-empty strings, kept in sorted (canonical) order.
+
+    Its only index is the trie of its members read from the newest symbol
+    back, built once here.
+    """
 
     alphabet: Alphabet
     suffixes: tuple[tuple[int, ...], ...]
@@ -49,22 +72,37 @@ class SuffixSet:
             if min(s) < 0 or max(s) >= self.alphabet.size:
                 raise InputError(f"suffix {s} uses symbols outside the alphabet")
         object.__setattr__(self, "suffixes", tuple(cleaned))
-        # lookups test a string's tails against the members, longest first
-        object.__setattr__(self, "_members", frozenset(cleaned))
-        object.__setattr__(self, "_lengths",
-                           sorted({len(s) for s in cleaned}, reverse=True))
+        trie = _Node()
+        for i, s in enumerate(cleaned):
+            node = trie
+            for y in reversed(s):
+                node = node[y]
+            node.member = i
+        object.__setattr__(self, "_trie", trie)
 
     @property
     def depth(self) -> int:
-        return self._lengths[0]
+        return max(map(len, self.suffixes))
+
+    def _longest(self, newest_first) -> int | None:
+        # the index of the longest member ending a string given newest symbol
+        # first: the deepest member node on the string's path down the trie
+        found, node = None, self._trie
+        for y in newest_first:
+            node = node.get(y)
+            if node is None:
+                break
+            if node.member is not None:
+                found = node.member
+        return found
 
     def match(self, history: tuple[int, ...]) -> tuple[int, ...] | None:
         """The member that is an ending substring of ``history``, if any.
 
         Unique for proper sets; the longest match is returned otherwise.
         """
-        return next((history[-k:] for k in self._lengths
-                     if k <= len(history) and history[-k:] in self._members), None)
+        found = self._longest(reversed(history))
+        return None if found is None else self.suffixes[found]
 
     def describe(self) -> str:
         size = self.alphabet.size
@@ -119,25 +157,20 @@ def validate_suffix_set(suffix_set: SuffixSet) -> SuffixSetReport:
     out, sorted; any further ones are only counted, so a report stays short.
     """
     size = suffix_set.alphabet.size
-    trie, ends = {}, set()  # a node's children by the symbol before it; members' nodes
-    for s in suffix_set.suffixes:
-        node = trie
-        for y in reversed(s):
-            node = node.setdefault(y, {})
-        ends.add(id(node))
+    members = suffix_set.suffixes
     # breadth first, each node with its string as a linked path (oldest
-    # symbol, rest) and the members ending it as a linked list, longest first
-    witnesses, queue = [], [((), trie, ())]
-    for path, children, hits in queue:
-        if id(children) in ends:
+    # symbol, rest) and the indices of the members ending it as a linked list
+    witnesses, queue = [], [((), suffix_set._trie, ())]
+    for path, node, hits in queue:
+        if node.member is not None:
             if hits:
-                witnesses.append((path, (path, hits)))
-            hits = (path, hits)
-        elif not hits and len(children) < size:
+                witnesses.append((path, (node.member, hits)))
+            hits = (node.member, hits)
+        elif not hits and len(node) < size:
             # below a member every string ends with it, so gaps are sought above
-            witnesses.append(((next(y for y in range(size) if y not in children), path), ()))
-        queue += [((y, path), child, hits) for y, child in children.items()]
-    shown = sorted((_unlink(w), sorted(map(_unlink, _unlink(hits))))
+            witnesses.append(((next(y for y in range(size) if y not in node), path), ()))
+        queue += [((y, path), child, hits) for y, child in node.items()]
+    shown = sorted((_unlink(w), sorted(members[i] for i in _unlink(hits)))
                    for w, hits in witnesses[:_REPORTED])
     text = functools.partial(_suffix_text, alphabet_size=size)
     violations = [f"{text(a)!r} is an ending substring of {text(w)!r}"
@@ -156,8 +189,10 @@ def is_fsm_closed(suffix_set: SuffixSet) -> ClosureReport:
     For a proper and complete set this holds at (s, y) exactly when some
     member is an ending substring of s·y: properness makes that member
     unique, and if none matches, completeness forces matches that reach
-    further back into the history, which varies. The returned table maps
-    (state index, symbol) to the next state index in canonical state order.
+    further back into the history, which varies. Each (s, y) is settled by
+    one walk of the set's trie, along y and then s backwards. The returned
+    table maps (state index, symbol) to the next state index in canonical
+    state order.
     """
     report = validate_suffix_set(suffix_set)
     if not report.complete:  # a complete set is proper too
@@ -167,16 +202,16 @@ def is_fsm_closed(suffix_set: SuffixSet) -> ClosureReport:
 
 
 def _closure(suffix_set: SuffixSet) -> ClosureReport:
-    # the closure loop of is_fsm_closed, for a set known to be proper and complete
-    members = suffix_set.suffixes
-    index = {s: i for i, s in enumerate(members)}
+    # the closure loop of is_fsm_closed, for a set known to be proper and
+    # complete: the member ending s·y is found by walking y, then s backwards
     rows = []
-    for s in members:
-        targets = [suffix_set.match(s + (y,)) for y in range(suffix_set.alphabet.size)]
-        if None in targets:
+    for s in suffix_set.suffixes:
+        row = [suffix_set._longest(itertools.chain((y,), reversed(s)))
+               for y in range(suffix_set.alphabet.size)]
+        if None in row:
             return ClosureReport(closed=False, step_table=None,
-                                 witness=(s, targets.index(None)))
-        rows.append([index[t] for t in targets])
+                                 witness=(s, row.index(None)))
+        rows.append(row)
     return ClosureReport(closed=True, step_table=np.array(rows, dtype=np.int64),
                          witness=None)
 
@@ -292,15 +327,13 @@ def _suffix_map(suffix_set: SuffixSet, step_table: np.ndarray,
     # a closed set and its closure table as a map started from the padding
     if not 0 <= padding_symbol < suffix_set.alphabet.size:
         raise InputError(f"padding symbol {padding_symbol} outside the alphabet")
-    members = suffix_set.suffixes
-    start = members.index(suffix_set.match((padding_symbol,) * suffix_set.depth))
     return FeatureMap(
         kind="suffix-tree",
         alphabet_size=suffix_set.alphabet.size,
-        state_count=len(members),
-        start_state=start,
+        state_count=len(suffix_set.suffixes),
+        start_state=suffix_set._longest(itertools.repeat(padding_symbol, suffix_set.depth)),
         step_table=step_table,
-        suffixes=members,
+        suffixes=suffix_set.suffixes,
     )
 
 

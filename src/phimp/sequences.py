@@ -74,17 +74,11 @@ class Alphabet:
     """Finite alphabet; symbols are the indices 0..size-1."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         _check_int(self.size, "alphabet size")
         if self.size < 1:
             raise InputError(f"alphabet size must be >= 1, got {self.size}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != self.size or len(set(labels)) != self.size:
-                raise InputError("labels must be distinct, one per symbol")
-            object.__setattr__(self, "labels", labels)
 
 
 @dataclass(eq=False)

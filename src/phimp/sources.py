@@ -214,9 +214,11 @@ def stationary(transition: np.ndarray) -> np.ndarray:
     """The unique row vector pi with pi @ T = pi, summing to one.
 
     Solved densely, with the last balance equation replaced by the
-    normalization. Raises InputError when the chain is not ergodic, or when
-    the solve is singular or leaves a residual above ``STATIONARY_TOL`` (as
-    transition probabilities many orders of magnitude apart can make it).
+    normalization. When that solve is singular, not finite or leaves a
+    residual above ``STATIONARY_TOL`` (as transition probabilities many orders
+    of magnitude apart can make it), the law is taken by state reduction
+    instead. Raises InputError when the chain is not ergodic, or when neither
+    result is finite with a residual within ``STATIONARY_TOL``.
     """
     transition = np.asarray(transition, dtype=np.float64)
     if not is_ergodic_chain(transition):
@@ -229,18 +231,50 @@ def stationary(transition: np.ndarray) -> np.ndarray:
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     try:
-        pi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InputError(f"stationary distribution cannot be solved: {exc}") from exc
+        pi = _normalized(np.linalg.solve(system, rhs))
+    except np.linalg.LinAlgError:
+        pi = None
+    if pi is None or not _residual(pi, transition) <= STATIONARY_TOL:
+        pi = _normalized(_state_reduction(transition))
+        if pi is None:
+            raise InputError("stationary distribution cannot be solved: no finite solution")
+        residual = _residual(pi, transition)
+        if not residual <= STATIONARY_TOL:
+            raise InputError(f"stationary solve residual {residual:.3e} exceeds "
+                             f"{STATIONARY_TOL:.1e}")
+    return pi
+
+
+def _normalized(pi: np.ndarray) -> np.ndarray | None:
+    # pi scaled to sum to one, negative rounding clipped; None when no finite
+    # positive total exists
     pi = np.clip(pi, 0.0, None)
     total = pi.sum()
     if not (np.isfinite(total) and total > 0):
-        raise InputError("stationary distribution cannot be solved: no finite solution")
+        return None
     pi /= total
-    residual = float(np.abs(pi @ transition - pi).max())
-    if not residual <= STATIONARY_TOL:
-        raise InputError(f"stationary solve residual {residual:.3e} exceeds "
-                         f"{STATIONARY_TOL:.1e}")
+    return pi
+
+
+def _residual(pi: np.ndarray, transition: np.ndarray) -> float:
+    return float(np.abs(pi @ transition - pi).max())
+
+
+def _state_reduction(transition: np.ndarray) -> np.ndarray:
+    # Grassmann, Taksar & Heyman (Oper. Res. 33(5), 1985): censor the chain
+    # onto states 0..k-1 for k = n-1 down to 1, then build pi up from state 0.
+    # Only off-diagonal entries enter and nothing is subtracted, so no
+    # cancellation loses the small probabilities; an underflow to 0 or an
+    # overflow leaves a non-finite pi, which the caller refuses
+    reduced = transition.copy()
+    n = reduced.shape[0]
+    pi = np.ones(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            reduced[:k, k] /= reduced[k, :k].sum()
+            reduced[:k, :k] += np.outer(reduced[:k, k], reduced[k, :k])
+        for k in range(1, n):
+            pi[k] = pi[:k] @ reduced[:k, k]
     return pi
 
 

@@ -17,7 +17,7 @@ from phimp.errors import InputError
 from phimp.estimation import (CRITERIA, CostBreakdown, EmpiricalHmm, PenaltyScheme,
                               _check_smoothing, _count, _estimate_from_counts,
                               counts_nll)
-from phimp.fmaps import FeatureMap, enumerate_closed_suffix_maps
+from phimp.fmaps import ClosureReport, FeatureMap, enumerate_closed_suffix_maps
 from phimp.selection import (PruningLogEntry, SelectionResult, _check_class,
                              score_map, with_baseline)
 from phimp.sequences import Alphabet, PairedSequence, SymbolSequence
@@ -554,3 +554,42 @@ def estimate_before(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
         n_emit, drive, emit = size, data.items, data.items
     trans, emis = _count(fmap, drive, emit, n_emit)
     return _estimate_from_counts(trans, emis, len(data), smoothing)
+
+
+# How a suffix set answered "which member ends this string" before its trie
+# was its index: ``SuffixSetBefore`` holds the member set and the member
+# lengths, longest first, as ``SuffixSet`` did, and ``SuffixSetBefore.match``
+# and ``closure_before`` (once ``fmaps._closure``) are kept as written apart
+# from their names. Each lookup slices and hashes one tail per member length.
+
+class SuffixSetBefore:
+    """A suffix set's members behind the hash-and-slice index."""
+
+    def __init__(self, suffix_set):
+        self.alphabet = suffix_set.alphabet
+        self.suffixes = suffix_set.suffixes
+        self._members = frozenset(self.suffixes)
+        self._lengths = sorted({len(s) for s in self.suffixes}, reverse=True)
+
+    def match(self, history: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The member that is an ending substring of ``history``, if any.
+
+        Unique for proper sets; the longest match is returned otherwise.
+        """
+        return next((history[-k:] for k in self._lengths
+                     if k <= len(history) and history[-k:] in self._members), None)
+
+
+def closure_before(suffix_set: SuffixSetBefore) -> ClosureReport:
+    # the closure loop of is_fsm_closed, for a set known to be proper and complete
+    members = suffix_set.suffixes
+    index = {s: i for i, s in enumerate(members)}
+    rows = []
+    for s in members:
+        targets = [suffix_set.match(s + (y,)) for y in range(suffix_set.alphabet.size)]
+        if None in targets:
+            return ClosureReport(closed=False, step_table=None,
+                                 witness=(s, targets.index(None)))
+        rows.append([index[t] for t in targets])
+    return ClosureReport(closed=True, step_table=np.array(rows, dtype=np.int64),
+                         witness=None)

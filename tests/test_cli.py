@@ -355,8 +355,8 @@ def _experiment(workdir, **overrides):
             "--out", workdir / "traj.csv"]
 
 
-# ergodic by support, but 1e-300 next to 1.0 makes the stationary solve singular
-# (exact mode solves the product chain of source and model)
+# ergodic by support, but 1e-300 next to 1.0 makes the dense stationary solve
+# singular (exact mode solves the product chain of source and model)
 NEAR_SINGULAR_MODEL = json.dumps({
     "type": "fsmx",
     "map": {"kind": "general-fsm", "alphabet_size": 4, "states": 4, "start_state": 0,
@@ -374,6 +374,12 @@ def _xent_near_singular(workdir, mode):
 def test_near_singular_model_mc_exits_zero_with_finite_value(workdir):
     # mc codes along the model's own state path and solves no stationary law
     assert run(*_xent_near_singular(workdir, "mc"), "--out", workdir / "xent.json") == 0
+    assert math.isfinite(json.loads((workdir / "xent.json").read_text())["value"])
+
+
+def test_near_singular_model_exact_exits_zero_with_finite_value(workdir):
+    # the product chain's law comes from state reduction when the dense solve fails
+    assert run(*_xent_near_singular(workdir, "exact"), "--out", workdir / "xent.json") == 0
     assert math.isfinite(json.loads((workdir / "xent.json").read_text())["value"])
 
 
@@ -400,7 +406,6 @@ def _score_twice(workdir):
 
 
 BAD_INPUTS = {
-    "stationary solve singular (exact)": lambda d: _xent_near_singular(d, "exact"),
     "map psi not a number": lambda d: [
         "maps", "check", _written(d / "maps.json", json.dumps({"maps": [{
             "kind": "general-fsm", "alphabet_size": 2, "states": 2,

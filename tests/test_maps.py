@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (_is_complete, _is_proper, all_proper_complete_sets,
-                     closed_suffix_maps_oracle, closure_oracle, ends_with,
-                     memory_oracle)
+from oracles import (SuffixSetBefore, _is_complete, _is_proper,
+                     all_proper_complete_sets, closed_suffix_maps_oracle,
+                     closure_before, closure_oracle, ends_with, memory_oracle,
+                     subtree_leafsets)
 from phimp import (Alphabet, FeatureMap, InputError, ResourceError, SuffixSet,
                    SymbolSequence, compile_suffix_map,
                    enumerate_closed_suffix_maps, is_fsm_closed, load_fsm_map,
                    maps_from_json, maps_to_json, memory_bound, read_maps,
                    trivial_map, validate_suffix_set, write_maps)
 from phimp.cli import main
+from phimp.fmaps import MemoryBoundReport, _closure, _suffix_map
 
 BINARY = Alphabet(2)
 
@@ -159,6 +161,65 @@ class TestClosure:
         assert closed_by_oracle == 21
 
 
+def _small_sets():
+    # every set of at most 5 binary strings of length <= 3 or ternary strings
+    # of length <= 2
+    for size, length in ((2, 3), (3, 2)):
+        strings = [s for k in range(1, length + 1)
+                   for s in itertools.product(range(size), repeat=k)]
+        for count in range(1, 6):
+            for members in itertools.combinations(strings, count):
+                yield SuffixSet(Alphabet(size), members)
+
+
+def _class_candidates(size, max_depth):
+    # every candidate of the enumerated class: the root expanded, each child
+    # any leaf set of a node with max_depth - 1 levels left
+    for combo in itertools.product(subtree_leafsets(size, max_depth - 1), repeat=size):
+        yield SuffixSet(Alphabet(size), tuple(tuple(reversed((y,) + path))
+                                              for y in range(size) for path in combo[y]))
+
+
+# each family with its number of sets
+TRIE_FAMILIES = {
+    "small sets": (5057, _small_sets),
+    "binary depth 4": (676, lambda: _class_candidates(2, 4)),
+    "ternary depth 3": (729, lambda: _class_candidates(3, 3)),
+    "unary depth 30": (30, lambda: _class_candidates(1, 30)),
+    "run length": (3, lambda: (run_length(depth) for depth in (13, 64, 200))),
+}
+
+
+class TestTrieAgreesWithHashIndex:
+    """The trie gives what the member set and length list gave before."""
+
+    @pytest.mark.parametrize("family", sorted(TRIE_FAMILIES))
+    def test_lookups_closure_and_start_states(self, family):
+        count, sets = TRIE_FAMILIES[family]
+        sets = list(sets())
+        assert len(sets) == count
+        for suffix_set in sets:
+            size, members = suffix_set.alphabet.size, suffix_set.suffixes
+            before = SuffixSetBefore(suffix_set)
+            report = validate_suffix_set(suffix_set)
+            assert report.proper == _is_proper(members)
+            if family != "run length":  # their contexts are too many to list
+                assert report.complete == _is_complete(members, size, suffix_set.depth)
+            histories = [*itertools.product(range(size), repeat=4),
+                         *((y,) + s for s in members for y in range(size))]
+            for history in histories:
+                assert suffix_set.match(history) == before.match(history)
+            closure, expected = _closure(suffix_set), closure_before(before)
+            assert (closure.closed, closure.witness) == (expected.closed, expected.witness)
+            if not closure.closed:
+                continue
+            assert closure.step_table.tolist() == expected.step_table.tolist()
+            for padding in range(size):
+                start = before.match((padding,) * suffix_set.depth)
+                fmap = _suffix_map(suffix_set, closure.step_table, padding)
+                assert fmap.start_state == members.index(start)
+
+
 class TestCompileAndStep:
     def test_start_state_from_padding(self):
         fmap = compile_suffix_map(REFERENCE, padding_symbol=0)
@@ -249,6 +310,14 @@ class TestMemoryBound:
             depth = max(len(s) for s in fmap.suffixes)
             report = memory_bound(fmap)
             assert report.bounded and report.kappa == depth - 1
+
+    @pytest.mark.parametrize("size, max_depth", [(1, 6), (2, 4), (3, 3), (4, 2), (5, 2)])
+    def test_closed_classes_have_kappa_depth_minus_one(self, size, max_depth):
+        # every map of depth <= max_depth; one state keeps nothing, so 0
+        for fmap in enumerate_closed_suffix_maps(Alphabet(size), max_depth):
+            depth = max(len(s) for s in fmap.suffixes)
+            expected = 0 if fmap.state_count == 1 else depth - 1
+            assert memory_bound(fmap) == MemoryBoundReport(bounded=True, kappa=expected)
 
     def test_single_state_map(self):
         report = memory_bound(trivial_map(2))
@@ -374,6 +443,7 @@ class TestDeepMaps:
     def test_run_length_map_compiles_loads_and_checks(self, tmp_path, capsys, depth):
         fmap = compile_suffix_map(run_length(depth))
         assert fmap.state_count == depth + 1
+        assert memory_bound(fmap) == MemoryBoundReport(bounded=True, kappa=depth - 1)
         assert fmap.suffixes[fmap.start_state] == (0,) * depth
         states = fmap.walk([1] + [0] * (depth + 1))
         assert [fmap.suffixes[s] for s in states[1:]] == (

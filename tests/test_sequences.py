@@ -163,11 +163,6 @@ class TestValidation:
             SymbolSequence(Alphabet(size), np.array([0, 1, 2]))
         assert Alphabet(np.int64(3)).size == 3
 
-    def test_alphabet_labels(self):
-        with pytest.raises(InputError):
-            Alphabet(2, labels=("a", "a"))
-        assert Alphabet(2, labels=("a", "b")).labels == ("a", "b")
-
     def test_paired_length_mismatch(self):
         with pytest.raises(InputError):
             PairedSequence(Alphabet(2), Alphabet(2),

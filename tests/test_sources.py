@@ -19,7 +19,7 @@ from phimp import (Alphabet, FeatureMap, FsmxSource, Hmm, InputError,
                    model_to_json, read_model, sample_fsmx, sample_hmm,
                    stationary, substring_frequency, trivial_map, write_model)
 from phimp._kernels import forward_nll_steps
-from phimp.sources import _block_bootstrap_se, rng_stream
+from phimp.sources import _block_bootstrap_se, _state_reduction, rng_stream
 
 BINARY = Alphabet(2)
 
@@ -360,19 +360,38 @@ class TestStationary:
         with pytest.raises(InputError, match="is_ergodic_chain"):
             stationary(np.eye(2))
 
-    @pytest.mark.parametrize("transition", [
-        # ergodic by support, but 1e-300 next to 1.0 leaves the system
+    @pytest.mark.parametrize("transition, expected", [
+        # ergodic by support, but 1e-300 next to 1.0 leaves the dense system
         # numerically singular
-        [[1e-20, 1e-20, 0.0, 1.0], [1.0, 1e-200, 1e-300, 0.0],
-         [0.0, 1e-300, 1.0, 2e-300], [1e-20, 0.0, 0.0, 1.0]],
-        # subnormal exits: the solve returns NaN without raising
-        [[1.0, 0.0, 6.047e-321], [9.501e-321, 1.0, 7.905e-323],
-         [0.0, 6.141e-321, 1.0]],
+        ([[1e-20, 1e-20, 0.0, 1.0], [1.0, 1e-200, 1e-300, 0.0],
+          [0.0, 1e-300, 1.0, 2e-300], [1e-20, 0.0, 0.0, 1.0]],
+         [1e-20, 1e-40, 1e-40 / 3, 1.0]),
+        # subnormal exits: the dense solve returns NaN without raising
+        ([[1.0, 0.0, 6.047e-321], [9.501e-321, 1.0, 7.905e-323],
+          [0.0, 6.141e-321, 1.0]], None),
     ], ids=["singular", "nan"])
-    def test_unsolvable_chain_rejected(self, transition):
-        assert is_ergodic_chain(np.array(transition))
-        with pytest.raises(InputError, match="stationary"):
-            stationary(np.array(transition))
+    def test_near_singular_chain_solves_with_balanced_flows(self, transition, expected):
+        transition = np.array(transition)
+        assert is_ergodic_chain(transition)
+        pi = stationary(transition)
+        assert np.all(np.isfinite(pi)) and pi.sum() == pytest.approx(1.0)
+        if expected is not None:
+            assert pi == pytest.approx(expected, rel=1e-9, abs=0)
+        # flow into each state equals flow out of it; the power-of-two scale
+        # is exact and keeps the products of tiny entries out of the subnormals
+        moves = transition * 2.0 ** 1000
+        np.fill_diagonal(moves, 0.0)
+        assert pi @ moves == pytest.approx(pi * moves.sum(axis=1), rel=1e-12, abs=0)
+
+    def test_state_reduction_matches_the_dense_solve(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            transition = rng.random((n, n)) ** 3
+            transition /= transition.sum(axis=1, keepdims=True)
+            reduced = _state_reduction(transition)
+            assert reduced / reduced.sum() == pytest.approx(stationary(transition),
+                                                            rel=0, abs=5e-14)
 
 
 class TestErgodicChain:
