@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .estimation import PenaltyScheme
+from .estimation import PenaltyScheme, _alphabets
 from .fmaps import FeatureMap, load_fsm_map, memory_bound
 from .selection import SelectionResult, select, with_baseline
 from .sequences import (Alphabet, PairedSequence, _is_int, _number_table,
@@ -167,7 +167,7 @@ def active_select(events: Rollout | PairedSequence, maps: list[FeatureMap],
     result is identical to scoring that paired sequence directly.
     """
     paired = events.to_paired() if isinstance(events, Rollout) else events
-    candidates = with_baseline(maps, paired.joint_size, include_baseline)
+    candidates = with_baseline(maps, _alphabets(paired, criterion)[0], include_baseline)
     return select(candidates, paired, criterion, scheme, smoothing)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from .active import (Policy, active_select, environment_from_json,
                      read_environment, rollout)
 from .errors import InputError, ResourceError
-from .estimation import CRITERIA, PenaltyScheme
+from .estimation import CRITERIA, PenaltyScheme, _alphabets
 from .fmaps import (_suffix_text, enumerate_closed_suffix_maps, maps_from_json,
                     memory_bound, read_maps, write_maps)
 from .selection import consistency_run, select, with_baseline
@@ -74,12 +74,6 @@ def _write_lines(path, lines):
     Path(path).write_text("\n".join([_timestamp_line(), *lines]) + "\n")
 
 
-def _data_alphabet_size(data) -> int:
-    if isinstance(data, PairedSequence):
-        return data.y_alphabet.size
-    return data.alphabet.size
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -119,7 +113,7 @@ def _cmd_maps_check(args) -> int:
 def _cmd_score(args) -> int:
     data = read_sequence(args.seq)
     maps = read_maps(args.maps)
-    scheme = PenaltyScheme.from_string(args.pen, _data_alphabet_size(data))
+    scheme = PenaltyScheme.from_string(args.pen, _alphabets(data, args.criterion)[1])
     result = select(maps, data, args.criterion, scheme, args.smoothing)
     rows = [_score_row(b) for b in result.costs]
     _write_lines(args.out, rows)
@@ -131,9 +125,9 @@ def _cmd_score(args) -> int:
 def _cmd_select(args) -> int:
     data = read_sequence(args.seq)
     maps = read_maps(args.maps)
-    candidates = with_baseline(maps, _candidate_alphabet_size(data),
-                               include_baseline=not args.no_baseline)
-    scheme = PenaltyScheme.from_string(args.pen, _data_alphabet_size(data))
+    read, coded = _alphabets(data, args.criterion)
+    candidates = with_baseline(maps, read, include_baseline=not args.no_baseline)
+    scheme = PenaltyScheme.from_string(args.pen, coded)
     result = select(candidates, data, args.criterion, scheme, args.smoothing)
     chosen = result.total_of(result.chosen_map_id)
     if args.out:
@@ -146,12 +140,6 @@ def _cmd_select(args) -> int:
     print(f"select: chose {result.chosen_map_id} (total {_display(chosen, args.bits)}, "
           f"tie_broken={str(result.tie_broken).lower()})")
     return 0
-
-
-def _candidate_alphabet_size(data) -> int:
-    if isinstance(data, PairedSequence):
-        return data.joint_size
-    return data.alphabet.size
 
 
 def _cmd_xent(args) -> int:
@@ -274,10 +262,10 @@ def _cmd_active(args) -> int:
         policy = Policy.uniform(env.state_count, env.action_count)
     else:
         policy = Policy(_read_json(args.policy, "policy"))
-    trace = rollout(env, policy, args.n, args.seed)
+    paired = rollout(env, policy, args.n, args.seed).to_paired()
     maps = read_maps(args.maps)
-    scheme = PenaltyScheme.from_string(args.pen, env.reward_count)
-    result = active_select(trace, maps, scheme, criterion=args.criterion,
+    scheme = PenaltyScheme.from_string(args.pen, _alphabets(paired, args.criterion)[1])
+    result = active_select(paired, maps, scheme, criterion=args.criterion,
                            include_baseline=not args.no_baseline,
                            smoothing=args.smoothing)
     if args.out:

@@ -8,11 +8,16 @@ observations-only criterion marginalizes hidden states with the forward
 recursion, starting from a point mass at the start state.
 
 One rule reads the data for ``estimate``, ``score_map`` and
-``log_likelihood``: a plain sequence drives the map and emits itself; pairs
-drive it by the joint symbol x * |Y| + y and emit y, except under ``cost``
-and ``ml``, where they emit the joint symbol. ``score_map`` is the only
-function that scores a map, and ``cost``, ``icost``, ``ocost`` and
-``ml_cost`` equal it under their own criterion.
+``log_likelihood``, and the same rule (``_alphabets``) sizes the baseline
+map and the penalty that the CLI and ``active_select`` build. A plain
+sequence over A drives the map and emits itself, so a candidate reads |A|
+symbols and every criterion codes |A|. Pairs drive it by the joint symbol
+x * |Y| + y, so a candidate reads |X| * |Y| symbols; they emit that joint
+symbol under ``cost`` and ``ml``, which code |X| * |Y| symbols, and y under
+``icost`` and ``ocost``, which code |Y|. A penalty counts the alphabet the
+criterion codes. ``score_map`` is the only function that scores a map, and
+``cost``, ``icost``, ``ocost`` and ``ml_cost`` equal it under their own
+criterion.
 
 Counts come from one of two forms with identical integers, so every total is
 the same either way. A map with memory bound kappa (``memory_bound``) is in a
@@ -163,28 +168,35 @@ def _estimate_from_counts(trans_counts, emis_counts, n, smoothing) -> EmpiricalH
     )
 
 
+def _alphabets(data: SymbolSequence | PairedSequence, criterion: str) -> tuple[int, int]:
+    # the alphabet a candidate map reads and the one the criterion codes
+    if not isinstance(data, PairedSequence):
+        return data.alphabet.size, data.alphabet.size
+    coded = data.joint_size if criterion in ("cost", "ml") else data.y_alphabet.size
+    return data.joint_size, coded
+
+
 def _read(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
-          joint: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
-    # what drives the map, what it emits and the emission alphabet's size:
-    # plain data drives the map and emits itself; pairs drive it by
-    # x * |Y| + y and emit y, or that joint symbol itself when ``joint``
+          criterion: str) -> tuple[np.ndarray, np.ndarray, int]:
+    # what drives the map, what it emits and the emission alphabet's size
+    read, coded = _alphabets(data, criterion)
     paired = isinstance(data, PairedSequence)
-    size = data.joint_size if paired else data.alphabet.size
-    if size != fmap.alphabet_size:
+    if read != fmap.alphabet_size:
         raise InputError(f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
-                         f"{'pairs span' if paired else 'sequence has'} {size}")
+                         f"{'pairs span' if paired else 'sequence has'} {read}")
     if not paired:
-        return data.items, data.items, size
-    # the joint symbols fit in int64, since a map's table has that many columns
+        return data.items, data.items, coded
+    # the joint symbols fit in int64, since a map's table has that many
+    # columns; with |X| = 1 the joint symbol is y itself
     drive = data.xs * data.y_alphabet.size + data.ys
-    return (drive, drive, size) if joint else (drive, data.ys, data.y_alphabet.size)
+    return drive, drive if coded == read else data.ys, coded
 
 
-def _estimate(fmap: FeatureMap, data, smoothing: float, joint: bool) -> EmpiricalHmm:
+def _estimate(fmap: FeatureMap, data, smoothing: float, criterion: str) -> EmpiricalHmm:
     if len(data) < 1:
         raise InputError("cannot estimate from an empty sequence")
     _check_smoothing(smoothing)
-    trans, emis = _count(fmap, *_read(fmap, data, joint))
+    trans, emis = _count(fmap, *_read(fmap, data, criterion))
     return _estimate_from_counts(trans, emis, len(data), smoothing)
 
 
@@ -195,7 +207,7 @@ def estimate(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
     A plain sequence drives the map and emits itself. Pairs drive it by the
     joint symbol x * |Y| + y and emit y.
     """
-    return _estimate(fmap, data, smoothing, joint=False)
+    return _estimate(fmap, data, smoothing, "ocost")
 
 
 def estimate_paired(fmap: FeatureMap, paired: PairedSequence,
@@ -225,7 +237,7 @@ def log_likelihood(fmap: FeatureMap, emp: EmpiricalHmm, seq: SymbolSequence) -> 
     """
     if emp.state_count != fmap.state_count:
         raise InputError("state count mismatch between map and estimate")
-    trans, emis = _count(fmap, *_read(fmap, seq))
+    trans, emis = _count(fmap, *_read(fmap, seq, "ocost"))
     return counts_nll(trans, emp.transition) + counts_nll(emis, emp.emission)
 
 
@@ -250,7 +262,7 @@ def score_map(fmap: FeatureMap, data, criterion: str, scheme: PenaltyScheme | No
     """
     if criterion not in CRITERIA:
         raise InputError(f"unknown criterion {criterion!r} (expected one of {CRITERIA})")
-    emp = _estimate(fmap, data, smoothing, joint=criterion in ("cost", "ml"))
+    emp = _estimate(fmap, data, smoothing, criterion)
     if criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1:
         initial = np.zeros(fmap.state_count)
         initial[fmap.start_state] = 1.0

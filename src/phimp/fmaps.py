@@ -449,8 +449,9 @@ def load_fsm_map(description: dict) -> FeatureMap:
     """Build a FeatureMap from its JSON description.
 
     Suffix-tree descriptions are recompiled from their suffixes, at any
-    depth, and must agree with the stored table; general-FSM descriptions are
-    validated for a full table with in-range entries.
+    depth, and must agree with the stored table and start at a member made of
+    one repeated symbol, the one some constant padding reaches; general-FSM
+    descriptions are validated for a full table with in-range entries.
     """
     if not isinstance(description, dict):
         raise InputError("map description must be a JSON object")
@@ -488,6 +489,12 @@ def load_fsm_map(description: dict) -> FeatureMap:
         reference = compile_suffix_map(SuffixSet(Alphabet(alphabet_size), fmap.suffixes))
         if not np.array_equal(reference.step_table, fmap.step_table):
             raise InputError("psi disagrees with the suffix semantics of the stored set")
+        # a constant padding p starts the map at the one member made only of p
+        start = reference.suffixes[fmap.start_state]
+        if len(set(start)) != 1:
+            raise InputError(f"start state {fmap.start_state} is the suffix "
+                             f"{_suffix_text(start, alphabet_size)!r}, which no "
+                             "constant padding reaches")
     return fmap
 
 

@@ -350,6 +350,13 @@ def _write_json(path, payload):
 
 
 def read_sequence(path) -> SymbolSequence | PairedSequence:
+    """Read a plain or paired sequence file.
+
+    The header is checked before any token. Both forms are parsed by one
+    numpy call, which reads each token as ``int()`` does; a paired file's
+    tokens must hold exactly one comma each and are split there first, so
+    its xs and ys are the even and odd entries of that one parse.
+    """
     path = Path(path)
     text = _read_text(path, "sequence")
 
@@ -373,33 +380,25 @@ def read_sequence(path) -> SymbolSequence | PairedSequence:
         sizes = [int(part) for part in header.split(",")]
     except ValueError as exc:
         raise InputError(f"{path}: malformed alphabet header {header!r}") from exc
+    if len(sizes) not in (1, 2):
+        raise InputError(f"{path}: alphabet header must have one or two sizes")
+    alphabets = [Alphabet(size) for size in sizes]
 
-    if len(sizes) == 1:
-        try:
-            # numpy parses each token with int(), in one call
-            items = np.array(tokens, dtype=np.int64)
-        except ValueError as exc:
-            raise InputError(f"{path}: malformed symbol token") from exc
-        except OverflowError as exc:
-            raise InputError(f"{path}: symbol token beyond the int64 range") from exc
-        return SymbolSequence(Alphabet(sizes[0]), items)
-    if len(sizes) == 2:
-        xs, ys = [], []
-        for tok in tokens:
-            parts = tok.split(",")
-            if len(parts) != 2:
-                raise InputError(f"{path}: paired token {tok!r} must look like 'x,y'")
-            try:
-                xs.append(int(parts[0]))
-                ys.append(int(parts[1]))
-            except ValueError as exc:
-                raise InputError(f"{path}: malformed paired token {tok!r}") from exc
-        try:
-            xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-        except OverflowError as exc:
-            raise InputError(f"{path}: paired token beyond the int64 range") from exc
-        return PairedSequence(Alphabet(sizes[0]), Alphabet(sizes[1]), xs, ys)
-    raise InputError(f"{path}: alphabet header must have one or two sizes")
+    kind = "paired" if len(sizes) == 2 else "symbol"
+    if kind == "paired":
+        bad = next((tok for tok in tokens if tok.count(",") != 1), None)
+        if bad is not None:
+            raise InputError(f"{path}: paired token {bad!r} must look like 'x,y'")
+        tokens = ",".join(tokens).split(",") if tokens else []
+    try:
+        items = np.array(tokens, dtype=np.int64)
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed {kind} token") from exc
+    except OverflowError as exc:
+        raise InputError(f"{path}: {kind} token beyond the int64 range") from exc
+    if kind == "paired":
+        return PairedSequence(*alphabets, items[0::2], items[1::2])
+    return SymbolSequence(*alphabets, items)
 
 
 def write_sequence(path, seq: SymbolSequence | PairedSequence, per_line: int = 40):

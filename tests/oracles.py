@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from phimp.estimation import (CRITERIA, CostBreakdown, EmpiricalHmm, PenaltySche
 from phimp.fmaps import ClosureReport, FeatureMap, enumerate_closed_suffix_maps
 from phimp.selection import (PruningLogEntry, SelectionResult, _check_class,
                              score_map, with_baseline)
-from phimp.sequences import Alphabet, PairedSequence, SymbolSequence
+from phimp.sequences import Alphabet, PairedSequence, SymbolSequence, _read_text
 from phimp.sources import (cross_entropy_exact_markov, cross_entropy_mc,
                            induced_hmm)
 
@@ -593,3 +594,58 @@ def closure_before(suffix_set: SuffixSetBefore) -> ClosureReport:
         rows.append([index[t] for t in targets])
     return ClosureReport(closed=True, step_table=np.array(rows, dtype=np.int64),
                          witness=None)
+
+
+# ``sequences.read_sequence`` as it was while paired tokens were parsed by
+# one int() call each
+def read_sequence_before(path) -> SymbolSequence | PairedSequence:
+    path = Path(path)
+    text = _read_text(path, "sequence")
+
+    header = None
+    tokens: list[str] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            if not line.startswith("alphabet="):
+                raise InputError(f"{path}: first line must be 'alphabet=<size>'")
+            header = line[len("alphabet="):]
+        else:
+            tokens.extend(line.split())
+
+    if header is None:
+        raise InputError(f"{path}: missing alphabet header")
+
+    try:
+        sizes = [int(part) for part in header.split(",")]
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed alphabet header {header!r}") from exc
+
+    if len(sizes) == 1:
+        try:
+            # numpy parses each token with int(), in one call
+            items = np.array(tokens, dtype=np.int64)
+        except ValueError as exc:
+            raise InputError(f"{path}: malformed symbol token") from exc
+        except OverflowError as exc:
+            raise InputError(f"{path}: symbol token beyond the int64 range") from exc
+        return SymbolSequence(Alphabet(sizes[0]), items)
+    if len(sizes) == 2:
+        xs, ys = [], []
+        for tok in tokens:
+            parts = tok.split(",")
+            if len(parts) != 2:
+                raise InputError(f"{path}: paired token {tok!r} must look like 'x,y'")
+            try:
+                xs.append(int(parts[0]))
+                ys.append(int(parts[1]))
+            except ValueError as exc:
+                raise InputError(f"{path}: malformed paired token {tok!r}") from exc
+        try:
+            xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+        except OverflowError as exc:
+            raise InputError(f"{path}: paired token beyond the int64 range") from exc
+        return PairedSequence(Alphabet(sizes[0]), Alphabet(sizes[1]), xs, ys)
+    raise InputError(f"{path}: alphabet header must have one or two sizes")

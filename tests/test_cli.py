@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phimp
-from phimp import (Alphabet, Environment, SuffixSet, compile_suffix_map,
-                   embed_reward_map, write_environment, write_maps, write_model)
-from phimp.cli import main
+from phimp import (Alphabet, Environment, PairedSequence, PenaltyScheme, SuffixSet,
+                   compile_suffix_map, embed_reward_map, read_maps, select,
+                   with_baseline, write_environment, write_maps, write_model,
+                   write_sequence)
+from phimp.cli import _score_record, main
 
 
 @pytest.fixture()
@@ -547,6 +549,76 @@ class TestActiveCommand:
                 (workdir / "active.jsonl").read_text().splitlines()
                 if not line.startswith("#")]
         assert {row["map_id"] for row in rows} == {"trivial", event_map.map_id}
+
+
+class TestPenaltyAlphabet:
+    """A penalty counts the alphabet its criterion codes: on pairs, |X| * |Y|
+    joint symbols under cost and |Y| under icost and ocost."""
+
+    @pytest.fixture
+    def paired(self, tmp_path):
+        rng = np.random.default_rng(5)
+        xs = rng.integers(0, 2, 2000)
+        ys = (np.roll(xs, 1) ^ (rng.random(2000) < 0.2)).astype(np.int64)
+        pairs = PairedSequence(Alphabet(2), Alphabet(2), xs, ys)
+        write_sequence(tmp_path / "pairs.txt", pairs)
+        write_sequence(tmp_path / "joint.txt", pairs.joint_sequence())
+        assert run("maps", "enumerate", "--alphabet", 4, "--max-depth", 1,
+                   "--out", tmp_path / "maps.json") == 0
+        return tmp_path, pairs
+
+    @staticmethod
+    def _rows(command, workdir, seq, criterion):
+        out = workdir / f"{seq}.{command}.{criterion}"
+        assert run(command, "--maps", workdir / "maps.json", "--seq", workdir / f"{seq}.txt",
+                   "--criterion", criterion, "--out", out) == 0
+        if command == "select":
+            return json.loads(out.read_text())["costs"]
+        return [json.loads(line) for line in nontimestamp_bytes(out).splitlines()]
+
+    @pytest.mark.parametrize("command", ["score", "select"])
+    def test_cost_on_pairs_equals_cost_on_their_joint_symbols(self, paired, command):
+        workdir, _ = paired
+        pair_rows = self._rows(command, workdir, "pairs", "cost")
+        joint_rows = self._rows(command, workdir, "joint", "cost")
+        assert [r["map_id"] for r in pair_rows] == [r["map_id"] for r in joint_rows]
+        assert [r["total"] for r in pair_rows] == [r["total"] for r in joint_rows]
+        assert [r["penalty"] for r in pair_rows] == [r["penalty"] for r in joint_rows]
+        if command == "select":
+            # the baseline's penalty prices four joint symbols: (4 - 1) / 2 ln n
+            trivial, = [r for r in pair_rows if r["map_id"] == "trivial"]
+            assert trivial["penalty"] == PenaltyScheme("bic:markov", 4).value(2000, 1)
+
+    @pytest.mark.parametrize("criterion", ["icost", "ocost", "ml"])
+    @pytest.mark.parametrize("command", ["score", "select"])
+    def test_side_information_criteria_price_the_observations(self, paired, command,
+                                                              criterion):
+        workdir, pairs = paired
+        maps = read_maps(workdir / "maps.json")
+        if command == "select":
+            maps = with_baseline(maps, pairs.joint_size)
+        expected = select(maps, pairs, criterion, PenaltyScheme("bic:markov", 2))
+        rows = self._rows(command, workdir, "pairs", criterion)
+        assert rows == [_score_record(b) for b in expected.costs]
+
+    @pytest.mark.parametrize("criterion,coded", [
+        ("cost", 4), ("icost", 2), ("ocost", 2), ("ml", None)])
+    def test_active_prices_the_alphabet_its_criterion_codes(self, workdir, criterion,
+                                                            coded):
+        # events over 1 observation, 2 actions and 2 rewards: cost codes all
+        # four, icost and ocost the two rewards, ml has no penalty
+        _active_inputs(workdir)
+        out = workdir / "active.jsonl"
+        assert run("active", "--env", workdir / "env.json", "--n", 3000, "--seed", 3,
+                   "--maps", workdir / "emaps.json", "--criterion", criterion,
+                   "--out", out) == 0
+        rows = [json.loads(line) for line in nontimestamp_bytes(out).splitlines()]
+        states = {"trivial": 1, "embed-r:st:0|1": 2}
+        assert {r["map_id"] for r in rows} == set(states)
+        for row in rows:
+            penalty = (0.0 if coded is None else
+                       PenaltyScheme("bic:markov", coded).value(3000, states[row["map_id"]]))
+            assert row["penalty"] == penalty
 
 
 # ---------------------------------------------------------------------------

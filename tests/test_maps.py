@@ -505,3 +505,28 @@ class TestSerialization:
     def test_missing_fields_rejected(self):
         with pytest.raises(InputError):
             load_fsm_map({"kind": "general-fsm"})
+
+    def test_start_no_constant_padding_reaches_is_refused(self, reference_map,
+                                                         tmp_path, capsys):
+        # state 1 is the suffix '01': it would keep the id st:0|01|11 and
+        # score differently from the padding-0 map
+        data = reference_map.to_json()
+        data["start_state"] = 1
+        path = tmp_path / "maps.json"
+        path.write_text(json.dumps({"maps": [data]}))
+        assert main(["maps", "check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: start state 1 is the suffix '01', "
+                       "which no constant padding reaches\n")
+
+    @pytest.mark.parametrize("size,max_depth", [(1, 6), (2, 4), (3, 3), (4, 2)])
+    def test_enumerated_maps_load_for_every_padding(self, tmp_path, capsys,
+                                                    size, max_depth):
+        for padding in range(size):
+            path = tmp_path / f"maps{padding}.json"
+            assert main(["maps", "enumerate", "--alphabet", str(size),
+                         "--max-depth", str(max_depth), "--padding", str(padding),
+                         "--out", str(path)]) == 0
+            assert main(["maps", "check", str(path)]) == 0
+            starts = {fmap.suffixes[fmap.start_state] for fmap in read_maps(path)}
+            assert all(set(start) == {padding} for start in starts)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import count_substring_naive
+from oracles import count_substring_naive, read_sequence_before
 from phimp import (Alphabet, InputError, PairedSequence, PenaltyScheme,
                    SuffixSet, SymbolSequence, compile_suffix_map, countable_search,
                    default_grid, enumerate_closed_suffix_maps,
@@ -222,6 +222,36 @@ def test_numpy_integer_arguments_are_accepted(tmp_path):
     assert (tmp_path / "out.txt").read_text() == "alphabet=2\n0 1 1 0\n1 0\n"
 
 
+# the parts of a paired token: symbols, signs and underscores int() reads,
+# strings it refuses, and integers at and beyond the int64 range
+PAIRED_PARTS = st.sampled_from([
+    "0", "1", "2", "+1", "-0", "-1", "1_0", "0_1", "_1", "1_", "1__0", "", "x",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+    "99999999999999999999"])
+PAIRED_TOKENS = st.one_of(
+    st.tuples(PAIRED_PARTS, PAIRED_PARTS).map(",".join),
+    st.sampled_from(["1,", ",", "1,,2", "x,1", "1", ",1", "1,2,3"]))
+# a third of the files hold only pairs of symbols that int() reads, most in
+# range, and a third add tokens of such symbols with too few or many commas
+VALID_PARTS = st.sampled_from(["0", "1", "2", "+1", "-0", "0_1", "+0_2"])
+VALID_TOKENS = st.tuples(VALID_PARTS, VALID_PARTS).map(",".join)
+PAIRED_FILES = st.one_of(
+    st.lists(VALID_TOKENS, max_size=8),
+    st.lists(st.one_of(VALID_TOKENS, st.lists(VALID_PARTS, min_size=1, max_size=3)
+                       .map(",".join)), max_size=8),
+    st.lists(PAIRED_TOKENS, max_size=8))
+
+
+def _paired_outcome(reader, path):
+    # the pairs a reader returns, or None when it refuses the file
+    try:
+        data = reader(path)
+    except InputError:
+        return None
+    return (data.x_alphabet.size, data.y_alphabet.size,
+            data.xs.tolist(), data.ys.tolist())
+
+
 class TestSequenceFiles:
     def test_round_trip_plain(self, tmp_path):
         data = seq([0, 1, 1, 0, 1])
@@ -282,6 +312,33 @@ class TestSequenceFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             read_sequence(tmp_path / "nope.txt")
+
+    @settings(max_examples=300, deadline=None)
+    @example(sizes=(2, 2), tokens=["0,1,0", "1,0,1"], breaks=[" "] * 8)
+    @example(sizes=(2, 2), tokens=["0", "1", "1,0"], breaks=[" "] * 8)
+    @given(sizes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           tokens=PAIRED_FILES,
+           breaks=st.lists(st.sampled_from([" ", "\n", "\t"]), min_size=8, max_size=8))
+    def test_paired_tokens_read_as_the_per_token_parser_reads_them(
+            self, tmp_path_factory, sizes, tokens, breaks):
+        path = tmp_path_factory.getbasetemp() / "paired_oracle.txt"
+        body = "".join(tok + sep for tok, sep in zip(tokens, breaks))
+        path.write_text(f"alphabet={sizes[0]},{sizes[1]}\n{body}\n")
+        assert _paired_outcome(read_sequence, path) == _paired_outcome(read_sequence_before,
+                                                                       path)
+
+    @pytest.mark.parametrize("header,message", [
+        ("2,x", "malformed alphabet header"),
+        ("1,2,3", "one or two sizes"),
+        ("0,2", "alphabet size must be >= 1"),
+        ("2,-1", "alphabet size must be >= 1"),
+        ("0", "alphabet size must be >= 1"),
+    ])
+    def test_bad_header_is_reported_before_bad_tokens(self, tmp_path, header, message):
+        path = tmp_path / "data.txt"
+        path.write_text(f"alphabet={header}\n1,,2 x,1 99999999999999999999\n")
+        with pytest.raises(InputError, match=message):
+            read_sequence(path)
 
     def test_joint_sequence_encoding(self):
         data = PairedSequence(Alphabet(2), Alphabet(3),
