@@ -25,7 +25,7 @@ from .errors import InputError
 from .estimation import PenaltyScheme, _alphabets
 from .fmaps import FeatureMap, load_fsm_map, memory_bound
 from .selection import SelectionResult, select, with_baseline
-from .sequences import (Alphabet, PairedSequence, _is_int, _number_table,
+from .sequences import (Alphabet, PairedSequence, _fields, _number_table,
                         _read_json, _write_json)
 from .sources import _check_length, _check_stochastic, rng_stream
 
@@ -187,16 +187,8 @@ def environment_to_json(env: Environment) -> dict:
 
 
 def environment_from_json(data: dict) -> Environment:
-    if not isinstance(data, dict):
-        raise InputError("environment file must hold a JSON object")
-    required = {"action_count", "observation_count", "reward_count",
-                "event_map", "emissions"}
-    missing = required - data.keys()
-    if missing:
-        raise InputError(f"environment file missing fields: {sorted(missing)}")
-    for field in ("action_count", "observation_count", "reward_count"):
-        if not _is_int(data[field]):
-            raise InputError(f"environment field {field!r} must be an integer")
+    counts = ("action_count", "observation_count", "reward_count")
+    _fields(data, "environment file", (*counts, "event_map", "emissions"), integers=counts)
     return Environment(
         action_count=data["action_count"],
         observation_count=data["observation_count"],

@@ -24,8 +24,8 @@ from .errors import InputError, ResourceError
 from .estimation import CRITERIA, PenaltyScheme, _alphabets
 from .fmaps import (_suffix_text, enumerate_closed_suffix_maps, maps_from_json,
                     memory_bound, read_maps, write_maps)
-from .selection import consistency_run, select, with_baseline
-from .sequences import (Alphabet, PairedSequence, _is_int, _read_json, _read_text,
+from .selection import _check_run, consistency_run, select, with_baseline
+from .sequences import (Alphabet, PairedSequence, _fields, _read_json, _read_text,
                         _write_json, ergodicity_diagnostic, read_sequence,
                         write_sequence)
 from .sources import (FsmxSource, cross_entropy_exact_fsmx, cross_entropy_mc,
@@ -165,53 +165,43 @@ def _cmd_xent(args) -> int:
     return 0
 
 
-def _load_experiment_config(path: Path) -> dict:
-    config = _read_json(path, "config")
-    if not isinstance(config, dict):
-        raise InputError(f"{path}: experiment config must be a JSON object")
-    required = {"source", "class", "criterion", "pen", "n_grid", "seeds"}
-    missing = required - config.keys()
-    if missing:
-        raise InputError(f"experiment config missing fields: {sorted(missing)}")
-    grid = config["n_grid"]
-    if (not isinstance(grid, list) or not grid or not all(map(_is_int, grid))
-            or any(b <= a for a, b in zip(grid, grid[1:]))):
-        raise InputError("n_grid must be a non-empty strictly increasing list of integers")
-    seeds = config["seeds"]
-    if (not isinstance(seeds, list) or not seeds or not all(map(_is_int, seeds))
-            or len(set(seeds)) != len(seeds)):
-        raise InputError("seeds must be a non-empty list of distinct integers")
-    smoothing = config.get("smoothing", 0.0)
-    if not isinstance(smoothing, (int, float)) or isinstance(smoothing, bool):
-        raise InputError("smoothing must be a number")
-    if not isinstance(config.get("include_baseline", True), bool):
+def _experiment(path: Path):
+    """The consistency run a config describes, checked whole before any
+    sampling: a function of a list of seeds, and the config's seeds.
+
+    ``experiment`` runs it and ``diagnose --check-file`` passes it, so a
+    config passes the check exactly when the run would start sampling.
+    """
+    config = _fields(_read_json(path, "config"), "experiment config",
+                     ("source", "class", "criterion", "pen", "n_grid", "seeds"))
+    for field in ("n_grid", "seeds"):
+        if not isinstance(config[field], list) or not config[field]:
+            raise InputError(f"{field} must be a non-empty list")
+    include_baseline = config.get("include_baseline", True)
+    if not isinstance(include_baseline, bool):
         raise InputError("include_baseline must be true or false")
-    return config
 
-
-def _resolve_experiment_inputs(config: dict, base: Path):
-    source_spec = config["source"]
-    if isinstance(source_spec, str):
-        model = read_model(base / source_spec)
-    else:
-        model = model_from_json(source_spec)
-    if not isinstance(model, FsmxSource):
+    source = config["source"]
+    source = (read_model(path.parent / source) if isinstance(source, str)
+              else model_from_json(source))
+    if not isinstance(source, FsmxSource):
         raise InputError("experiment sources must be finite-state (fsmx) models")
-
-    class_spec = config["class"]
-    if not isinstance(class_spec, dict):
-        raise InputError("class spec must be an object")
-    if isinstance(class_spec.get("file"), str):
-        maps = read_maps(base / class_spec["file"])
-    elif _is_int(class_spec.get("alphabet")) and _is_int(class_spec.get("max_depth")):
-        maps = enumerate_closed_suffix_maps(Alphabet(class_spec["alphabet"]),
-                                            class_spec["max_depth"])
+    spec = config["class"]
+    if isinstance(spec, dict) and isinstance(spec.get("file"), str):
+        maps = read_maps(path.parent / spec["file"])
     else:
-        raise InputError("class spec needs either a 'file' name or integer "
-                         "'alphabet' + 'max_depth'")
+        _fields(spec, "class spec", ("alphabet", "max_depth"),
+                integers=("alphabet", "max_depth"))
+        maps = enumerate_closed_suffix_maps(Alphabet(spec["alphabet"]), spec["max_depth"])
+    scheme = PenaltyScheme.from_string(config["pen"], source.fmap.alphabet_size)
 
-    scheme = PenaltyScheme.from_string(config["pen"], model.fmap.alphabet_size)
-    return model, maps, scheme
+    smoothing = config.get("smoothing", 0.0)
+    candidates, n_grid, seeds = _check_run(source, maps, config["criterion"],
+                                           config["n_grid"], config["seeds"],
+                                           include_baseline, smoothing)
+    return functools.partial(consistency_run, source, candidates, config["criterion"],
+                             scheme, n_grid, include_baseline=False,
+                             smoothing=smoothing), seeds
 
 
 def _trajectory_rows(trajectory) -> list[str]:
@@ -228,30 +218,26 @@ def _trajectory_rows(trajectory) -> list[str]:
 def _cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    config_path = Path(args.config)
-    config = _load_experiment_config(config_path)
-    source, maps, scheme = _resolve_experiment_inputs(config, config_path.parent)
-    n_grid = [int(v) for v in config["n_grid"]]
+    run, seeds = _experiment(Path(args.config))
     # one run per seed, serially or one seed per worker
-    seeds = [[int(v)] for v in config["seeds"]]
-    run = functools.partial(consistency_run, source, maps, config["criterion"], scheme,
-                            n_grid, include_baseline=config.get("include_baseline", True),
-                            smoothing=float(config.get("smoothing", 0.0)))
+    seeds = [[seed] for seed in seeds]
     if args.jobs > 1:
         # a fork-started pool forks all its workers at once; a seed needs one
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds))) as pool:
             runs = list(pool.map(run, seeds))
     else:
         runs = list(map(run, seeds))
+    trajectories = [trajectory for [trajectory] in runs]
 
     rows = [TRAJECTORY_HEADER]
-    for [trajectory] in runs:
+    for trajectory in trajectories:
         rows.extend(_trajectory_rows(trajectory))
     _write_lines(args.out, rows)
-    final = [trajectory.final_choice for [trajectory] in runs]
+    final = [trajectory.final_choice for trajectory in trajectories]
     # the first seed's choice among equally frequent ones
     winner = max(final, key=final.count)
-    print(f"experiment: {len(seeds)} seeds x {len(n_grid)} grid points -> {args.out}; "
+    grid_points = len(trajectories[0].n_grid)
+    print(f"experiment: {len(seeds)} seeds x {grid_points} grid points -> {args.out}; "
           f"final choice {winner} in {final.count(winner)}/{len(final)} seeds")
     return 0
 
@@ -329,17 +315,13 @@ def _check_artifact(path: Path) -> str:
             model_from_json(data)
             return "model file"
         if isinstance(data, dict) and "n_grid" in data:
-            _load_experiment_config(path)
+            _experiment(path)
             return "experiment config"
         if isinstance(data, dict) and "chosen_map_id" in data:
             if not isinstance(data.get("costs"), list):
                 raise InputError(f"{path}: selection result missing cost rows")
             for row in data["costs"]:
-                if not isinstance(row, dict):
-                    raise InputError(f"{path}: cost row must be a JSON object")
-                missing = set(SCORE_FIELDS) - row.keys()
-                if missing:
-                    raise InputError(f"{path}: cost row missing {sorted(missing)}")
+                _fields(row, f"{path}: cost row", SCORE_FIELDS)
             return "selection result"
         if isinstance(data, dict) and {"value", "mode"} <= data.keys():
             return "cross-entropy result"
@@ -354,11 +336,7 @@ def _check_artifact(path: Path) -> str:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise InputError(f"{path}:{lineno}: score row must be a JSON object")
-            missing = set(SCORE_FIELDS) - record.keys()
-            if missing:
-                raise InputError(f"{path}:{lineno}: score row missing {sorted(missing)}")
+            _fields(record, f"{path}:{lineno}: score row", SCORE_FIELDS)
         return "score table"
     if suffix == ".csv":
         lines = [ln for ln in _read_text(path, "artifact").splitlines()

@@ -33,6 +33,7 @@ symbol walk.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,12 @@ def _normalize_rows(counts: np.ndarray, smoothing: float) -> tuple[np.ndarray, n
 
 
 def _check_smoothing(smoothing: float):
-    if not (math.isfinite(smoothing) and smoothing >= 0):
-        raise InputError(f"smoothing must be a finite number >= 0, got {smoothing}")
+    # nan fails the comparisons, and only a Python int can exceed the largest float
+    if (isinstance(smoothing, bool)
+            or not isinstance(smoothing, (int, float, np.integer, np.floating))
+            or not 0 <= smoothing < math.inf
+            or (isinstance(smoothing, int) and smoothing > sys.float_info.max)):
+        raise InputError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
 
 
 # the most cells a context-count table may hold (512 kB of int64 counts)
@@ -176,14 +181,19 @@ def _alphabets(data: SymbolSequence | PairedSequence, criterion: str) -> tuple[i
     return data.joint_size, coded
 
 
+def _check_reads(fmap: FeatureMap, read: int, paired: bool = False):
+    # whether the map reads the data's alphabet, |read| symbols
+    if read != fmap.alphabet_size:
+        raise InputError(f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
+                         f"{'pairs span' if paired else 'sequence has'} {read}")
+
+
 def _read(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
           criterion: str) -> tuple[np.ndarray, np.ndarray, int]:
     # what drives the map, what it emits and the emission alphabet's size
     read, coded = _alphabets(data, criterion)
     paired = isinstance(data, PairedSequence)
-    if read != fmap.alphabet_size:
-        raise InputError(f"alphabet mismatch: map expects {fmap.alphabet_size} symbols, "
-                         f"{'pairs span' if paired else 'sequence has'} {read}")
+    _check_reads(fmap, read, paired)
     if not paired:
         return data.items, data.items, coded
     # the joint symbols fit in int64, since a map's table has that many
@@ -244,6 +254,11 @@ def log_likelihood(fmap: FeatureMap, emp: EmpiricalHmm, seq: SymbolSequence) -> 
 CRITERIA = ("cost", "icost", "ocost", "ml")
 
 
+def _check_criterion(criterion: str):
+    if criterion not in CRITERIA:
+        raise InputError(f"unknown criterion {criterion!r} (expected one of {CRITERIA})")
+
+
 def _penalty(criterion: str, scheme: PenaltyScheme | None, n: int, state_count: int) -> float:
     return 0.0 if criterion == "ml" else scheme.value(n, state_count)
 
@@ -260,8 +275,7 @@ def score_map(fmap: FeatureMap, data, criterion: str, scheme: PenaltyScheme | No
     degenerate, which makes ``cost``, ``icost`` and ``ocost`` coincide. On
     pairs ``cost`` and ``ml`` code the joint pair symbols.
     """
-    if criterion not in CRITERIA:
-        raise InputError(f"unknown criterion {criterion!r} (expected one of {CRITERIA})")
+    _check_criterion(criterion)
     emp = _estimate(fmap, data, smoothing, criterion)
     if criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1:
         initial = np.zeros(fmap.state_count)

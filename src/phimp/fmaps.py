@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .errors import InputError, ResourceError
 from .sequences import (DEFAULT_CONTEXT_CAP, Alphabet, SymbolSequence,
-                        _as_symbols, _check_int, _is_int, _number_table,
+                        _as_symbols, _check_int, _fields, _is_int, _number_table,
                         _read_json, _write_json)
 
 
@@ -453,16 +453,9 @@ def load_fsm_map(description: dict) -> FeatureMap:
     one repeated symbol, the one some constant padding reaches; general-FSM
     descriptions are validated for a full table with in-range entries.
     """
-    if not isinstance(description, dict):
-        raise InputError("map description must be a JSON object")
-    required = {"kind", "alphabet_size", "states", "start_state", "psi"}
-    missing = required - description.keys()
-    if missing:
-        raise InputError(f"map description missing fields: {sorted(missing)}")
-
-    for field in ("alphabet_size", "states", "start_state"):
-        if not _is_int(description[field]):
-            raise InputError(f"map field {field!r} must be an integer")
+    _fields(description, "map description",
+            ("kind", "alphabet_size", "states", "start_state", "psi"),
+            integers=("alphabet_size", "states", "start_state"))
     kind = description["kind"]
     alphabet_size = description["alphabet_size"]
     state_count = description["states"]
@@ -503,8 +496,8 @@ def maps_to_json(maps: list[FeatureMap]) -> dict:
 
 
 def maps_from_json(data: dict) -> list[FeatureMap]:
-    if not isinstance(data, dict) or "maps" not in data or not isinstance(data["maps"], list):
-        raise InputError("map file must be a JSON object with a 'maps' list")
+    if not isinstance(_fields(data, "map file", ("maps",))["maps"], list):
+        raise InputError("map file's 'maps' must be a list")
     return [load_fsm_map(entry) for entry in data["maps"]]
 
 

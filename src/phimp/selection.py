@@ -24,10 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimation import CostBreakdown, PenaltyScheme, _penalty, score_map
+from .estimation import (CostBreakdown, PenaltyScheme, _check_criterion, _check_reads,
+                         _check_smoothing, _penalty, score_map)
 from .fmaps import FeatureMap, enumerate_closed_suffix_maps, memory_bound, trivial_map
-from .sequences import Alphabet, _check_int
-from .sources import FsmxSource, _check_length, is_ergodic_chain, sample_fsmx
+from .sequences import Alphabet, _check_grid, _check_int
+from .sources import (FsmxSource, _check_length, _check_seed, is_ergodic_chain,
+                      sample_fsmx)
 
 
 @dataclass(eq=False)
@@ -107,26 +109,21 @@ def _stabilization_index(chosen_ids: list[str]) -> int:
     return idx
 
 
-def consistency_run(source: FsmxSource, maps: list[FeatureMap], criterion: str,
-                    scheme: PenaltyScheme, n_grid, seeds,
-                    include_baseline: bool = True,
-                    smoothing: float = 0.0) -> list[SelectionTrajectory]:
-    """Sample the source once per seed and re-select on each prefix length.
+def _check_run(source: FsmxSource, maps: list[FeatureMap], criterion: str, n_grid,
+               seeds, include_baseline: bool,
+               smoothing: float) -> tuple[list[FeatureMap], np.ndarray, list]:
+    """The candidates, the int64 grid and the seeds of a consistency run.
 
-    Refuses sources whose state chain is not ergodic and candidate
-    maps without bounded memory. Each trajectory records the chosen map and
-    all candidate costs per grid point, plus the first grid index from which
-    the choice never changes again.
+    Every check the run makes happens here, before any sampling, so a run
+    that passes computes to the end.
     """
-    # checked as Python numbers, so that no entry overflows int64 on the way
-    n_grid = list(n_grid)
-    for n in n_grid:
-        _check_int(n, "n_grid entry")
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
-        raise InputError("n_grid must be non-empty and strictly increasing")
+    _check_criterion(criterion)
+    _check_smoothing(smoothing)
+    n_grid = _check_grid(n_grid, "n_grid", math.inf)
     _check_length(n_grid[-1], "sample length")
-    n_grid = np.asarray(n_grid, dtype=np.int64)
     seeds = list(seeds)
+    for seed in seeds:
+        _check_seed(seed)
     if len(set(seeds)) != len(seeds):
         raise InputError("seeds must be distinct")
 
@@ -139,10 +136,27 @@ def consistency_run(source: FsmxSource, maps: list[FeatureMap], criterion: str,
             "source state chain is not ergodic (some state cannot reach some "
             "other); consistency experiments need an ergodic source")
     candidates = with_baseline(maps, source.fmap.alphabet_size, include_baseline)
+    _check_class(candidates)
     for fmap in candidates:
+        _check_reads(fmap, source.fmap.alphabet_size)
         if not memory_bound(fmap).bounded:
             raise InputError(f"candidate map {fmap.map_id!r} does not have bounded memory")
+    return candidates, np.asarray(n_grid, dtype=np.int64), seeds
 
+
+def consistency_run(source: FsmxSource, maps: list[FeatureMap], criterion: str,
+                    scheme: PenaltyScheme, n_grid, seeds,
+                    include_baseline: bool = True,
+                    smoothing: float = 0.0) -> list[SelectionTrajectory]:
+    """Sample the source once per seed and re-select on each prefix length.
+
+    Refuses sources whose state chain is not ergodic and candidate
+    maps without bounded memory. Each trajectory records the chosen map and
+    all candidate costs per grid point, plus the first grid index from which
+    the choice never changes again.
+    """
+    candidates, n_grid, seeds = _check_run(source, maps, criterion, n_grid, seeds,
+                                           include_baseline, smoothing)
     trajectories = []
     for seed in seeds:
         sample = sample_fsmx(source, int(n_grid[-1]), seed)

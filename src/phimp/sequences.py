@@ -213,20 +213,27 @@ def substring_frequency(seq: SymbolSequence, pattern: SymbolSequence) -> float:
     return float(flags.sum()) / len(seq)
 
 
+def _check_grid(grid, what: str, bound: float) -> list:
+    """``grid`` as a list; InputError unless it is non-empty and strictly
+    increasing, with integer entries from 1 up to ``bound``. The entries are
+    checked as Python numbers, so that none overflows int64 on the way."""
+    grid = list(grid)
+    for n in grid:
+        _check_int(n, f"{what} entry")
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InputError(f"{what} must be non-empty and strictly increasing")
+    if grid[0] < 1 or grid[-1] > bound:
+        raise InputError(f"{what} points must lie in 1..{bound}")
+    return grid
+
+
 def _checked_grid(seq: SymbolSequence, grid, tol: float,
                   tail_fraction: float) -> np.ndarray:
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol must be a finite number >= 0, got {tol}")
     if not 0 < tail_fraction <= 1:
         raise InputError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid.size == 0:
-        raise InputError("grid must be non-empty")
-    if np.any(np.diff(grid) <= 0):
-        raise InputError("grid must be strictly increasing")
-    if grid[0] < 1 or grid[-1] > len(seq):
-        raise InputError(f"grid points must lie in 1..{len(seq)}")
-    return grid
+    return np.asarray(_check_grid(grid, "grid", len(seq)), dtype=np.int64)
 
 
 def _trajectory_report(pattern: SymbolSequence, grid: np.ndarray, values: np.ndarray,
@@ -337,6 +344,19 @@ def _read_json(path, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _fields(data, what: str, required, integers=()) -> dict:
+    """``data`` itself; InputError unless it is a JSON object holding every
+    ``required`` field, with an integer in each of the ``integers``."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object")
+    missing = set(required) - data.keys()
+    if missing:
+        raise InputError(f"{what} missing fields: {sorted(missing)}")
+    for field in integers:
+        _check_int(data[field], f"{what} field {field!r}")
+    return data
 
 
 def _write_json(path, payload):

@@ -25,7 +25,7 @@ from . import _kernels
 from .errors import InputError, ResourceError
 from .fmaps import FeatureMap, load_fsm_map
 from .sequences import (Alphabet, SymbolSequence, _as_symbols, _check_int,
-                        _number_table, _read_json, _write_json)
+                        _fields, _number_table, _read_json, _write_json)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -37,12 +37,16 @@ _MAX_STEPS = np.iinfo(np.intp).max // 16
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream index)."""
+    _check_seed(seed, stream)
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _check_seed(seed: int, stream: int = 0):
     _check_int(seed, "seed")
     _check_int(stream, "stream")
     if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
         raise InputError(f"seed and stream must lie in 0..2**64-1, got {seed} and {stream}")
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _check_length(n: int, what: str):
@@ -516,21 +520,13 @@ def model_to_json(model: Hmm | FsmxSource) -> dict:
 
 
 def model_from_json(data: dict) -> Hmm | FsmxSource:
-    if not isinstance(data, dict):
-        raise InputError("model file must hold a JSON object")
-    kind = data.get("type")
+    kind = _fields(data, "model file", ()).get("type")
     if kind == "hmm" or (kind is None and {"T", "E", "initial"} <= data.keys()):
-        try:
-            return Hmm(transition=data["T"], emission=data["E"],
-                       initial=data["initial"])
-        except KeyError as exc:
-            raise InputError(f"hmm model missing field {exc}") from exc
+        _fields(data, "hmm model", ("T", "E", "initial"))
+        return Hmm(transition=data["T"], emission=data["E"], initial=data["initial"])
     if kind == "fsmx" or (kind is None and {"map", "emit"} <= data.keys()):
-        try:
-            fmap = load_fsm_map(data["map"])
-            return FsmxSource(fmap=fmap, emit=data["emit"])
-        except KeyError as exc:
-            raise InputError(f"fsmx model missing field {exc}") from exc
+        _fields(data, "fsmx model", ("map", "emit"))
+        return FsmxSource(fmap=load_fsm_map(data["map"]), emit=data["emit"])
     raise InputError("model type must be 'hmm' (T, E, initial) or 'fsmx' (map, emit)")
 
 

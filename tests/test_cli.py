@@ -234,6 +234,17 @@ class TestExperiment:
         assert nontimestamp_bytes(workdir / "serial.csv") == \
             nontimestamp_bytes(workdir / "pooled.csv")
 
+    def test_faulty_config_fails_before_any_worker_starts(self, workdir, monkeypatch,
+                                                          capsys):
+        pools = []
+        monkeypatch.setattr("phimp.cli.ProcessPoolExecutor",
+                            lambda max_workers: pools.append(max_workers))
+        config = self.make_config(workdir, n_grid=[0, 100])
+        assert run("experiment", "--config", config, "--out", workdir / "traj.csv",
+                   "--jobs", 2) == 2
+        assert pools == []
+        assert capsys.readouterr().err == "error: n_grid points must lie in 1..inf\n"
+
     def test_near_singular_ergodic_source_runs(self, workdir):
         config = self.make_config(workdir, source=json.loads(NEAR_SINGULAR_MODEL),
                                   n_grid=[100, 1000], seeds=[0],
@@ -473,6 +484,65 @@ BAD_INPUTS = {
         "select", "--maps", _written(d / "maps.json", '{"maps": []}'),
         "--seq", _written(d / "data.txt", "alphabet=2,2\n0,1 0,99999999999999999999\n")],
 }
+
+
+# configs that `experiment` refuses; `diagnose --check-file` must refuse each
+# the same way, and neither may sample the source first
+UNBOUNDED_CLASS = {"maps": [{"kind": "general-fsm", "alphabet_size": 2, "states": 2,
+                             "start_state": 0, "psi": [[0, 1], [1, 0]],
+                             "id": "ones-mod-2"}]}
+# the reference source, except that state 0 never emits a 1 and so never leaves
+NON_ERGODIC_SOURCE = {"type": "fsmx", "emit": [[1.0, 0.0], [0.5, 0.5], [0.2, 0.8]],
+                      "map": {"kind": "suffix-tree", "alphabet_size": 2, "states": 3,
+                              "start_state": 0, "psi": [[0, 1], [0, 2], [0, 2]],
+                              "suffixes": [[0], [0, 1], [1, 1]]}}
+# each case: the config's changes and a fragment of the refusal it earns
+FAULTY_CONFIGS = {
+    "n_grid starts at 0": (lambda d: {"n_grid": [0, 100]}, "points must lie in 1.."),
+    "n_grid ends at 1e30": (lambda d: {"n_grid": [100, 10 ** 30]}, "most steps"),
+    "n_grid entry fractional": (lambda d: {"n_grid": [10.5, 100]},
+                                "n_grid entry must be an integer"),
+    "seed negative": (lambda d: {"seeds": [-1]}, "must lie in 0..2**64-1"),
+    "seeds repeated": (lambda d: {"seeds": [1, 1]}, "seeds must be distinct"),
+    "smoothing negative": (lambda d: {"smoothing": -1}, "smoothing must be"),
+    "smoothing not a number": (lambda d: {"smoothing": "x"}, "smoothing must be"),
+    "smoothing beyond the float range": (lambda d: {"smoothing": 10 ** 400},
+                                         "smoothing must be"),
+    "criterion unknown": (lambda d: {"criterion": "bogus"}, "unknown criterion"),
+    "penalty unknown": (lambda d: {"pen": "bogus"}, "unknown penalty spec"),
+    "source file missing": (lambda d: {"source": "nowhere.json"}, "cannot read model"),
+    "class with unbounded memory": (lambda d: {"class": {"file": _written(
+        d / "ones.json", json.dumps(UNBOUNDED_CLASS)).name}}, "bounded memory"),
+    "class over three symbols": (lambda d: {"class": {"alphabet": 3, "max_depth": 1}},
+                                 "alphabet mismatch"),
+    "source not ergodic": (lambda d: {"source": NON_ERGODIC_SOURCE}, "not ergodic"),
+}
+
+
+def _verdicts(workdir, capsys, overrides):
+    experiment = _experiment(workdir, **overrides)
+    verdicts = []
+    for argv in (["diagnose", "--check-file", experiment[2]], experiment):
+        code = run(*argv)
+        verdicts.append((code, capsys.readouterr().err.splitlines()[-1:]))
+    return verdicts
+
+
+@pytest.mark.parametrize("case", sorted(FAULTY_CONFIGS))
+def test_check_file_refuses_what_experiment_refuses(workdir, capsys, monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused config sampled the source")
+
+    monkeypatch.setattr("phimp.selection.sample_fsmx", refuse)
+    overrides, reason = FAULTY_CONFIGS[case]
+    check, experiment = _verdicts(workdir, capsys, overrides(workdir))
+    assert check == experiment
+    code, [line] = experiment
+    assert code in (2, 3) and reason in line
+
+
+def test_check_file_passes_the_reference_config(workdir, capsys):
+    assert _verdicts(workdir, capsys, {"n_grid": [100, 1000]}) == [(0, []), (0, [])]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -59,6 +59,20 @@ class TestSelect:
         with pytest.raises(InputError):
             select([trivial_map(2)], seq([0, 1]), "aic", BIC_MARKOV)
 
+    @pytest.mark.parametrize("smoothing", ["x", None, True, np.bool_(True), 10j, 10 ** 400])
+    def test_smoothing_must_be_a_number(self, smoothing):
+        # "x" and None once ended in math.isfinite's TypeError, True scored
+        # as 1.0, and 10 ** 400 overflowed the conversion to float
+        with pytest.raises(InputError, match="smoothing must be a finite number >= 0"):
+            select([trivial_map(2)], seq([0, 1]), "cost", BIC_MARKOV, smoothing)
+
+    @pytest.mark.parametrize("smoothing", [0, 0.5, np.float32(0.5), np.int64(2)])
+    def test_numeric_smoothing_accepted(self, smoothing):
+        got = select([trivial_map(2)], seq([0, 1, 1]), "cost", BIC_MARKOV, smoothing)
+        want = select([trivial_map(2)], seq([0, 1, 1]), "cost", BIC_MARKOV,
+                      float(smoothing))
+        assert got.costs == want.costs
+
     @settings(max_examples=25, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_permutation_invariance(self, shuffler):
@@ -217,6 +231,17 @@ class TestConsistencyRun:
         with pytest.raises(InputError, match="seed must be an integer"):
             consistency_run(reference_source, [trivial_map(2)], "cost", BIC_MARKOV,
                             n_grid=[100], seeds=[1.5])
+
+    @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf, "x", None, True])
+    def test_bad_smoothing_refused_before_sampling(self, reference_source, monkeypatch,
+                                                   smoothing):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused run sampled the source")
+
+        monkeypatch.setattr("phimp.selection.sample_fsmx", refuse)
+        with pytest.raises(InputError, match="smoothing must be a finite number >= 0"):
+            consistency_run(reference_source, [trivial_map(2)], "cost", BIC_MARKOV,
+                            n_grid=[100], seeds=[0], smoothing=smoothing)
 
     def test_numpy_integer_grid_and_seed_accepted(self, reference_source):
         [got] = consistency_run(reference_source, [trivial_map(2)], "cost", BIC_MARKOV,

@@ -104,6 +104,15 @@ class TestFrequencyTrajectory:
         with pytest.raises(InputError):
             frequency_trajectory(seq([0, 1, 0]), seq([0]), [2, 2])
 
+    @pytest.mark.parametrize("grid", [[10.7, 50.2], [True, 50], [10, 50.0]])
+    def test_grid_entries_must_be_integers(self, grid):
+        # an int64 cast once read [10.7, 50.2] as [10, 50] and True as 1
+        data = seq([0, 1] * 50)
+        with pytest.raises(InputError, match="grid entry must be an integer"):
+            frequency_trajectory(data, seq([0]), grid)
+        with pytest.raises(InputError, match="grid entry must be an integer"):
+            ergodicity_diagnostic(data, max_pattern_len=1, grid=grid)
+
 
 class TestErgodicityDiagnostic:
     def test_periodic_sequence_all_converged(self):

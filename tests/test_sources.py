@@ -675,6 +675,20 @@ class TestModelFiles:
         with pytest.raises(InputError):
             model_from_json({"type": "mystery"})
 
+    @pytest.mark.parametrize("data,message", [
+        ([1, 2], "model file must be a JSON object"),
+        ({"type": "hmm", "E": [[1.0]]}, "hmm model missing fields: ['T', 'initial']"),
+        ({"type": "fsmx", "emit": [[1.0]]}, "fsmx model missing fields: ['map']"),
+        ({"type": "fsmx", "emit": [[1.0]], "map": {"kind": "general-fsm", "states": 1,
+                                                   "alphabet_size": True,
+                                                   "start_state": 0, "psi": [[0]]}},
+         "map description field 'alphabet_size' must be an integer, got True"),
+    ])
+    def test_malformed_model_refused_by_field(self, data, message):
+        with pytest.raises(InputError) as err:
+            model_from_json(data)
+        assert str(err.value) == message
+
     def test_invalid_rows_rejected(self):
         with pytest.raises(InputError):
             Hmm(np.array([[0.5, 0.4], [0.5, 0.5]]),
