@@ -5,7 +5,11 @@ transitions are the n pairs (s_{t-1}, s_t) and emissions are the n pairs
 (s_t, y_t), for t = 1..n. All code lengths are in nats. Likelihoods of the
 driving sequence itself follow the unique realized state path; the
 observations-only criterion marginalizes hidden states with the forward
-recursion, starting from a point mass at the start state.
+recursion, starting from a point mass at the start state. Where the
+estimate's forward law stays that point mass along the counted path (from
+every state, each y has at most one successor that the estimate lets move
+there and emit y), the forward's normalizers are the path's factors, so the
+criterion codes from the counts, with the same result up to summation order.
 
 One rule reads the data for ``estimate``, ``score_map`` and
 ``log_likelihood``, and the same rule (``_alphabets``) sizes the baseline
@@ -269,17 +273,21 @@ def score_map(fmap: FeatureMap, data, criterion: str, scheme: PenaltyScheme | No
 
     One estimate, the data coded under it, plus the penalty (none for
     ``ml``). The estimate's own counts code the data, so no second walk is
-    needed; ``icost`` on pairs with |X| > 1 marginalizes the states with the
-    forward recursion instead, since x is not coded. Plain sequences admit
-    every criterion: the side-information criteria treat the side channel as
-    degenerate, which makes ``cost``, ``icost`` and ``ocost`` coincide. On
-    pairs ``cost`` and ``ml`` code the joint pair symbols.
+    needed. ``icost`` on pairs with |X| > 1 marginalizes the states with the
+    forward recursion instead, since x is not coded, unless the estimate's
+    forward law stays on one state: when from every state each y has at most
+    one successor s' with T[s, s'] > 0 and E[s', y] > 0, the law is the point
+    mass on the counted path, each normalizer is that path's T * E factor,
+    and the counts give the same total up to summation order. Plain
+    sequences admit every criterion: the side-information criteria treat the
+    side channel as degenerate, which makes ``cost``, ``icost`` and ``ocost``
+    coincide. On pairs ``cost`` and ``ml`` code the joint pair symbols.
     """
     _check_criterion(criterion)
     emp = _estimate(fmap, data, smoothing, criterion)
-    if criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1:
-        initial = np.zeros(fmap.state_count)
-        initial[fmap.start_state] = 1.0
+    if (criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1
+            and ((emp.transition > 0).astype(np.int64) @ (emp.emission > 0)).max() > 1):
+        initial = np.eye(1, fmap.state_count, fmap.start_state)[0]
         data_cost = float(_kernels.forward_nll_steps(emp.transition, emp.emission,
                                                      initial, data.ys).sum())
     else:
@@ -302,7 +310,10 @@ def icost(fmap: FeatureMap, paired: PairedSequence, scheme: PenaltyScheme,
     With degenerate side information (|X| = 1) the observation sequence
     determines the state path, the marginal collapses to the single
     compatible path, and y is coded along it, so icost, ocost and the cost
-    of the y sequence agree exactly.
+    of the y sequence agree exactly. With |X| > 1 the forward recursion
+    marginalizes the states, unless the estimate's forward law stays on the
+    counted path (see ``score_map``); then y is coded along that path from
+    the counts, which equals the forward up to summation order.
     """
     return score_map(fmap, paired, "icost", scheme, smoothing)
 

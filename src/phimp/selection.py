@@ -27,7 +27,7 @@ from .errors import InputError
 from .estimation import (CostBreakdown, PenaltyScheme, _check_criterion, _check_reads,
                          _check_smoothing, _penalty, score_map)
 from .fmaps import FeatureMap, enumerate_closed_suffix_maps, memory_bound, trivial_map
-from .sequences import Alphabet, _check_grid, _check_int
+from .sequences import Alphabet, _as_list, _check_grid, _check_int
 from .sources import (FsmxSource, _check_length, _check_seed, is_ergodic_chain,
                       sample_fsmx)
 
@@ -121,7 +121,7 @@ def _check_run(source: FsmxSource, maps: list[FeatureMap], criterion: str, n_gri
     _check_smoothing(smoothing)
     n_grid = _check_grid(n_grid, "n_grid", math.inf)
     _check_length(n_grid[-1], "sample length")
-    seeds = list(seeds)
+    seeds = _as_list(seeds, "seeds")
     for seed in seeds:
         _check_seed(seed)
     if len(set(seeds)) != len(seeds):

@@ -38,6 +38,14 @@ def _check_int(value, what: str, minimum: int | None = None):
         raise InputError(f"{what} must be >= {minimum}")
 
 
+def _as_list(value, what: str) -> list:
+    """``value`` as a list; InputError unless it is iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise InputError(f"{what} must be a list, got {value!r}") from None
+
+
 def _number_table(value, what: str, integer: bool = False) -> np.ndarray:
     """``value`` (nested lists or an array) as a float64 array, or an int64
     one when ``integer``; InputError unless the nesting is rectangular and
@@ -214,10 +222,11 @@ def substring_frequency(seq: SymbolSequence, pattern: SymbolSequence) -> float:
 
 
 def _check_grid(grid, what: str, bound: float) -> list:
-    """``grid`` as a list; InputError unless it is non-empty and strictly
-    increasing, with integer entries from 1 up to ``bound``. The entries are
-    checked as Python numbers, so that none overflows int64 on the way."""
-    grid = list(grid)
+    """``grid`` as a list; InputError unless it is iterable, non-empty and
+    strictly increasing, with integer entries from 1 up to ``bound``. The
+    entries are checked as Python numbers, so that none overflows int64 on
+    the way."""
+    grid = _as_list(grid, what)
     for n in grid:
         _check_int(n, f"{what} entry")
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):

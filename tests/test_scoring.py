@@ -7,6 +7,7 @@ and paired data, i.i.d. and sampled from finite-state sources, with every
 criterion, penalty spec and map kind.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,11 +15,12 @@ import pytest
 
 import oracles
 import phimp
-from phimp import (Alphabet, FeatureMap, FsmxSource, InputError, PairedSequence,
-                   PenaltyScheme, SuffixSet, SymbolSequence, compile_suffix_map,
-                   cost, countable_search, enumerate_closed_suffix_maps, icost,
-                   ml_cost, ocost, sample_fsmx, select, trivial_map)
-from phimp import estimation, selection
+from phimp import (Alphabet, Environment, FeatureMap, FsmxSource, InputError,
+                   PairedSequence, PenaltyScheme, Policy, SuffixSet, SymbolSequence,
+                   active_select, compile_suffix_map, cost, countable_search,
+                   embed_reward_map, enumerate_closed_suffix_maps, icost, ml_cost,
+                   ocost, rollout, sample_fsmx, select, trivial_map, with_baseline)
+from phimp import _kernels, estimation, selection
 from phimp.estimation import CRITERIA
 from phimp.fmaps import memory_bound
 from phimp.sources import rng_stream
@@ -92,6 +94,52 @@ def datasets():
 
 
 DATASETS = datasets()
+PAIRED = [(name, data) for name, data in DATASETS if isinstance(data, PairedSequence)]
+
+# icost coded from the counts sums the path's log factors in another order
+# than the forward recursion, so those cells agree to this relative tolerance
+REL_TOL = 1e-12
+
+
+def one_state_law(fmap, data, smoothing):
+    """Whether the estimate's forward law stays a point mass on the counted
+    path: from every state, each y has at most one successor s' with
+    T[s, s'] > 0 and E[s', y] > 0."""
+    emp = estimation.estimate(fmap, data, smoothing)
+    return bool(((emp.transition > 0).astype(np.int64) @ (emp.emission > 0)).max() <= 1)
+
+
+def from_counts(fmap, data, criterion, smoothing):
+    """Whether ``score_map`` codes this cell from the counts where the oracle
+    runs the forward recursion: ``icost`` on pairs with |X| > 1 whose forward
+    law stays on one state."""
+    return (criterion == "icost" and isinstance(data, PairedSequence)
+            and data.x_alphabet.size > 1 and one_state_law(fmap, data, smoothing))
+
+
+def assert_costs_match(got, want, counted_ids):
+    """``==`` on every field of every cost, except the data cost and total of
+    the maps in ``counted_ids``, which agree to ``REL_TOL``."""
+    assert [c.map_id for c in got] == [c.map_id for c in want]
+    for g, w in zip(got, want):
+        if g.map_id in counted_ids:
+            assert g.data_cost == pytest.approx(w.data_cost, rel=REL_TOL, abs=0)
+            assert g.total == pytest.approx(w.total, rel=REL_TOL, abs=0)
+            g = dataclasses.replace(g, data_cost=w.data_cost, total=w.total)
+        assert g == w
+
+
+def assert_log_match(got, want, best_from_counts):
+    """``==`` on every field of every pruning log entry, except the best
+    total when ``best_from_counts`` (the total of a map coded from the
+    counts), which agrees to ``REL_TOL``."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g = dict(vars(g))
+        if best_from_counts:
+            assert g["best_total"] == pytest.approx(w.best_total, rel=REL_TOL, abs=0)
+            g["best_total"] = w.best_total
+        assert g == vars(w)
 
 
 @pytest.fixture
@@ -148,27 +196,147 @@ class TestOneScoringPathMatchesOracle:
                     expected = selection._pick([
                         (oracles.score_map_before(m, data, criterion, scheme, smoothing), m)
                         for m in ordered])
-                    assert result.costs == expected.costs
+                    counted = {m.map_id for m in maps
+                               if from_counts(m, data, criterion, smoothing)}
+                    assert_costs_match(result.costs, expected.costs, counted)
                     assert result.chosen_map_id == expected.chosen_map_id
                     assert result.tie_broken == expected.tie_broken
 
     @pytest.mark.parametrize("name,data", DATASETS, ids=[name for name, _ in DATASETS])
     def test_countable_search(self, name, data, old_scoring):
         size = drive_size(data)
+        depth = 2 if size <= 2 else 1
+        maps = with_baseline(enumerate_closed_suffix_maps(Alphabet(size), depth), size)
         for spec in SPECS:
             scheme = PenaltyScheme(spec, emit_size(data))
             for criterion in CRITERIA:
                 for smoothing in SMOOTHINGS:
+                    counted = {m.map_id for m in maps
+                               if from_counts(m, data, criterion, smoothing)}
                     for budget in (1, 3, 8):
                         args = (Alphabet(size), data, criterion, scheme, budget,
-                                2 if size <= 2 else 1, smoothing)
+                                depth, smoothing)
                         result, pruned = countable_search(*args)
                         expected, expected_pruned = oracles.countable_search_loop(*args)
                         assert result.chosen_map_id == expected.chosen_map_id
                         assert result.tie_broken == expected.tie_broken
-                        assert result.costs == expected.costs
-                        assert [vars(e) for e in pruned] == \
-                            [vars(e) for e in expected_pruned]
+                        assert_costs_match(result.costs, expected.costs, counted)
+                        # the log's best total is the chosen map's total
+                        assert_log_match(pruned, expected_pruned,
+                                         result.chosen_map_id in counted)
+
+
+def reward_environment():
+    """Two actions, two observations, two rewards. The reward law is set by
+    the last two rewards (suffix states 0, 01, 11) and the action, and the
+    observation repeats the reward with probability 0.75."""
+    reward_states = compile_suffix_map(SuffixSet(Alphabet(2), ((0,), (0, 1), (1, 1))))
+    p_one = np.array([[0.2, 0.3], [0.5, 0.6], [0.8, 0.7]])  # (state, action)
+    emissions = np.zeros((3, 2, 4))
+    for o in range(2):
+        for r in range(2):
+            emissions[:, :, o * 2 + r] = (p_one if r else 1 - p_one) * (0.75 if o == r else 0.25)
+    return Environment(2, 2, 2, embed_reward_map(reward_states, 2, 2), emissions)
+
+
+def active_icost_class():
+    """The reward suffix maps of depth <= 2 embedded in the event alphabet,
+    the 8-state depth-1 event suffix map, which reads x, and the baseline."""
+    embedded = [embed_reward_map(m, 2, 2)
+                for m in enumerate_closed_suffix_maps(Alphabet(2), 2)]
+    events = compile_suffix_map(SuffixSet(Alphabet(8), tuple((e,) for e in range(8))))
+    return with_baseline(embedded + [events], 8)
+
+
+def x_free_maps(y_size, x_size, rng):
+    """Random maps over y lifted to the pairs; in the first, each state is
+    entered by one y, so its forward law stays on one state at smoothing 0."""
+    states = 2 * y_size
+    labelled = [[y + y_size * rng.integers(0, 2) for y in range(y_size)]
+                for _ in range(states)]
+    maps = [general_map(labelled, start=1), general_map(rng.integers(0, 3, (3, y_size)))]
+    return [embed_reward_map(m, x_size, 1) for m in maps]
+
+
+def assert_matches_oracle(fmap, data, smoothing, scheme):
+    """``score_map`` under icost against the forward oracle: ``==`` where the
+    forward runs, ``REL_TOL`` on the data cost and total where the counts code
+    the data. Returns whether the counts coded it."""
+    got = estimation.score_map(fmap, data, "icost", scheme, smoothing)
+    want = oracles.score_map_before(fmap, data, "icost", scheme, smoothing)
+    counted = from_counts(fmap, data, "icost", smoothing)
+    assert_costs_match([got], [want], {fmap.map_id} if counted else set())
+    return counted
+
+
+class TestIcostFromCounts:
+    """``icost`` on pairs with |X| > 1 skips the forward recursion where the
+    estimate's forward law stays on one state, with the forward's result."""
+
+    @pytest.fixture(scope="class")
+    def events(self):
+        env = reward_environment()
+        return rollout(env, Policy.uniform(env.state_count, env.action_count), 20_000, 7)
+
+    def test_active_class(self, events):
+        data = events.to_paired()
+        scheme = PenaltyScheme("bic:markov", 2)
+        maps = active_icost_class()
+        counted = {m.map_id for m in maps if assert_matches_oracle(m, data, 0.0, scheme)}
+        # the four embedded reward maps and the baseline; the event map's state
+        # is the last event, so each y has one successor per x, and it keeps
+        # the forward, bit for bit
+        assert counted == {m.map_id for m in maps} - {"st:0|1|2|3|4|5|6|7"}
+        result = active_select(events, maps[:-1], scheme)
+        expected = selection._pick([
+            (oracles.score_map_before(m, data, "icost", scheme), m)
+            for m in sorted(maps, key=lambda m: m.canonical_key)])
+        assert (result.chosen_map_id, result.tie_broken) == \
+            (expected.chosen_map_id, expected.tie_broken)
+        assert_costs_match(result.costs, expected.costs, counted)
+
+    @pytest.mark.parametrize("x_size,y_size", [(2, 2), (3, 2), (2, 3)])
+    def test_x_free_maps(self, x_size, y_size):
+        rng = rng_stream(1204)
+        scheme = PenaltyScheme("bic:markov", y_size)
+        for n in (1, 50, 2000):
+            data = paired(x_size, y_size, rng.integers(0, x_size * y_size, n))
+            maps = x_free_maps(y_size, x_size, rng)
+            assert assert_matches_oracle(maps[0], data, 0.0, scheme)
+            for fmap in maps[1:]:
+                assert_matches_oracle(fmap, data, 0.0, scheme)
+
+    @pytest.mark.parametrize("name,data", PAIRED, ids=[name for name, _ in PAIRED])
+    def test_paired_datasets(self, name, data):
+        maps = candidate_maps(drive_size(data), rng_stream(1202))
+        for spec in SPECS:
+            scheme = PenaltyScheme(spec, emit_size(data))
+            for smoothing in SMOOTHINGS:
+                for fmap in maps:
+                    assert_matches_oracle(fmap, data, smoothing, scheme)
+
+    @pytest.mark.parametrize("smoothing", [0.5, 1e-3])
+    def test_smoothing_keeps_the_forward(self, events, smoothing):
+        # every estimated entry is positive, so with S > 1 each y has S successors
+        data = events.to_paired()
+        scheme = PenaltyScheme("bic:markov", 2)
+        for fmap in active_icost_class() + x_free_maps(2, 4, rng_stream(1205)):
+            counted = assert_matches_oracle(fmap, data, smoothing, scheme)
+            assert counted == (fmap.state_count == 1)
+
+    def test_one_forward_call_for_the_active_class(self, events, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[3]))
+            return forward(*args)
+
+        forward = _kernels.forward_nll_steps
+        monkeypatch.setattr(_kernels, "forward_nll_steps", counting)
+        result = active_select(events, active_icost_class()[:-1],
+                               PenaltyScheme("bic:markov", 2))
+        assert len(result.costs) == 6
+        assert calls == [len(events)]
 
 
 def _raised(call):

@@ -232,6 +232,15 @@ class TestConsistencyRun:
             consistency_run(reference_source, [trivial_map(2)], "cost", BIC_MARKOV,
                             n_grid=[100], seeds=[1.5])
 
+    @pytest.mark.parametrize("n_grid,seeds,what", [(100, [0], "n_grid"),
+                                                   (None, [0], "n_grid"),
+                                                   ([100], 3, "seeds"),
+                                                   ([100], 2.5, "seeds")])
+    def test_non_iterable_grid_or_seeds_refused(self, reference_source, n_grid, seeds, what):
+        with pytest.raises(InputError, match=f"{what} must be a list"):
+            consistency_run(reference_source, [trivial_map(2)], "cost", BIC_MARKOV,
+                            n_grid=n_grid, seeds=seeds)
+
     @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf, "x", None, True])
     def test_bad_smoothing_refused_before_sampling(self, reference_source, monkeypatch,
                                                    smoothing):

@@ -113,6 +113,20 @@ class TestFrequencyTrajectory:
         with pytest.raises(InputError, match="grid entry must be an integer"):
             ergodicity_diagnostic(data, max_pattern_len=1, grid=grid)
 
+    @pytest.mark.parametrize("grid", [5, 2.5, np.int64(5), np.asarray(5)])
+    def test_non_iterable_grid_refused(self, grid):
+        # a number in place of a grid is an input error, not a TypeError
+        data = seq([0, 1] * 50)
+        with pytest.raises(InputError, match="grid must be a list"):
+            frequency_trajectory(data, seq([0]), grid)
+        with pytest.raises(InputError, match="grid must be a list"):
+            ergodicity_diagnostic(data, max_pattern_len=1, grid=grid)
+
+    def test_no_grid_refused(self):
+        # ergodicity_diagnostic reads None as its default grid; this one has none
+        with pytest.raises(InputError, match="grid must be a list"):
+            frequency_trajectory(seq([0, 1] * 50), seq([0]), None)
+
 
 class TestErgodicityDiagnostic:
     def test_periodic_sequence_all_converged(self):
