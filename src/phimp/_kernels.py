@@ -3,15 +3,21 @@
 All kernels take plain int64/float64 arrays or lists of rows; wrapping,
 validation and RNG live in the calling modules.
 
-Every sampler is one walk, ``sample_walk``: at each state it inverts one
-pre-drawn uniform through that state's CDF row by binary search, then moves
-to the state the draw leads to. A seed fixes every draw. Samplers with two
-draws a step (the hidden state then the symbol, or the action then the
-outcome) walk a two-phase chain whose second-phase states stand for the
-first draw's result.
+A state walk is a block walk (``_walk_blocks``): one Python step per block
+of L symbols through a table of every L-gram's composed step, then L - 1
+vector gathers fill in the states inside the blocks, a chunk at a time.
 
-Counting has two forms with identical integer results: ``count_path`` walks
-the state path symbol by symbol, and ``count_table`` counts a bounded-memory
+Every sampler is one walk, ``sample_walk``: at each state it inverts one
+pre-drawn uniform through that state's CDF row, then moves to the state the
+draw leads to. Each uniform is cut to its cell among the sorted union of every
+row's cuts, the cells are block-walked as symbols, and each draw is read from
+a (state, cell) table, so the draws equal a binary search per step. A seed
+fixes every draw. Samplers with two draws a step (the hidden state then the
+symbol, or the action then the outcome) walk a two-phase chain whose
+second-phase states stand for the first draw's result.
+
+Counting has two forms with identical integer results: ``count_path`` counts
+along the walked state path, and ``count_table`` counts a bounded-memory
 map's steps from one bincount over the data's (L-gram, next symbol, emitted
 symbol) cells.
 
@@ -34,16 +40,78 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
+# A block walk reads a table of every L-gram's composed step, at most
+# _GRAM_CELLS entries, and works through _CHUNK symbols at a time, so one
+# chunk's temporaries stay at 64 kB an array.
+_GRAM_CELLS = 1 << 14
+_CHUNK = 1 << 13
+
+
+def _block_length(n_symbols, n_states, n):
+    # the largest L >= 1 with n_symbols**L * n_states <= min(_GRAM_CELLS, n);
+    # one symbol is sized as two, so L stays finite
+    limit = min(_GRAM_CELLS, n)
+    base = max(n_symbols, 2)
+    length = 1
+    while base ** (length + 1) * n_states <= limit:
+        length += 1
+    return length
+
+
+def _gram_steps(step_table, length):
+    # entry g * S + s: the state that the `length`-gram with code g (oldest
+    # symbol most significant) leads to from state s; one gather a symbol
+    n_states = step_table.shape[0]
+    grams = step_table.T
+    for _ in range(length - 1):
+        grams = step_table[grams].transpose(0, 2, 1).reshape(-1, n_states)
+    return grams.ravel().tolist()
+
+
+def _walk_blocks(step_table, start, n, symbols_at):
+    # walks n symbols, read a chunk at a time as symbols_at(lo, hi), and
+    # yields (lo, symbols, path) per chunk with path[t] the state before
+    # symbols[t] and path[-1] the state after the chunk; path is reused.
+    # Each block of L symbols is one Python step through the L-gram table,
+    # then L - 1 gathers over the chunk's blocks fill in the states inside;
+    # the last n mod L symbols are stepped one by one.
+    n_states, n_symbols = step_table.shape
+    length = _block_length(n_symbols, n_states, n)
+    grams = _gram_steps(step_table, length)
+    steps = step_table.ravel()
+    weights = n_symbols ** np.arange(length - 1, -1, -1) * n_states
+    chunk = _CHUNK // length * length
+    buffer = np.empty(chunk + 1, dtype=np.int64)
+    s = start
+    for lo in range(0, n, chunk):
+        symbols = symbols_at(lo, min(lo + chunk, n))
+        path = buffer[:symbols.shape[0] + 1]
+        full = symbols.shape[0] // length
+        blocks = symbols[:full * length].reshape(full, length)
+        starts = [s]
+        append = starts.append
+        for key in (blocks @ weights).tolist():
+            s = grams[key + s]
+            append(s)
+        path[:full * length + 1:length] = starts
+        inner = path[:full * length].reshape(full, length)
+        for j in range(1, length):
+            inner[:, j] = steps.take(inner[:, j - 1] * n_symbols + blocks[:, j - 1])
+        for t in range(full * length, symbols.shape[0]):
+            s = int(steps[s * n_symbols + symbols[t]])
+            path[t + 1] = s
+        yield lo, symbols, path
+
+
 def walk_states(step_table, start, symbols):
     # states[t] = state after consuming symbols[:t]; length n+1
-    rows = step_table.tolist()
-    s = int(start)
-    states = [s]
-    append = states.append
-    for y in symbols.tolist():
-        s = rows[s][y]
-        append(s)
-    return np.array(states, dtype=np.int64)
+    n = symbols.shape[0]
+    states = np.empty(n + 1, dtype=np.int64)
+    states[0] = start
+    for lo, chunk, path in _walk_blocks(step_table, start, n,
+                                        lambda lo, hi: symbols[lo:hi]):
+        states[lo + 1:lo + chunk.shape[0] + 1] = path[1:]
+    return states
 
 
 def count_path(step_table, start, drive, emit, n_states, n_emit):
@@ -177,12 +245,30 @@ def sample_walk(cdf_rows, step_rows, start, u):
     # cdf_rows[s] entry exceeds u[t] (the last index when none of the others
     # does), then move to step_rows[s][k]; rows are lists and may differ in
     # length. CDF rows never decrease, so bisect_right finds that k.
+    #
+    # Every row's cuts (its entries but the last) lie in one sorted union, so
+    # no cut falls strictly inside a cell between two neighbours of the union,
+    # and the draw at state s is the same for every uniform in a cell: the
+    # draw at the cell's lower end. The walk then runs over cells as symbols,
+    # through a (state, cell) table, unless that table would pass
+    # min(_GRAM_CELLS, n) entries; then each step is a binary search.
     rows = [row[:-1] for row in cdf_rows]
-    draws = array("q")
-    append = draws.append
-    s = start
-    for ut in memoryview(u):
-        k = bisect_right(rows[s], ut)
-        append(k)
-        s = step_rows[s][k]
-    return np.frombuffer(draws, dtype=np.int64)
+    n = u.shape[0]
+    cuts = np.array(sorted(set().union(*rows)), dtype=np.float64)
+    if len(rows) * (cuts.size + 1) > min(_GRAM_CELLS, n):
+        draws = array("q")
+        append = draws.append
+        s = start
+        for ut in memoryview(u):
+            k = bisect_right(rows[s], ut)
+            append(k)
+            s = step_rows[s][k]
+        return np.frombuffer(draws, dtype=np.int64)
+    lower = np.concatenate(([-np.inf], cuts))
+    draw = np.array([np.searchsorted(row, lower, side="right") for row in rows])
+    step_table = np.array([np.asarray(to)[k] for to, k in zip(step_rows, draw)])
+    draws = np.empty(n, dtype=np.int64)
+    for lo, cells, path in _walk_blocks(
+            step_table, start, n, lambda lo, hi: np.searchsorted(cuts, u[lo:hi], side="right")):
+        draws[lo:lo + cells.shape[0]] = draw.take(path[:-1] * lower.size + cells)
+    return draws

@@ -6,7 +6,7 @@ it draws an (observation, reward) pair, and the event drives the state
 update. Rewards are symbols from a finite alphabet (discretize real rewards
 before building the tables). Policies are stationary per-state action
 distributions, the simplest class whose action frequencies converge.
-Rollouts are drawn by the samplers' walk kernel (``_kernels.sample_walk``),
+Rollouts are drawn by the samplers' block walk (``_kernels.sample_walk``),
 one action draw and one outcome draw a step.
 
 Selecting a map for the reward sequence reuses the observations-only

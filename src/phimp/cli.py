@@ -314,7 +314,7 @@ def _check_artifact(path: Path) -> str:
                                        or data.get("type") in ("hmm", "fsmx")):
             model_from_json(data)
             return "model file"
-        if isinstance(data, dict) and "n_grid" in data:
+        if isinstance(data, dict) and data.keys() & {"source", "class", "n_grid"}:
             _experiment(path)
             return "experiment config"
         if isinstance(data, dict) and "chosen_map_id" in data:

@@ -9,8 +9,8 @@ product chain and by Monte Carlo.
 Randomness comes from named counter-based streams: ``rng_stream(seed, k)``
 yields the k-th independent stream of an experiment seed, so parallel runs
 reproduce serial ones bit-exactly. Samplers pre-draw uniforms and feed them
-to one walk kernel (``_kernels.sample_walk``), which picks each draw by
-binary search over a CDF row, so a seed fixes every draw.
+to one walk kernel (``_kernels.sample_walk``), which inverts each uniform
+through the current state's CDF row, so a seed fixes every draw.
 """
 
 from __future__ import annotations

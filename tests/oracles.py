@@ -317,6 +317,22 @@ def block_bootstrap_se_gather(losses, rng, replicates: int = 64) -> float:
     return float(means.std(ddof=1))
 
 
+# The per-symbol state walk that ``_kernels.walk_states``' block walk
+# replaced, as it was apart from its name.
+
+
+def walk_states_before(step_table, start, symbols):
+    # states[t] = state after consuming symbols[:t]; length n+1
+    rows = step_table.tolist()
+    s = int(start)
+    states = [s]
+    append = states.append
+    for y in symbols.tolist():
+        s = rows[s][y]
+        append(s)
+    return np.array(states, dtype=np.int64)
+
+
 # The per-symbol sampler loops that ``_kernels.sample_walk`` replaced, as
 # they were: each draw is the first k with u < cdf[k], else the last index.
 

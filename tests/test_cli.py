@@ -541,6 +541,22 @@ def test_check_file_refuses_what_experiment_refuses(workdir, capsys, monkeypatch
     assert code in (2, 3) and reason in line
 
 
+@pytest.mark.parametrize("missing", ["n_grid", "source", "class", "seeds"])
+def test_check_file_reads_a_config_without_a_field_as_experiment_does(workdir, capsys,
+                                                                      missing):
+    config = {"source": "source.json", "class": {"alphabet": 2, "max_depth": 1},
+              "criterion": "cost", "pen": "bic:markov", "n_grid": [100], "seeds": [0]}
+    del config[missing]
+    path = _written(workdir / "exp.json", json.dumps(config))
+    verdicts = []
+    for argv in (["diagnose", "--check-file", path],
+                 ["experiment", "--config", path, "--out", workdir / "traj.csv"]):
+        code = run(*argv)
+        verdicts.append((code, capsys.readouterr().err.splitlines()))
+    want = (2, [f"error: experiment config missing fields: ['{missing}']"])
+    assert verdicts == [want, want]
+
+
 def test_check_file_passes_the_reference_config(workdir, capsys):
     assert _verdicts(workdir, capsys, {"n_grid": [100, 1000]}) == [(0, []), (0, [])]
 

@@ -1,16 +1,21 @@
-"""The samplers against the per-symbol loops they replaced (``oracles``).
+"""The samplers and the state walk against the per-symbol loops they
+replaced (``oracles``).
 
 Tables are random with zero-probability entries, one state and one symbol
 included; each case also pins one uniform to a CDF entry, where the pick rule
 ``u < cdf[k]`` decides a tie.
 """
 
+from unittest import mock
+
 import numpy as np
 
 import oracles
 from phimp import (Environment, FeatureMap, FsmxSource, Hmm, Policy,
                    policy_induced_chain, rollout, sample_fsmx, sample_hmm)
-from phimp._kernels import sample_walk
+from phimp import _kernels
+from phimp._kernels import (_CHUNK, _GRAM_CELLS, _block_length, count_path,
+                            sample_walk, walk_states)
 from phimp.sources import rng_stream
 
 LENGTHS = (1, 2, 3, 17, 300, 3000)
@@ -128,3 +133,151 @@ def test_walk_picks_as_the_loop_at_ties_and_past_a_short_cdf():
     got = sample_walk(cdf.tolist(), step_table.tolist(), 0, u)
     assert np.array_equal(got, want)
     assert got[20] == got[22] == 9
+
+
+# The block walks (``_kernels._walk_blocks``) past their block and chunk
+# boundaries: every state and every draw must equal the per-symbol loops.
+
+def boundary_lengths(n_symbols, n_states):
+    """0, 1, L - 1, L, L + 1, chunk - 1, chunk, chunk + 1 and 3 chunks + 5,
+    for the block length L of a walk long enough to fill the table."""
+    length = _block_length(n_symbols, n_states, _GRAM_CELLS)
+    chunk = _CHUNK // length * length
+    return sorted({0, 1, length - 1, length, length + 1,
+                   chunk - 1, chunk, chunk + 1, 3 * chunk + 5})
+
+
+def walked_maps(rng):
+    """Random general maps, one state and one symbol included, and the
+    permutation automata that count 1s mod 2 and mod 3."""
+    maps = [np.array([[s, (s + 1) % k] for s in range(k)]) for k in (2, 3)]
+    maps += [np.zeros((1, 1), dtype=np.int64), np.zeros((1, 3), dtype=np.int64),
+             rng.integers(0, 4, (4, 1))]
+    for _ in range(8):
+        n_states, n_symbols = (int(v) for v in rng.integers(1, 7, 2))
+        maps.append(rng.integers(0, n_states, (n_states, n_symbols)))
+    return maps
+
+
+def test_walk_states_matches_loop_across_blocks_and_chunks():
+    rng = rng_stream(36)
+    for step_table in walked_maps(rng):
+        n_states, n_symbols = step_table.shape
+        start = int(rng.integers(n_states))
+        for n in boundary_lengths(n_symbols, n_states):
+            symbols = rng.integers(0, n_symbols, n)
+            want = oracles.walk_states_before(step_table, start, symbols)
+            assert np.array_equal(walk_states(step_table, start, symbols), want)
+        # a strided view walks as its copy does
+        symbols = rng.integers(0, n_symbols, 2 * _CHUNK + 7)[::2]
+        assert np.array_equal(walk_states(step_table, start, symbols),
+                              oracles.walk_states_before(step_table, start, symbols))
+
+
+def test_feature_map_walk_and_counts_match_loop_past_a_chunk():
+    rng = rng_stream(37)
+    fmap = FeatureMap(kind="general-fsm", alphabet_size=3, state_count=5, start_state=2,
+                      step_table=rng.integers(0, 5, (5, 3)))
+    symbols = rng.integers(0, 3, 40_000)
+    states = oracles.walk_states_before(fmap.step_table, 2, symbols)
+    assert np.array_equal(fmap.walk(symbols), states)
+    trans, emis = count_path(fmap.step_table, 2, symbols, symbols, 5, 3)
+    want_trans = np.zeros((5, 5), dtype=np.int64)
+    np.add.at(want_trans, (states[:-1], states[1:]), 1)
+    want_emis = np.zeros((5, 3), dtype=np.int64)
+    np.add.at(want_emis, (states[1:], symbols), 1)
+    assert np.array_equal(trans, want_trans) and np.array_equal(emis, want_emis)
+
+
+def test_block_length_fits_the_table_cap():
+    for n_symbols in range(1, 7):
+        for n_states in (1, 2, 3, 7, 50, 200, 20_000):
+            for n in (0, 1, 3, 17, 1000, _GRAM_CELLS - 1, _GRAM_CELLS, 10 ** 6):
+                limit = min(_GRAM_CELLS, n)
+                length = _block_length(n_symbols, n_states, n)
+                base = max(n_symbols, 2)
+                assert length == 1 or base ** length * n_states <= limit
+                assert base ** (length + 1) * n_states > limit
+
+
+def test_walks_build_no_table_past_the_cap():
+    rng = rng_stream(38)
+    built = []
+    gram_steps = _kernels._gram_steps
+
+    def recording(step_table, length):
+        grams = gram_steps(step_table, length)
+        built.append((length, len(grams), step_table.size))
+        return grams
+
+    with mock.patch.object(_kernels, "_gram_steps", recording):
+        for step_table in walked_maps(rng):
+            n_states, n_symbols = step_table.shape
+            for n in (3, 100, 40_000):
+                del built[:]
+                walk_states(step_table, 0, rng.integers(0, n_symbols, n))
+                [(length, size, one_step)] = built
+                # a length-1 table is the step table itself
+                assert size <= min(_GRAM_CELLS, n) or (length == 1 and size == one_step)
+
+
+def test_sample_fsmx_matches_loop_past_a_chunk():
+    rng = rng_stream(39)
+    for trial in range(4):
+        n_states, n_symbols = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        fmap = FeatureMap(kind="general-fsm", alphabet_size=n_symbols,
+                          state_count=n_states, start_state=0,
+                          step_table=rng.integers(0, n_states, (n_states, n_symbols)))
+        u = rng_stream(trial).random(40_000)
+        source = FsmxSource(fmap, stochastic_rows(rng, (n_states, n_symbols), first=u[0]))
+        want = oracles.sample_symbols(fmap.step_table, 0, np.cumsum(source.emit, axis=1), u)
+        assert np.array_equal(sample_fsmx(source, 40_000, seed=trial).items, want)
+
+
+def test_sample_hmm_matches_loop_past_a_chunk():
+    rng = rng_stream(40)
+    for trial in range(4):
+        n_states, n_symbols = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        draws = rng_stream(trial)
+        start_u = draws.random()
+        u_state, u_emit = draws.random(40_000), draws.random(40_000)
+        hmm = Hmm(transition=stochastic_rows(rng, (n_states, n_states), first=u_state[0]),
+                  emission=stochastic_rows(rng, (n_states, n_symbols), first=u_emit[0]),
+                  initial=stochastic_rows(rng, (n_states,)))
+        start = min(int(np.searchsorted(np.cumsum(hmm.initial), start_u, side="right")),
+                    n_states - 1)
+        want = oracles.sample_hmm_symbols(np.cumsum(hmm.transition, axis=1),
+                                          np.cumsum(hmm.emission, axis=1),
+                                          start, u_state, u_emit)
+        assert np.array_equal(sample_hmm(hmm, 40_000, seed=trial).items, want)
+
+
+def test_rollout_matches_loop_past_a_chunk():
+    rng = rng_stream(41)
+    for trial in range(1, 5):
+        draws = rng_stream(trial)
+        u_action, u_pair = draws.random(40_000), draws.random(40_000)
+        env, policy = random_environment(rng, trial, u_action[0], u_pair[0])
+        want = oracles.rollout_steps(
+            env.event_map.step_table, env.event_map.start_state,
+            np.cumsum(policy.probs, axis=1), np.cumsum(env.emissions, axis=2),
+            u_action, u_pair, env.action_count, env.reward_count)
+        got = rollout(env, policy, 40_000, seed=trial)
+        for have, expected in zip((got.actions, got.observations, got.rewards), want):
+            assert np.array_equal(have, expected)
+
+
+def test_deep_source_samples_by_the_loop():
+    # 130 states with distinct cuts make 131 cells, so the (state, cell) table
+    # would pass the cap; the sampler keeps the per-step binary search
+    rng = rng_stream(42)
+    n_states = 130
+    fmap = FeatureMap(kind="general-fsm", alphabet_size=2, state_count=n_states,
+                      start_state=0, step_table=rng.integers(0, n_states, (n_states, 2)))
+    u = rng_stream(0).random(40_000)
+    source = FsmxSource(fmap, rng.dirichlet(np.ones(2), n_states))
+    cells = np.unique(np.cumsum(source.emit, axis=1)[:, :-1]).size + 1
+    assert n_states * cells > _GRAM_CELLS
+    want = oracles.sample_symbols(fmap.step_table, 0, np.cumsum(source.emit, axis=1), u)
+    with mock.patch.object(_kernels, "_gram_steps", side_effect=AssertionError):
+        assert np.array_equal(sample_fsmx(source, 40_000, seed=0).items, want)
