@@ -17,9 +17,10 @@ symbol, or the action then the outcome) walk a two-phase chain whose
 second-phase states stand for the first draw's result.
 
 Counting has two forms with identical integer results: ``count_path`` counts
-along the walked state path, and ``count_table`` counts a bounded-memory
-map's steps from one bincount over the data's (L-gram, next symbol, emitted
-symbol) cells.
+along the walked state path, and ``count_table`` folds a bounded-memory map's
+steps from the counts of the data's (L-gram, next symbol, emitted symbol)
+cells, which ``cell_counts`` takes once for every prefix length asked for and
+``cell_index`` maps to one map's transitions and emissions.
 
 The forward recursion steps about sqrt(n) blocks of sqrt(n) symbols in
 lockstep, in two sweeps: one guesses each block's start by stepping the block
@@ -136,27 +137,44 @@ def gram_codes(symbols, m, base):
     return codes
 
 
-def count_table(step_table, start, drive, emit, n_states, n_emit, span):
-    # count_path's counts for a map whose state after any `span` symbols
-    # depends only on them, with len(drive) > span: the first `span` steps
-    # are walked, every later step is a cell (span-gram before it, its drive
-    # symbol, its emit symbol) of one bincount, folded through the map
-    trans, emis = count_path(step_table, start, drive[:span], emit[:span],
-                             n_states, n_emit)
-    n_drive = step_table.shape[1]
-    cells = gram_codes(drive, span + 1, n_drive) * n_emit + emit[span:]
-    table = np.bincount(cells)
-    used = np.flatnonzero(table)
-    counts = table[used]
-    grams, symbol = np.divmod(used // n_emit, n_drive)
+def cell_counts(drive, emit, n_drive, n_emit, span, ends):
+    # the cells (span-gram, next drive symbol, emitted symbol) that the steps
+    # after the first `span` fall in, and how many of the first n steps fell
+    # in each, for every n in `ends` (increasing, each past span): one
+    # bincount a stretch between two ends, cumulated
+    size = n_drive ** (span + 1) * n_emit
+    cells = gram_codes(drive[:ends[-1]], span + 1, n_drive)
+    cells *= n_emit
+    cells += emit[span:ends[-1]]
+    used = np.flatnonzero(np.bincount(cells, minlength=size))
+    counts = np.zeros(used.size, dtype=np.int64)
+    cumulative = []
+    for lo, hi in zip([span, *ends], ends):
+        counts = counts + np.bincount(cells[lo - span:hi - span], minlength=size)[used]
+        cumulative.append(counts)
+    return used, cumulative
+
+
+def cell_index(step_table, cells, n_drive, n_emit, span):
+    # for a map whose state after any `span` symbols depends only on them, the
+    # transition (prev * S + next) and the emission (next * n_emit + emitted)
+    # that a step in each cell makes
+    n_states = step_table.shape[0]
+    grams, symbol = np.divmod(cells // n_emit, n_drive)
     # the state a gram leads to from any state, here from state 0
-    prev = np.zeros(used.size, dtype=np.int64)
+    prev = np.zeros(cells.size, dtype=np.int64)
     for j in range(span - 1, -1, -1):
         prev = step_table[prev, grams // n_drive ** j % n_drive]
     nxt = step_table[prev, symbol]
-    np.add.at(trans, (prev, nxt), counts)
-    np.add.at(emis, (nxt, used % n_emit), counts)
-    return trans, emis
+    return prev * n_states + nxt, nxt * n_emit + cells % n_emit
+
+
+def count_table(head, index, counts):
+    # count_path's counts, as the (transition, emission) counts `head` of the
+    # steps walked plus each cell's count `counts` added where `index` maps
+    # it; the float sums of integer counts are exact below 2**53
+    return tuple(h + np.bincount(i, weights=counts, minlength=h.size)
+                 .astype(np.int64).reshape(h.shape) for h, i in zip(head, index))
 
 
 # Each sweep keeps B rows of S floats; the block count is capped so B * S

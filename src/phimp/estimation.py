@@ -25,13 +25,15 @@ criterion.
 
 Counts come from one of two forms with identical integers, so every total is
 the same either way. A map with memory bound kappa (``memory_bound``) is in a
-state after any L = kappa + 1 symbols that those symbols alone fix, so its
-steps after the first L are counted by one bincount over the data's (L-gram,
-next drive symbol, emitted symbol) cells, folded through the map; the first L
-steps are walked from the start state. This context-count table is used when
-n > L and it has at most ``_TABLE_CELLS`` cells (|drive|^(L+1) * |emit|).
-Maps without bounded memory, larger tables and n <= L keep the symbol-by-
-symbol walk.
+state after any L >= kappa + 1 symbols that those symbols alone fix, so its
+steps after the first L are folded from the counts of the data's (L-gram,
+next drive symbol, emitted symbol) cells; the first L steps are walked from
+the start state. One ``_ContextTable`` holds those cell counts for every
+candidate of a call and every prefix length it scores: L is the largest
+kappa + 1 among the maps whose own table has at most ``_TABLE_CELLS`` cells
+(|drive|^(kappa+2) * |emit|), so the shared table has at most that many too.
+Each of those maps is folded at L; maps without bounded memory, larger ones
+and prefixes of n <= L keep the symbol-by-symbol walk.
 """
 
 from __future__ import annotations
@@ -146,20 +148,6 @@ def _check_smoothing(smoothing: float):
 _TABLE_CELLS = 1 << 16
 
 
-def _count(fmap: FeatureMap, drive: np.ndarray, emit: np.ndarray,
-           n_emit: int) -> tuple[np.ndarray, np.ndarray]:
-    # transition and emission counts along the state path that drive induces
-    bound = memory_bound(fmap)
-    if bound.bounded:
-        span = bound.kappa + 1
-        if (drive.shape[0] > span
-                and fmap.alphabet_size ** (span + 1) * n_emit <= _TABLE_CELLS):
-            return _kernels.count_table(fmap.step_table, fmap.start_state, drive,
-                                        emit, fmap.state_count, n_emit, span)
-    return _kernels.count_path(fmap.step_table, fmap.start_state, drive, emit,
-                               fmap.state_count, n_emit)
-
-
 def _estimate_from_counts(trans_counts, emis_counts, n, smoothing) -> EmpiricalHmm:
     transition, trans_visited = _normalize_rows(trans_counts, smoothing)
     emission, emis_visited = _normalize_rows(emis_counts, smoothing)
@@ -192,26 +180,82 @@ def _check_reads(fmap: FeatureMap, read: int, paired: bool = False):
                          f"{'pairs span' if paired else 'sequence has'} {read}")
 
 
-def _read(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
-          criterion: str) -> tuple[np.ndarray, np.ndarray, int]:
-    # what drives the map, what it emits and the emission alphabet's size
-    read, coded = _alphabets(data, criterion)
-    paired = isinstance(data, PairedSequence)
-    _check_reads(fmap, read, paired)
-    if not paired:
-        return data.items, data.items, coded
-    # the joint symbols fit in int64, since a map's table has that many
-    # columns; with |X| = 1 the joint symbol is y itself
-    drive = data.xs * data.y_alphabet.size + data.ys
-    return drive, drive if coded == read else data.ys, coded
+class _ContextTable:
+    """The counts of each map's state path on prefixes of one data set, read
+    as ``criterion`` reads it.
+
+    The cell counts at span ``span`` are taken once, over the first n symbols
+    for every n in ``ends`` (increasing; by default the whole data), and each
+    map that fits is folded from them; ``counts`` walks every other map and
+    prefix length. A map's walked head and its cell index are worked out the
+    first time it is folded.
+    """
+
+    def __init__(self, maps: list[FeatureMap], data, criterion: str, ends=None):
+        read, self.n_emit = _alphabets(data, criterion)
+        paired = isinstance(data, PairedSequence)
+        for fmap in maps:
+            _check_reads(fmap, read, paired)
+        self.data = data
+        self.criterion = criterion
+        if paired:
+            # the joint symbols fit in int64, since a map's table has that
+            # many columns; with |X| = 1 the joint symbol is y itself
+            self.drive = data.xs * data.y_alphabet.size + data.ys
+            self.emit = self.drive if self.n_emit == read else data.ys
+        else:
+            self.drive = self.emit = data.items
+        # the maps whose own table fits, each folded at the widest of their spans
+        spans = {fmap: bound.kappa + 1 for fmap, bound in zip(maps, map(memory_bound, maps))
+                 if bound.bounded and read ** (bound.kappa + 2) * self.n_emit <= _TABLE_CELLS}
+        self.span = max(spans.values(), default=0)
+        self._folds = dict.fromkeys(spans)
+        ends = [n for n in (ends or [len(data)]) if n > self.span]
+        # the cells that occur, and their counts at each end
+        self._cells, self._counts = None, {}
+        if spans and ends:
+            self._cells, counts = _kernels.cell_counts(self.drive, self.emit, read,
+                                                       self.n_emit, self.span, ends)
+            self._counts = dict(zip(ends, counts))
+
+    def counts(self, fmap: FeatureMap, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Transition and emission counts over the first n symbols."""
+        if n in self._counts and fmap in self._folds:
+            if self._folds[fmap] is None:
+                head = self._walk(fmap, self.span)
+                self._folds[fmap] = head, _kernels.cell_index(
+                    fmap.step_table, self._cells, fmap.alphabet_size, self.n_emit, self.span)
+            return _kernels.count_table(*self._folds[fmap], self._counts[n])
+        return self._walk(fmap, n)
+
+    def _walk(self, fmap, n):
+        return _kernels.count_path(fmap.step_table, fmap.start_state, self.drive[:n],
+                                   self.emit[:n], fmap.state_count, self.n_emit)
+
+    def score(self, fmap: FeatureMap, n: int, scheme: PenaltyScheme | None,
+              smoothing: float) -> CostBreakdown:
+        """``score_map`` on the first n symbols."""
+        emp = _estimate_from_counts(*self.counts(fmap, n), n, smoothing)
+        data, criterion = self.data, self.criterion
+        if (criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1
+                and ((emp.transition > 0).astype(np.int64) @ (emp.emission > 0)).max() > 1):
+            initial = np.eye(1, fmap.state_count, fmap.start_state)[0]
+            data_cost = float(_kernels.forward_nll_steps(emp.transition, emp.emission,
+                                                         initial, data.ys[:n]).sum())
+        else:
+            data_cost = (counts_nll(emp.transition_counts, emp.transition)
+                         + counts_nll(emp.emission_counts, emp.emission))
+        return CostBreakdown.build(criterion, fmap.map_id, n, data_cost,
+                                   _penalty(criterion, scheme, n, fmap.state_count))
 
 
-def _estimate(fmap: FeatureMap, data, smoothing: float, criterion: str) -> EmpiricalHmm:
+def _table(maps: list[FeatureMap], data, criterion: str, smoothing: float,
+           ends=None) -> _ContextTable:
+    # the checks every estimate makes, then the maps' table
     if len(data) < 1:
         raise InputError("cannot estimate from an empty sequence")
     _check_smoothing(smoothing)
-    trans, emis = _count(fmap, *_read(fmap, data, criterion))
-    return _estimate_from_counts(trans, emis, len(data), smoothing)
+    return _ContextTable(maps, data, criterion, ends)
 
 
 def estimate(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
@@ -221,7 +265,8 @@ def estimate(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
     A plain sequence drives the map and emits itself. Pairs drive it by the
     joint symbol x * |Y| + y and emit y.
     """
-    return _estimate(fmap, data, smoothing, "ocost")
+    table = _table([fmap], data, "ocost", smoothing)
+    return _estimate_from_counts(*table.counts(fmap, len(data)), len(data), smoothing)
 
 
 def estimate_paired(fmap: FeatureMap, paired: PairedSequence,
@@ -251,7 +296,7 @@ def log_likelihood(fmap: FeatureMap, emp: EmpiricalHmm, seq: SymbolSequence) -> 
     """
     if emp.state_count != fmap.state_count:
         raise InputError("state count mismatch between map and estimate")
-    trans, emis = _count(fmap, *_read(fmap, seq, "ocost"))
+    trans, emis = _ContextTable([fmap], seq, "ocost").counts(fmap, len(seq))
     return counts_nll(trans, emp.transition) + counts_nll(emis, emp.emission)
 
 
@@ -284,17 +329,7 @@ def score_map(fmap: FeatureMap, data, criterion: str, scheme: PenaltyScheme | No
     coincide. On pairs ``cost`` and ``ml`` code the joint pair symbols.
     """
     _check_criterion(criterion)
-    emp = _estimate(fmap, data, smoothing, criterion)
-    if (criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1
-            and ((emp.transition > 0).astype(np.int64) @ (emp.emission > 0)).max() > 1):
-        initial = np.eye(1, fmap.state_count, fmap.start_state)[0]
-        data_cost = float(_kernels.forward_nll_steps(emp.transition, emp.emission,
-                                                     initial, data.ys).sum())
-    else:
-        data_cost = (counts_nll(emp.transition_counts, emp.transition)
-                     + counts_nll(emp.emission_counts, emp.emission))
-    return CostBreakdown.build(criterion, fmap.map_id, len(data), data_cost,
-                               _penalty(criterion, scheme, len(data), fmap.state_count))
+    return _table([fmap], data, criterion, smoothing).score(fmap, len(data), scheme, smoothing)
 
 
 def cost(fmap: FeatureMap, seq: SymbolSequence, scheme: PenaltyScheme,

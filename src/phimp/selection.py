@@ -1,19 +1,20 @@
 """Model selection over classes of feature maps.
 
-Candidates are scored with a chosen criterion through
-``estimation.score_map``, the one function that scores a map (re-exported
-here), and the minimum total wins. It reads the data by one rule: a plain
-sequence drives the map and emits itself; pairs drive it by x * |Y| + y and
-emit y, or the joint symbol under ``cost`` and ``ml``. The named criteria
+Candidates are scored with a chosen criterion by the one scoring path of
+``estimation.score_map`` (re-exported here), and the minimum total wins. It
+reads the data by one rule: a plain sequence drives the map and emits itself;
+pairs drive it by x * |Y| + y and emit y, or the joint symbol under ``cost``
+and ``ml``. The named criteria
 ``cost``, ``icost``, ``ocost`` and ``ml_cost`` equal it.
 
 Ties break toward fewer states and then the canonical map order, so the
-result does not depend on how the candidate list was arranged. Experiment
-harnesses re-score growing prefixes of sampled data and record when the
-choice stops changing. The countable-class search walks maps in canonical
-order (ascending state count) and skips any map whose penalty alone already
-exceeds the best total seen, which is lossless because data costs are
-nonnegative.
+result does not depend on how the candidate list was arranged. A call counts
+the data once for all of its candidates (``estimation._ContextTable``). A
+consistency run counts each seed's sample once for every candidate and every
+prefix length of its grid, and records when the choice stops changing. The
+countable-class search walks maps in canonical order (ascending state count)
+and skips any map whose penalty alone already exceeds the best total seen,
+which is lossless because data costs are nonnegative.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .estimation import (CostBreakdown, PenaltyScheme, _check_criterion, _check_reads,
-                         _check_smoothing, _penalty, score_map)
+                         _check_smoothing, _penalty, _table, score_map)
 from .fmaps import FeatureMap, enumerate_closed_suffix_maps, memory_bound, trivial_map
 from .sequences import Alphabet, _as_list, _check_grid, _check_int
 from .sources import (FsmxSource, _check_length, _check_seed, is_ergodic_chain,
@@ -78,8 +79,10 @@ def select(maps: list[FeatureMap], data, criterion: str,
     _check_class(maps)
     if len(data) < 1:
         raise InputError("data must be non-empty")
+    _check_criterion(criterion)
     ordered = sorted(maps, key=lambda m: m.canonical_key)
-    return _pick([(score_map(m, data, criterion, scheme, smoothing), m) for m in ordered])
+    table = _table(ordered, data, criterion, smoothing)
+    return _pick([(table.score(m, len(data), scheme, smoothing), m) for m in ordered])
 
 
 def _pick(scored: list[tuple[CostBreakdown, FeatureMap]]) -> SelectionResult:
@@ -148,7 +151,7 @@ def consistency_run(source: FsmxSource, maps: list[FeatureMap], criterion: str,
                     scheme: PenaltyScheme, n_grid, seeds,
                     include_baseline: bool = True,
                     smoothing: float = 0.0) -> list[SelectionTrajectory]:
-    """Sample the source once per seed and re-select on each prefix length.
+    """Sample the source once per seed and select on each prefix length.
 
     Refuses sources whose state chain is not ergodic and candidate
     maps without bounded memory. Each trajectory records the chosen map and
@@ -157,15 +160,16 @@ def consistency_run(source: FsmxSource, maps: list[FeatureMap], criterion: str,
     """
     candidates, n_grid, seeds = _check_run(source, maps, criterion, n_grid, seeds,
                                            include_baseline, smoothing)
+    ordered = sorted(candidates, key=lambda m: m.canonical_key)
+    grid = n_grid.tolist()
     trajectories = []
     for seed in seeds:
-        sample = sample_fsmx(source, int(n_grid[-1]), seed)
-        chosen_ids = []
-        costs_per_n = []
-        for n in n_grid:
-            result = select(candidates, sample.prefix(int(n)), criterion, scheme, smoothing)
-            chosen_ids.append(result.chosen_map_id)
-            costs_per_n.append(result.costs)
+        # one table over the sample counts every prefix, as ``select`` on it would
+        table = _table(ordered, sample_fsmx(source, grid[-1], seed), criterion, smoothing, grid)
+        results = [_pick([(table.score(m, n, scheme, smoothing), m) for m in ordered])
+                   for n in grid]
+        chosen_ids = [result.chosen_map_id for result in results]
+        costs_per_n = [result.costs for result in results]
         trajectories.append(SelectionTrajectory(
             seed=seed,
             n_grid=n_grid.copy(),
@@ -216,6 +220,8 @@ def countable_search(alphabet: Alphabet, data, criterion: str, scheme: PenaltySc
     n = len(data)
     if n < 1:
         raise InputError("data must be non-empty")
+    _check_criterion(criterion)
+    table = _table(candidates, data, criterion, smoothing)
 
     best_total = math.inf
     scored: list[tuple[CostBreakdown, FeatureMap]] = []
@@ -227,7 +233,7 @@ def countable_search(alphabet: Alphabet, data, criterion: str, scheme: PenaltySc
                                       best_total=best_total)
                       for m in candidates[idx:]]
             break
-        breakdown = score_map(fmap, data, criterion, scheme, smoothing)
+        breakdown = table.score(fmap, n, scheme, smoothing)
         scored.append((breakdown, fmap))
         best_total = min(best_total, breakdown.total)
     return _pick(scored), pruned

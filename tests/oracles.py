@@ -16,14 +16,15 @@ import numpy as np
 from phimp import _kernels
 from phimp.errors import InputError
 from phimp.estimation import (CRITERIA, CostBreakdown, EmpiricalHmm, PenaltyScheme,
-                              _check_smoothing, _count, _estimate_from_counts,
-                              counts_nll)
-from phimp.fmaps import ClosureReport, FeatureMap, enumerate_closed_suffix_maps
-from phimp.selection import (PruningLogEntry, SelectionResult, _check_class,
-                             score_map, with_baseline)
+                              _check_smoothing, _estimate_from_counts, counts_nll)
+from phimp.fmaps import (ClosureReport, FeatureMap, enumerate_closed_suffix_maps,
+                         memory_bound)
+from phimp.selection import (PruningLogEntry, SelectionResult, SelectionTrajectory,
+                             _check_class, _check_run, _pick, _stabilization_index,
+                             score_map, select, with_baseline)
 from phimp.sequences import Alphabet, PairedSequence, SymbolSequence, _read_text
 from phimp.sources import (cross_entropy_exact_markov, cross_entropy_mc,
-                           induced_hmm)
+                           induced_hmm, sample_fsmx)
 
 
 def count_substring_naive(seq, pattern) -> int:
@@ -569,8 +570,106 @@ def estimate_before(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
         drive, emit = data.xs * n_emit + data.ys, data.ys
     else:
         n_emit, drive, emit = size, data.items, data.items
-    trans, emis = _count(fmap, drive, emit, n_emit)
+    trans, emis = count_before(fmap, drive, emit, n_emit)
     return _estimate_from_counts(trans, emis, len(data), smoothing)
+
+
+# How every candidate and every prefix was counted before one context-count
+# table served a whole call: ``count_before`` (once ``estimation._count``)
+# chose per call between the walk and a table of its own, which
+# ``count_table_before`` (once ``_kernels.count_table``) built and folded.
+# ``select_before`` scores each candidate on its own through
+# ``score_map_before``, and ``consistency_run_before`` (once
+# ``selection.consistency_run``) selects on each prefix. They are kept as
+# written apart from their names, so the shared table can be compared with
+# them exactly; a test points the name ``select`` here at ``select_before``.
+
+# the most cells a context-count table may hold (512 kB of int64 counts)
+_TABLE_CELLS = 1 << 16
+
+
+def count_before(fmap: FeatureMap, drive: np.ndarray, emit: np.ndarray,
+                 n_emit: int) -> tuple[np.ndarray, np.ndarray]:
+    # transition and emission counts along the state path that drive induces
+    bound = memory_bound(fmap)
+    if bound.bounded:
+        span = bound.kappa + 1
+        if (drive.shape[0] > span
+                and fmap.alphabet_size ** (span + 1) * n_emit <= _TABLE_CELLS):
+            return count_table_before(fmap.step_table, fmap.start_state, drive,
+                                      emit, fmap.state_count, n_emit, span)
+    return _kernels.count_path(fmap.step_table, fmap.start_state, drive, emit,
+                               fmap.state_count, n_emit)
+
+
+def count_table_before(step_table, start, drive, emit, n_states, n_emit, span):
+    # count_path's counts for a map whose state after any `span` symbols
+    # depends only on them, with len(drive) > span: the first `span` steps
+    # are walked, every later step is a cell (span-gram before it, its drive
+    # symbol, its emit symbol) of one bincount, folded through the map
+    trans, emis = _kernels.count_path(step_table, start, drive[:span], emit[:span],
+                                      n_states, n_emit)
+    n_drive = step_table.shape[1]
+    cells = _kernels.gram_codes(drive, span + 1, n_drive) * n_emit + emit[span:]
+    table = np.bincount(cells)
+    used = np.flatnonzero(table)
+    counts = table[used]
+    grams, symbol = np.divmod(used // n_emit, n_drive)
+    # the state a gram leads to from any state, here from state 0
+    prev = np.zeros(used.size, dtype=np.int64)
+    for j in range(span - 1, -1, -1):
+        prev = step_table[prev, grams // n_drive ** j % n_drive]
+    nxt = step_table[prev, symbol]
+    np.add.at(trans, (prev, nxt), counts)
+    np.add.at(emis, (nxt, used % n_emit), counts)
+    return trans, emis
+
+
+def select_before(maps: list[FeatureMap], data, criterion: str,
+                  scheme: PenaltyScheme, smoothing: float = 0.0) -> SelectionResult:
+    """Score every candidate and return the minimizer.
+
+    Candidates with infinite data cost rank last rather than erroring. The
+    chosen map is invariant under permutations of ``maps``.
+    """
+    _check_class(maps)
+    if len(data) < 1:
+        raise InputError("data must be non-empty")
+    ordered = sorted(maps, key=lambda m: m.canonical_key)
+    return _pick([(score_map_before(m, data, criterion, scheme, smoothing), m)
+                  for m in ordered])
+
+
+def consistency_run_before(source, maps: list[FeatureMap], criterion: str,
+                           scheme: PenaltyScheme, n_grid, seeds,
+                           include_baseline: bool = True,
+                           smoothing: float = 0.0) -> list[SelectionTrajectory]:
+    """Sample the source once per seed and re-select on each prefix length.
+
+    Refuses sources whose state chain is not ergodic and candidate
+    maps without bounded memory. Each trajectory records the chosen map and
+    all candidate costs per grid point, plus the first grid index from which
+    the choice never changes again.
+    """
+    candidates, n_grid, seeds = _check_run(source, maps, criterion, n_grid, seeds,
+                                           include_baseline, smoothing)
+    trajectories = []
+    for seed in seeds:
+        sample = sample_fsmx(source, int(n_grid[-1]), seed)
+        chosen_ids = []
+        costs_per_n = []
+        for n in n_grid:
+            result = select(candidates, sample.prefix(int(n)), criterion, scheme, smoothing)
+            chosen_ids.append(result.chosen_map_id)
+            costs_per_n.append(result.costs)
+        trajectories.append(SelectionTrajectory(
+            seed=seed,
+            n_grid=n_grid.copy(),
+            chosen_ids=chosen_ids,
+            costs_per_n=costs_per_n,
+            stabilization_index=_stabilization_index(chosen_ids),
+        ))
+    return trajectories
 
 
 # How a suffix set answered "which member ends this string" before its trie

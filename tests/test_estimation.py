@@ -490,3 +490,28 @@ class TestContextTable:
         assert self.check(run_length_map(15), random_paired(rng, 3000, 2, 1), 0.5)
         assert not self.check(run_length_map(15), random_paired(rng, 3000, 1, 2), 0.0)
 
+    def test_one_table_serves_every_map_and_prefix(self):
+        # maps of different spans share the widest fitting span; each fitting
+        # map is folded at every end past it, and everything else is walked
+        rng = rng_stream(43)
+        data = seq(rng.integers(0, 2, 2000))
+        fitting = [trivial_map(2), depth_one_map(), run_length_map(5), run_length_map(14)]
+        walked = [general_fsm([[0, 1], [1, 0]]), run_length_map(15)]
+        ends = [1, 2, 14, 15, 16, 300, 2000]
+        span = memory_bound(run_length_map(14)).kappa + 1
+        for cells, table_ends in ((estimation._TABLE_CELLS, [n for n in ends if n > span]),
+                                  (0, [])):
+            with mock.patch.object(estimation, "_TABLE_CELLS", cells), \
+                    mock.patch.object(_kernels, "count_table",
+                                      wraps=_kernels.count_table) as table:
+                shared = estimation._ContextTable(fitting + walked, data, "cost", ends)
+                for fmap in fitting + walked:
+                    for n in ends:
+                        calls = table.call_count
+                        trans, emis = shared.counts(fmap, n)
+                        want = hand_counts(fmap.step_table, fmap.start_state, data.items[:n],
+                                           data.items[:n], fmap.state_count, 2)
+                        assert np.array_equal(trans, want[0]) and np.array_equal(emis, want[1])
+                        folded = fmap in fitting and n in table_ends
+                        assert table.call_count == calls + folded
+            assert shared.span == (span if cells else 0)

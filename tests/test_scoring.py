@@ -392,3 +392,145 @@ class TestErrorsMatchOracle:
             estimation.score_map(trivial_map(3), pairs, criterion, scheme)
         assert str(old.value) == "alphabet mismatch: map expects 3 symbols, sequence has 4"
         assert str(new.value) == "alphabet mismatch: map expects 3 symbols, pairs span 4"
+
+
+def run_length_map(size, longest):
+    """State = the number of trailing top symbols, capped at ``longest``: its
+    memory bound is longest - 1."""
+    return general_map([[min(s + 1, longest) if y == size - 1 else 0 for y in range(size)]
+                        for s in range(longest + 1)])
+
+
+def over_cap_map(size, n_emit):
+    """A bounded map whose own context-count table is over ``_TABLE_CELLS``."""
+    longest = 1
+    while size ** (longest + 1) * n_emit <= estimation._TABLE_CELLS:
+        longest += 1
+    fmap = run_length_map(size, longest)
+    assert memory_bound(fmap).kappa == longest - 1
+    return fmap
+
+
+def bounded_general_maps(size, rng, count):
+    """Random general maps with bounded memory, kappa >= 1: each symbol sends
+    every state into a random smaller set."""
+    maps = []
+    while len(maps) < count:
+        n_states = int(rng.integers(2, 7))
+        table = np.stack([rng.choice(rng.choice(n_states, int(rng.integers(1, n_states)),
+                                                replace=False), n_states)
+                          for _ in range(size)], axis=1)
+        fmap = general_map(table, int(rng.integers(n_states)))
+        bound = memory_bound(fmap)
+        if bound.bounded and bound.kappa >= 1:
+            maps.append(fmap)
+    return maps
+
+
+def assert_trajectories_match(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.seed == w.seed
+        assert np.array_equal(g.n_grid, w.n_grid)
+        assert g.chosen_ids == w.chosen_ids
+        assert g.stabilization_index == w.stabilization_index
+        assert g.costs_per_n == w.costs_per_n
+
+
+@pytest.fixture
+def old_selection(monkeypatch):
+    # the per-prefix consistency oracle, selecting the way the library used to
+    monkeypatch.setattr(oracles, "select", oracles.select_before)
+
+
+class TestSharedTableMatchesOracle:
+    """One context-count table serves every candidate of a call and every
+    prefix of a consistency run, with the counts of a table or a walk per
+    candidate and prefix (``oracles.count_before``)."""
+
+    GRID = [1, 2, 3, 4, 5, 60, 1500]
+
+    def classes(self, size):
+        """(name, source, class): depth-3 binary or depth-2 ternary suffix
+        classes, random bounded general maps, and a map over the table cap."""
+        rng = rng_stream(1206)
+        depth = 3 if size == 2 else 2
+        suffix = enumerate_closed_suffix_maps(Alphabet(size), depth)
+        source = FsmxSource(suffix[len(suffix) // 2],
+                            rng.dirichlet(np.ones(size), suffix[len(suffix) // 2].state_count))
+        general = bounded_general_maps(size, rng, 6)
+        return [("suffix", source, suffix),
+                ("general", source, general),
+                ("mixed", source, [*suffix[:5], *general[:3], over_cap_map(size, size)])]
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_consistency_run(self, size, old_selection):
+        for name, source, maps in self.classes(size):
+            for criterion in CRITERIA:
+                for smoothing in (0.0, 0.5):
+                    for spec in ("bic:markov", "cubic"):
+                        args = (source, maps, criterion, PenaltyScheme(spec, size),
+                                self.GRID, [0, 1], True, smoothing)
+                        assert_trajectories_match(phimp.consistency_run(*args),
+                                                  oracles.consistency_run_before(*args))
+
+    def test_reference_experiment(self, old_selection):
+        source = FsmxSource(compile_suffix_map(SuffixSet(Alphabet(2), ((0,), (0, 1), (1, 1)))),
+                            np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]]))
+        args = (source, enumerate_closed_suffix_maps(Alphabet(2), 3), "cost",
+                PenaltyScheme("bic:markov", 2), [100, 1000, 10_000, 100_000], [7])
+        assert_trajectories_match(phimp.consistency_run(*args),
+                                  oracles.consistency_run_before(*args))
+
+    @pytest.mark.parametrize("x_size,y_size", [(1, 2), (1, 3), (2, 2), (3, 2)])
+    def test_select_and_countable_search(self, x_size, y_size, old_scoring):
+        size = x_size * y_size
+        rng = rng_stream(1207)
+        depth = 2 if size <= 3 else 1
+        suffix = enumerate_closed_suffix_maps(Alphabet(size), depth)
+        maps = [*suffix[:6], *bounded_general_maps(size, rng, 3),
+                *candidate_maps(size, rng)[-3:], over_cap_map(size, size)]
+        for n in (1, 2, 3, 4, 400):
+            joint = rng.integers(0, size, n)
+            datasets = [paired(x_size, y_size, joint)]
+            if x_size == 1:
+                datasets.append(SymbolSequence(Alphabet(size), joint))
+            for data in datasets:
+                for criterion in CRITERIA:
+                    for smoothing in (0.0, 0.5):
+                        scheme = PenaltyScheme("bic:markov", emit_size(data))
+                        counted = {m.map_id for m in maps
+                                   if from_counts(m, data, criterion, smoothing)}
+                        result = select(maps, data, criterion, scheme, smoothing)
+                        expected = oracles.select_before(maps, data, criterion, scheme,
+                                                         smoothing)
+                        assert_costs_match(result.costs, expected.costs, counted)
+                        assert result.chosen_map_id == expected.chosen_map_id
+                        assert result.tie_broken == expected.tie_broken
+                        args = (Alphabet(size), data, criterion, scheme, 8, depth, smoothing)
+                        result, pruned = countable_search(*args)
+                        expected, expected_pruned = oracles.countable_search_loop(*args)
+                        assert result.chosen_map_id == expected.chosen_map_id
+                        assert result.tie_broken == expected.tie_broken
+                        assert_costs_match(result.costs, expected.costs, counted)
+                        assert_log_match(pruned, expected_pruned,
+                                         result.chosen_map_id in counted)
+
+    def test_consistency_run_codes_each_sample_once(self, monkeypatch):
+        # 22 candidates on 4 prefixes were 88 tables of their own; the shared
+        # table codes each seed's sample once, over all of its symbols
+        calls = []
+
+        def counting(symbols, m, base):
+            calls.append(symbols.shape[0])
+            return gram_codes(symbols, m, base)
+
+        gram_codes = _kernels.gram_codes
+        monkeypatch.setattr(_kernels, "gram_codes", counting)
+        source = FsmxSource(compile_suffix_map(SuffixSet(Alphabet(2), ((0,), (0, 1), (1, 1)))),
+                            np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]]))
+        trajectories = phimp.consistency_run(
+            source, enumerate_closed_suffix_maps(Alphabet(2), 3), "cost",
+            PenaltyScheme("bic:markov", 2), [100, 1000, 10_000, 100_000], [0, 1])
+        assert len(trajectories[0].costs_per_n[-1]) == 22
+        assert calls == [100_000, 100_000]

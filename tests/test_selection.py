@@ -108,12 +108,13 @@ class TestSelect:
 
     def test_infinite_totals_rank_last(self, monkeypatch):
         import phimp.selection as selection_module
+        from phimp.estimation import _ContextTable
 
         maps = [trivial_map(2), depth_one_map()]
-        real = selection_module.score_map
+        real = _ContextTable.score
 
-        def poisoned(fmap, data, criterion, scheme, smoothing=0.0):
-            breakdown = real(fmap, data, criterion, scheme, smoothing)
+        def poisoned(table, fmap, n, scheme, smoothing):
+            breakdown = real(table, fmap, n, scheme, smoothing)
             if fmap.map_id == "trivial":
                 return breakdown.__class__(
                     criterion=breakdown.criterion, map_id=breakdown.map_id,
@@ -121,7 +122,7 @@ class TestSelect:
                     total=math.inf)
             return breakdown
 
-        monkeypatch.setattr(selection_module, "score_map", poisoned)
+        monkeypatch.setattr(_ContextTable, "score", poisoned)
         rng = rng_stream(45)
         data = seq(rng.integers(0, 2, 100))
         result = selection_module.select(maps, data, "cost", BIC_MARKOV)
