@@ -198,13 +198,7 @@ class _ContextTable:
             _check_reads(fmap, read, paired)
         self.data = data
         self.criterion = criterion
-        if paired:
-            # the joint symbols fit in int64, since a map's table has that
-            # many columns; with |X| = 1 the joint symbol is y itself
-            self.drive = data.xs * data.y_alphabet.size + data.ys
-            self.emit = self.drive if self.n_emit == read else data.ys
-        else:
-            self.drive = self.emit = data.items
+        self.read = read
         # the maps whose own table fits, each folded at the widest of their spans
         spans = {fmap: bound.kappa + 1 for fmap, bound in zip(maps, map(memory_bound, maps))
                  if bound.bounded and read ** (bound.kappa + 2) * self.n_emit <= _TABLE_CELLS}
@@ -214,7 +208,7 @@ class _ContextTable:
         # the cells that occur, and their counts at each end
         self._cells, self._counts = None, {}
         if spans and ends:
-            self._cells, counts = _kernels.cell_counts(self.drive, self.emit, read,
+            self._cells, counts = _kernels.cell_counts(*self._symbols(ends[-1]), read,
                                                        self.n_emit, self.span, ends)
             self._counts = dict(zip(ends, counts))
 
@@ -228,9 +222,20 @@ class _ContextTable:
             return _kernels.count_table(*self._folds[fmap], self._counts[n])
         return self._walk(fmap, n)
 
+    def _symbols(self, n):
+        # the first n drive and emitted symbols, formed per call so that no
+        # joint array outlives its count
+        data = self.data
+        if not isinstance(data, PairedSequence):
+            return data.items[:n], data.items[:n]
+        # the joint symbols fit in int64, since a map's table has that many
+        # columns; with |X| = 1 the joint symbol is y itself
+        drive = data.xs[:n] * data.y_alphabet.size + data.ys[:n]
+        return drive, drive if self.n_emit == self.read else data.ys[:n]
+
     def _walk(self, fmap, n):
-        return _kernels.count_path(fmap.step_table, fmap.start_state, self.drive[:n],
-                                   self.emit[:n], fmap.state_count, self.n_emit)
+        return _kernels.count_path(fmap.step_table, fmap.start_state, *self._symbols(n),
+                                   fmap.state_count, self.n_emit)
 
     def score(self, fmap: FeatureMap, n: int, scheme: PenaltyScheme | None,
               smoothing: float) -> CostBreakdown:

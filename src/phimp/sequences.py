@@ -381,26 +381,28 @@ def _write_json(path, payload):
 def read_sequence(path) -> SymbolSequence | PairedSequence:
     """Read a plain or paired sequence file.
 
-    The header is checked before any token. Both forms are parsed by one
-    numpy call, which reads each token as ``int()`` does; a paired file's
-    tokens must hold exactly one comma each and are split there first, so
-    its xs and ys are the even and odd entries of that one parse.
+    The header is checked before any token. A plain file whose text after
+    the header holds only one-digit tokens between ASCII whitespace is read
+    from its bytes; every other body is read token by token, each token as
+    ``int()`` reads it. Both paths give the same symbols and messages.
     """
     path = Path(path)
     text = _read_text(path, "sequence")
 
-    header = None
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
+    # every "\n" ends a line, so the text is split into lines a "\n" at a
+    # time, only as far as the header
+    header, start = None, 0
+    while header is None and start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        for line in text[start:end].splitlines(keepends=True):
+            start += len(line)
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
             if not line.startswith("alphabet="):
                 raise InputError(f"{path}: first line must be 'alphabet=<size>'")
             header = line[len("alphabet="):]
-        else:
-            tokens.extend(line.split())
+            break
 
     if header is None:
         raise InputError(f"{path}: missing alphabet header")
@@ -413,7 +415,43 @@ def read_sequence(path) -> SymbolSequence | PairedSequence:
         raise InputError(f"{path}: alphabet header must have one or two sizes")
     alphabets = [Alphabet(size) for size in sizes]
 
-    kind = "paired" if len(sizes) == 2 else "symbol"
+    if len(sizes) == 1:
+        items = _digit_items(text[start:])
+        if items is not None:
+            return SymbolSequence(alphabets[0], items)
+    return _read_tokens(path, text[start:], alphabets)
+
+
+_DIGITS = b"0123456789"
+_SPACES = b" \t\n\r\x0b\x0c"
+
+
+def _digit_items(body: str) -> np.ndarray | None:
+    # the symbols of a body of one-digit tokens between ASCII whitespace, read
+    # from its bytes; None for any other body (an ASCII body encodes as is)
+    if not body.isascii():
+        return None
+    raw = body.encode()
+    if raw.translate(None, _DIGITS + _SPACES):
+        return None
+    digit = np.frombuffer(raw, np.uint8) > ord(" ")
+    if (digit[1:] & digit[:-1]).any():
+        return None
+    return np.frombuffer(raw.translate(None, _SPACES), np.uint8) - ord("0")
+
+
+def _read_tokens(path, body: str, alphabets: list[Alphabet]):
+    # the body parsed by one numpy call, which reads each token as int()
+    # does; a paired file's tokens must hold exactly one comma each and are
+    # split there first, so its xs and ys are the even and odd entries of
+    # that one parse
+    tokens: list[str] = []
+    for line in body.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            tokens.extend(line.split())
+
+    kind = "paired" if len(alphabets) == 2 else "symbol"
     if kind == "paired":
         bad = next((tok for tok in tokens if tok.count(",") != 1), None)
         if bad is not None:

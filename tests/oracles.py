@@ -764,3 +764,57 @@ def read_sequence_before(path) -> SymbolSequence | PairedSequence:
             raise InputError(f"{path}: paired token beyond the int64 range") from exc
         return PairedSequence(Alphabet(sizes[0]), Alphabet(sizes[1]), xs, ys)
     raise InputError(f"{path}: alphabet header must have one or two sizes")
+
+
+# ``sequences.read_sequence`` as it was while every body was parsed as
+# tokens; unlike read_sequence_before it checks the header before any token
+def read_sequence_tokens_before(path) -> SymbolSequence | PairedSequence:
+    """Read a plain or paired sequence file.
+
+    The header is checked before any token. Both forms are parsed by one
+    numpy call, which reads each token as ``int()`` does; a paired file's
+    tokens must hold exactly one comma each and are split there first, so
+    its xs and ys are the even and odd entries of that one parse.
+    """
+    path = Path(path)
+    text = _read_text(path, "sequence")
+
+    header = None
+    tokens: list[str] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            if not line.startswith("alphabet="):
+                raise InputError(f"{path}: first line must be 'alphabet=<size>'")
+            header = line[len("alphabet="):]
+        else:
+            tokens.extend(line.split())
+
+    if header is None:
+        raise InputError(f"{path}: missing alphabet header")
+
+    try:
+        sizes = [int(part) for part in header.split(",")]
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed alphabet header {header!r}") from exc
+    if len(sizes) not in (1, 2):
+        raise InputError(f"{path}: alphabet header must have one or two sizes")
+    alphabets = [Alphabet(size) for size in sizes]
+
+    kind = "paired" if len(sizes) == 2 else "symbol"
+    if kind == "paired":
+        bad = next((tok for tok in tokens if tok.count(",") != 1), None)
+        if bad is not None:
+            raise InputError(f"{path}: paired token {bad!r} must look like 'x,y'")
+        tokens = ",".join(tokens).split(",") if tokens else []
+    try:
+        items = np.array(tokens, dtype=np.int64)
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed {kind} token") from exc
+    except OverflowError as exc:
+        raise InputError(f"{path}: {kind} token beyond the int64 range") from exc
+    if kind == "paired":
+        return PairedSequence(*alphabets, items[0::2], items[1::2])
+    return SymbolSequence(*alphabets, items)

@@ -623,6 +623,26 @@ def test_huge_alphabet_header_exits_with_one_line(workdir, capsys, case):
     assert captured.out == ""
 
 
+# one-digit bodies, which read_sequence parses from their bytes, refused with
+# the messages the token path gives
+ONE_DIGIT_REFUSALS = {
+    "symbol out of range": ("alphabet=2\n0 1 7 0\n", "sequence contains symbols outside 0..1"),
+    "alphabet size zero": ("alphabet=0\n0 1 1 0\n", "alphabet size must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_DIGIT_REFUSALS))
+def test_one_digit_body_refusals_exit_two(workdir, capsys, case):
+    text, message = ONE_DIGIT_REFUSALS[case]
+    run("maps", "enumerate", "--alphabet", 2, "--max-depth", 2, "--out", workdir / "maps.json")
+    capsys.readouterr()
+    assert run("select", "--maps", workdir / "maps.json",
+               "--seq", _written(workdir / "data.txt", text)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
 class TestActiveCommand:
     def test_rollout_and_select(self, workdir, capsys):
         event_map = _active_inputs(workdir)

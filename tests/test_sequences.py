@@ -3,12 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import count_substring_naive, read_sequence_before
+from oracles import count_substring_naive, read_sequence_before, read_sequence_tokens_before
 from phimp import (Alphabet, InputError, PairedSequence, PenaltyScheme,
                    SuffixSet, SymbolSequence, compile_suffix_map, countable_search,
                    default_grid, enumerate_closed_suffix_maps,
                    ergodicity_diagnostic, frequency_trajectory, read_sequence,
                    sample_fsmx, substring_frequency, trivial_map, write_sequence)
+from phimp import sequences
 from phimp.sources import rng_stream
 
 
@@ -265,6 +266,35 @@ PAIRED_FILES = st.one_of(
     st.lists(PAIRED_TOKENS, max_size=8))
 
 
+# plain files for the byte path and around it: headers after blank and '#'
+# lines, one-digit tokens between ASCII whitespace, and the tokens and
+# separators that must keep the token path (multi-digit runs, signs,
+# underscores, a non-ASCII digit, 19- and 20-digit runs, digits with no
+# separator between them, the separators str.split knows and bytes.split
+# does not, and comment lines)
+LEADS = st.sampled_from(["", "\n", "# c\n", " \n# c\n\n"])
+HEADERS = st.sampled_from(["alphabet=2", "alphabet=10", "alphabet=0", "alphabet=2\x0c1",
+                           "alphabet=2\r"])
+DIGITS = st.sampled_from(list("0123456789"))
+ODD_TOKENS = st.sampled_from(["07", "10", "+1", "1_0", "-0", "-", "\u0663", "x",
+                              "1" * 19, "9" * 20])
+ASCII_SPACES = st.sampled_from([" ", "\t", "\n", "\r\n", "\r", "\v", "\f"])
+ODD_SPACES = st.sampled_from(["", "\x1c", "\x1f", "\xa0", "\u3000", "\n# c\n"])
+SEQUENCE_BODIES = st.one_of(
+    st.lists(st.tuples(DIGITS, ASCII_SPACES), max_size=12),
+    st.lists(st.tuples(st.one_of(DIGITS, ODD_TOKENS), st.one_of(ASCII_SPACES, ODD_SPACES)),
+             max_size=12))
+
+
+def _outcome(reader, path):
+    # what a reader returns, or the text of its refusal
+    try:
+        data = reader(path)
+    except InputError as exc:
+        return str(exc)
+    return data.alphabet.size, data.items.dtype, data.items.flags.writeable, data.items.tolist()
+
+
 def _paired_outcome(reader, path):
     # the pairs a reader returns, or None when it refuses the file
     try:
@@ -349,6 +379,41 @@ class TestSequenceFiles:
         path.write_text(f"alphabet={sizes[0]},{sizes[1]}\n{body}\n")
         assert _paired_outcome(read_sequence, path) == _paired_outcome(read_sequence_before,
                                                                        path)
+
+    @settings(max_examples=300, deadline=None)
+    @example(lead="", header="alphabet=0", body=[("x", " "), ("1", "\n")])
+    @example(lead="", header="alphabet=2", body=[("0", " "), ("7", " "), ("1", "\n")])
+    @example(lead="", header="alphabet=2\x0c1", body=[("0", "\n")])
+    @example(lead="", header="alphabet=10", body=[("1", ""), ("2", "\n")])
+    @example(lead="", header="alphabet=2", body=[("0", " "), ("-", " "), ("1", "\n")])
+    @given(lead=LEADS, header=HEADERS, body=SEQUENCE_BODIES)
+    def test_plain_files_read_as_the_token_parser_reads_them(self, tmp_path_factory, lead,
+                                                             header, body):
+        path = tmp_path_factory.getbasetemp() / "plain_oracle.txt"
+        text = lead + header + "\n" + "".join(tok + sep for tok, sep in body)
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_sequence, path) == _outcome(read_sequence_tokens_before, path)
+
+    def test_one_digit_bodies_skip_the_token_path(self, tmp_path, monkeypatch):
+        calls = []
+        token_path = sequences._read_tokens
+
+        def recorded(path, *args):
+            calls.append(path)
+            return token_path(path, *args)
+
+        monkeypatch.setattr(sequences, "_read_tokens", recorded)
+        data = SymbolSequence(Alphabet(2), np.random.default_rng(0).integers(0, 2, 100_000))
+        path = tmp_path / "data.txt"
+        write_sequence(path, data)
+        assert read_sequence(path).items.tolist() == data.items.tolist()
+        assert calls == []
+        # a '#' line after the header sends the same symbols down the token path
+        header, rest = path.read_text().split("\n", 1)
+        commented = tmp_path / "commented.txt"
+        commented.write_text(f"{header}\n# a comment\n{rest}")
+        assert read_sequence(commented).items.tolist() == data.items.tolist()
+        assert calls == [commented]
 
     @pytest.mark.parametrize("header,message", [
         ("2,x", "malformed alphabet header"),
