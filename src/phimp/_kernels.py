@@ -7,14 +7,14 @@ A state walk is a block walk (``_walk_blocks``): one Python step per block
 of L symbols through a table of every L-gram's composed step, then L - 1
 vector gathers fill in the states inside the blocks, a chunk at a time.
 
-Every sampler is one walk, ``sample_walk``: at each state it inverts one
-pre-drawn uniform through that state's CDF row, then moves to the state the
-draw leads to. Each uniform is cut to its cell among the sorted union of every
-row's cuts, the cells are block-walked as symbols, and each draw is read from
-a (state, cell) table, so the draws equal a binary search per step. A seed
-fixes every draw. Samplers with two draws a step (the hidden state then the
-symbol, or the action then the outcome) walk a two-phase chain whose
-second-phase states stand for the first draw's result.
+Every sampler is one walk, ``sample_walk``, one event a step. An event is
+one draw a phase (the symbol; the hidden state then the symbol; the action
+then the outcome): each phase inverts one pre-drawn uniform, from its own row
+of uniforms, through its current state's CDF row. Each uniform is cut to its
+cell among the sorted union of its phase's cuts, an event's cells make one
+event symbol, the event symbols are block-walked over the first phase's
+states, and each draw is read from a (state, event symbol) table, so the
+draws equal a binary search per draw. A seed fixes every draw.
 
 Counting has two forms with identical integer results: ``count_path`` counts
 along the walked state path, and ``count_table`` folds a bounded-memory map's
@@ -26,7 +26,10 @@ The forward recursion steps about sqrt(n) blocks of sqrt(n) symbols in
 lockstep, in two sweeps: one guesses each block's start by stepping the block
 before from the uniform law, one steps every block from its guess. Where a
 guess is off by more than rounding, the rest runs as the per-symbol loop (see
-``forward_nll_steps``).
+``forward_nll_steps``). Both sweeps and the last block step k symbols a
+Python step, through a table of every k-gram's composed transfer and prefix
+masses, or one symbol a step where the table or the products would not
+allow k > 2.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -180,6 +184,13 @@ def count_table(head, index, counts):
 # Each sweep keeps B rows of S floats; the block count is capped so B * S
 # stays at most _BLOCK_FLOATS (128 kB an array).
 _BLOCK_FLOATS = 1 << 14
+# The forward's k-gram table and each gram step's gathered (B, S, S + k) slab
+# hold at most _GRAM_FLOATS floats each (512 kB). Every k-fold product of
+# positive factors T[i, j] * E[j, y] stays at or above _TINY, and a row whose
+# alpha holds a positive entry below _TINY steps by symbols, so no composed
+# step comes near the subnormals.
+_GRAM_FLOATS = 1 << 16
+_TINY = 2.0 ** -400
 
 
 def _step_blocks(alpha, transition, columns, symbols, norms):
@@ -195,6 +206,76 @@ def _step_blocks(alpha, transition, columns, symbols, norms):
         norms[..., j] = sums[..., 0]
         alpha /= sums
     return alpha
+
+
+def _gram_length(transition, emission, rows, length):
+    # the largest k <= length whose gram table and (rows, S, S + k) slab fit
+    # _GRAM_FLOATS and whose k-fold factor products stay at or above _TINY,
+    # bounding the smallest positive factor by min T times min E. A gram step
+    # costs two to three symbol steps, so k = 2 gains nothing and runs as 1.
+    n_states, n_symbols = emission.shape
+    k = 1
+    while (k < length and n_symbols ** (k + 1) * n_states * (n_states + k + 1) <= _GRAM_FLOATS
+           and rows * n_states * (n_states + k + 1) <= _GRAM_FLOATS):
+        k += 1
+    if k > 2:
+        floor = (np.min(transition, where=transition > 0.0, initial=1.0)
+                 * np.min(emission, where=emission > 0.0, initial=1.0))
+        if floor < 1.0:
+            k = min(k, int(math.log(_TINY) / math.log(floor))) if floor > 0.0 else 1
+    return k if k > 2 else 1
+
+
+def _gram_table(transition, emission, k):
+    # entry g, for the k-gram (y_1, ..., y_k) coded oldest symbol first: the
+    # composed transfer P_g = T diag(E[:, y_1]) ... T diag(E[:, y_k]) in the
+    # first S columns, then the masses (T diag(E[:, y_1]) ... ) @ 1 after the
+    # gram's first 1, ..., k symbols
+    factors = transition * emission.T[:, None, :]
+    product, masses = factors, factors.sum(axis=2)[..., None]
+    for _ in range(k - 1):
+        product = np.matmul(product[:, None], factors).reshape(-1, *transition.shape)
+        masses = np.concatenate((masses.repeat(len(factors), axis=0),
+                                 product.sum(axis=2)[..., None]), axis=2)
+    return np.concatenate((product, masses), axis=2)
+
+
+def _step_grams(alpha, transition, columns, symbols, norms, table, k):
+    # _step_blocks' result, k symbols a Python step through the gram table:
+    # with m_j = alpha @ R_g[:, j], step j's normalizer is m_j / m_{j-1} and
+    # the end alpha is alpha @ P_g / m_{k-1}. The last L mod k steps are
+    # symbol steps, and a row whose alpha held a positive entry below _TINY
+    # at a gram step is redone by symbol steps; k = 1 is _step_blocks itself.
+    if k == 1 or not alpha.size:
+        return _step_blocks(alpha, transition, columns, symbols, norms)
+    n_states = alpha.shape[-1]
+    start = alpha.reshape(-1, n_states)
+    symbols = symbols.reshape(len(start), -1)
+    steps = norms.reshape(len(start), -1)
+    grams = symbols.shape[1] // k
+    # one code a gram, from the (rows, grams, k) view of the symbols
+    codes = symbols[:, :grams * k].reshape(len(start), grams, k) @ (
+        columns.shape[0] ** np.arange(k - 1, -1, -1))
+    low = np.zeros(len(start), dtype=bool)
+    rows = start
+    for i in range(grams):
+        tiny = (rows > 0.0) & (rows < _TINY)
+        if tiny.any():
+            low |= tiny.any(axis=1)
+        ends = np.matmul(rows[:, None], table.take(codes[:, i], axis=0))[:, 0]
+        steps[:, i * k:(i + 1) * k] = ends[:, n_states:]
+        rows = ends[:, :n_states] / ends[:, -1:]
+    # the masses become step normalizers, last offset first
+    masses = steps[:, :grams * k].reshape(len(start), grams, k)
+    for j in range(k - 1, 0, -1):
+        masses[..., j] /= masses[..., j - 1]
+    rows = _step_blocks(rows, transition, columns, symbols[:, grams * k:], steps[:, grams * k:])
+    redo = np.flatnonzero(low)
+    if redo.size:
+        redone = steps[redo]
+        rows[redo] = _step_blocks(start[redo], transition, columns, symbols[redo], redone)
+        steps[redo] = redone
+    return rows.reshape(alpha.shape)
 
 
 def forward_nll_steps(transition, emission, initial, symbols):
@@ -221,8 +302,24 @@ def forward_nll_steps(transition, emission, initial, symbols):
     entry off by 1e-13 relative, or zero against nonzero), the steps after
     that block are redone as one block from the sweep-2 end, which is the loop
     itself. So the result follows the loop, +inf and subnormal rounding
-    included, and costs at most two sweeps plus the loop. Extra memory is a
-    few arrays of B * S floats; no per-step matrix or column is stored.
+    included, and costs at most two sweeps plus the loop.
+
+    The sweeps and the last block take k steps at a time. For every k-gram g
+    of symbols a table holds the composed transfer P_g, the product of
+    T diag(E[:, y]) over the gram's symbols, and the prefix masses R_g, whose
+    column j is the mass after the gram's first j + 1 symbols. With
+    m = alpha @ R_g, step j's normalizer is m[j] / m[j - 1], and the next
+    alpha is alpha @ P_g / m[k - 1]. k is the largest value (up to L) for
+    which the |Y|^k * S * (S + k) table and each step's gathered
+    (B, S, S + k) slab fit _GRAM_FLOATS and the smallest positive factor
+    T[i, j] * E[j, y], raised to the k-th power, stays at or above _TINY. A
+    block whose alpha holds a positive entry below _TINY is redone by symbol
+    steps, so the composed products stay clear of underflow and differ from
+    the symbol steps by rounding alone. Where k = 1 (many states, or factors
+    like 1e-200), or k = 2, which gains nothing, every step is the symbol step
+    above, bit for bit. Extra memory is a few arrays of B * S floats, the
+    table, one slab and n / k gram codes; no per-step matrix or column is
+    stored.
     """
     n = symbols.shape[0]
     n_states = transition.shape[0]
@@ -233,15 +330,20 @@ def forward_nll_steps(transition, emission, initial, symbols):
     norms = np.zeros(n)  # step normalizers; zero where never reached
     block_norms = norms[:full * length].reshape(full, length)
     columns = np.ascontiguousarray(emission.T, dtype=np.float64)
+    k = _gram_length(transition, emission, full, length)
+    table = _gram_table(transition, emission, k) if k > 1 else None
+
+    def step(alpha, symbols, norms):
+        return _step_grams(alpha, transition, columns, symbols, norms, table, k)
+
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         starts = np.full((full, n_states), 1.0 / n_states)
         starts[:1] = initial
-        guesses = _step_blocks(starts, transition, columns, grid, block_norms)
+        guesses = step(starts, grid, block_norms)
         starts[1:] = guesses[:-1]
-        ends = _step_blocks(starts, transition, columns, grid, block_norms)
+        ends = step(starts, grid, block_norms)
         del starts  # B * S floats fewer at the check's peak
-        _step_blocks(guesses[-1] if full else initial, transition, columns,
-                     symbols[full * length:], norms[full * length:])
+        step(guesses[-1] if full else initial, symbols[full * length:], norms[full * length:])
         # each block's end must match the guess the next block started from up
         # to rounding; from the first that does not, unless the loop died by
         # then, step the rest as one block
@@ -259,34 +361,65 @@ def forward_nll_steps(transition, emission, initial, symbols):
 
 
 def sample_walk(cdf_rows, step_rows, start, u):
-    # one draw per uniform: at state s, draw k = the first index whose
-    # cdf_rows[s] entry exceeds u[t] (the last index when none of the others
-    # does), then move to step_rows[s][k]; rows are lists and may differ in
-    # length. CDF rows never decrease, so bisect_right finds that k.
+    # one event per column of u, drawn in phases, one a row of u: in phase p
+    # the walk is in a phase-p state s, draws k = the first index whose
+    # cdf_rows[p][s] entry exceeds u[p, t] (the last index when none of the
+    # others does) and moves to step_rows[p][s][k], a state of the next phase
+    # (of phase 0 after the last). Rows are lists and may differ in length;
+    # CDF rows never decrease, so bisect_right finds that k. Returns each
+    # phase's draws, an int64 array of n each.
     #
-    # Every row's cuts (its entries but the last) lie in one sorted union, so
-    # no cut falls strictly inside a cell between two neighbours of the union,
-    # and the draw at state s is the same for every uniform in a cell: the
-    # draw at the cell's lower end. The walk then runs over cells as symbols,
-    # through a (state, cell) table, unless that table would pass
-    # min(_GRAM_CELLS, n) entries; then each step is a binary search.
-    rows = [row[:-1] for row in cdf_rows]
-    n = u.shape[0]
-    cuts = np.array(sorted(set().union(*rows)), dtype=np.float64)
-    if len(rows) * (cuts.size + 1) > min(_GRAM_CELLS, n):
+    # Each phase's cuts (its rows' entries but the last) lie in one sorted
+    # union, so no cut falls strictly inside a cell between two neighbours of
+    # the union, and a phase-p draw is the same for every uniform in a cell:
+    # the draw at the cell's lower end. An event's cells, one a phase and the
+    # first most significant, make one event symbol; the walk runs over the
+    # phase-0 states with those symbols as its symbols, through a (state,
+    # event symbol) table of the state the event leads to, and reads each
+    # phase's draw from a table of the same shape. Where that table would pass
+    # min(_GRAM_CELLS, n) entries, the phases' states walk as one phase, one
+    # draw a step over the interleaved uniforms, through that chain's (state,
+    # cell) table where it fits; a single phase then draws by binary search.
+    rows = [[row[:-1] for row in phase] for phase in cdf_rows]
+    n = u.shape[1]
+    cuts = [np.array(sorted(set().union(*phase)), dtype=np.float64) for phase in rows]
+    cells = [c.size + 1 for c in cuts]
+    if len(rows[0]) * math.prod(cells) > min(_GRAM_CELLS, n):
+        if len(rows) > 1:
+            # the chain takes the uniforms column by column
+            offsets = [0, *accumulate(len(phase) for phase in rows)]
+            moves = [[offsets[(p + 1) % len(rows)] + v for v in row]
+                     for p, to in enumerate(step_rows) for row in to]
+            [draws] = sample_walk([[row for phase in cdf_rows for row in phase]], [moves],
+                                  start, u.T.ravel()[None])
+            return [draws[p::len(rows)] for p in range(len(rows))]
         draws = array("q")
         append = draws.append
         s = start
-        for ut in memoryview(u):
-            k = bisect_right(rows[s], ut)
+        cdf, to = rows[0], step_rows[0]
+        for ut in memoryview(u[0]):
+            k = bisect_right(cdf[s], ut)
             append(k)
-            s = step_rows[s][k]
-        return np.frombuffer(draws, dtype=np.int64)
-    lower = np.concatenate(([-np.inf], cuts))
-    draw = np.array([np.searchsorted(row, lower, side="right") for row in rows])
-    step_table = np.array([np.asarray(to)[k] for to, k in zip(step_rows, draw)])
-    draws = np.empty(n, dtype=np.int64)
-    for lo, cells, path in _walk_blocks(
-            step_table, start, n, lambda lo, hi: np.searchsorted(cuts, u[lo:hi], side="right")):
-        draws[lo:lo + cells.shape[0]] = draw.take(path[:-1] * lower.size + cells)
+            s = to[s][k]
+        return [np.frombuffer(draws, dtype=np.int64)]
+    state = np.arange(len(rows[0]))[:, None]
+    tables = []
+    for phase, to, cut, cell in zip(rows, step_rows, cuts, np.indices(cells).reshape(len(rows), -1)):
+        lower = np.concatenate(([-np.inf], cut))
+        draw = np.array([np.searchsorted(row, lower, side="right") for row in phase])
+        tables.append(draw[state, cell].ravel())
+        state = np.array([np.asarray(t)[k] for t, k in zip(to, draw)])[state, cell]
+
+    def symbols_at(lo, hi):
+        symbols = np.searchsorted(cuts[0], u[0, lo:hi], side="right")
+        for cut, size, uniforms in zip(cuts[1:], cells[1:], u[1:]):
+            symbols *= size
+            symbols += np.searchsorted(cut, uniforms[lo:hi], side="right")
+        return symbols
+
+    draws = [np.empty(n, dtype=np.int64) for _ in rows]
+    for lo, symbols, path in _walk_blocks(state, start, n, symbols_at):
+        index = path[:-1] * state.shape[1] + symbols
+        for out, table in zip(draws, tables):
+            out[lo:lo + symbols.shape[0]] = table.take(index)
     return draws

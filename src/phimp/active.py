@@ -6,8 +6,9 @@ it draws an (observation, reward) pair, and the event drives the state
 update. Rewards are symbols from a finite alphabet (discretize real rewards
 before building the tables). Policies are stationary per-state action
 distributions, the simplest class whose action frequencies converge.
-Rollouts are drawn by the samplers' block walk (``_kernels.sample_walk``),
-one action draw and one outcome draw a step.
+Rollouts are drawn by the samplers' block walk (``_kernels.sample_walk``)
+over the environment states, one event a step: the action draw, then the
+(observation, reward) draw, each from its own row of uniforms.
 
 Selecting a map for the reward sequence reuses the observations-only
 criterion on pairs x = (observation, action), y = reward; the event symbol
@@ -124,9 +125,10 @@ def _successors(env: Environment) -> np.ndarray:
 def rollout(env: Environment, policy: Policy, n: int, seed: int) -> Rollout:
     """Run the environment under the policy for n steps, reproducibly.
 
-    One walk alternates two phases: state s draws action a and moves to
-    S + s * A + a, which draws the (observation, reward) pair and moves to the
-    state the event leads to. The uniforms interleave the two phases' draws.
+    One walk steps the environment states, one event a step in two phases:
+    state s draws action a from the first row of uniforms, then (s, a) draws
+    the (observation, reward) pair from the second, and the event leads to
+    the next state.
     """
     _check_length(n, "rollout length")
     if policy.probs.shape != (env.state_count, env.action_count):
@@ -134,17 +136,15 @@ def rollout(env: Environment, policy: Policy, n: int, seed: int) -> Rollout:
             f"policy must have shape {(env.state_count, env.action_count)}, "
             f"got {policy.probs.shape}")
     s_count, a_count = policy.probs.shape
-    outcome_states = s_count + np.arange(s_count * a_count).reshape(s_count, a_count)
-    cdf_rows = (np.cumsum(policy.probs, axis=1).tolist()
-                + np.cumsum(env.emissions, axis=2).reshape(s_count * a_count, -1).tolist())
-    step_rows = (outcome_states.tolist()
-                 + _successors(env).reshape(s_count * a_count, -1).tolist())
-    draws = _kernels.sample_walk(cdf_rows, step_rows, env.event_map.start_state,
-                                 rng_stream(seed).random((2, n)).T.ravel())
-    observations, rewards = np.divmod(draws[1::2], env.reward_count)
-    # copied, so the 2n draws are freed; a view would keep them all alive
+    cdf_rows = [np.cumsum(policy.probs, axis=1).tolist(),
+                np.cumsum(env.emissions, axis=2).reshape(s_count * a_count, -1).tolist()]
+    step_rows = [np.arange(s_count * a_count).reshape(s_count, a_count).tolist(),
+                 _successors(env).reshape(s_count * a_count, -1).tolist()]
+    actions, pairs = _kernels.sample_walk(cdf_rows, step_rows, env.event_map.start_state,
+                                          rng_stream(seed).random((2, n)))
+    observations, rewards = np.divmod(pairs, env.reward_count)
     return Rollout(env.action_count, env.observation_count, env.reward_count,
-                   draws[0::2].copy(), observations, rewards)
+                   actions, observations, rewards)
 
 
 def policy_induced_chain(env: Environment, policy: Policy) -> np.ndarray:

@@ -69,12 +69,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_symbols(items, size: int, what: str) -> np.ndarray:
-    arr = np.asarray(items, dtype=np.int64)
+    arr = np.array(items, dtype=np.int64)  # always a copy, never the caller's array
     if arr.ndim != 1:
         raise InputError(f"{what} must be one-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() >= size):
         raise InputError(f"{what} contains symbols outside 0..{size - 1}")
-    return _freeze(arr.copy())
+    return _freeze(arr)
 
 
 @dataclass(frozen=True)
@@ -468,18 +468,46 @@ def _read_tokens(path, body: str, alphabets: list[Alphabet]):
     return SymbolSequence(*alphabets, items)
 
 
+def _decimal_bytes(values, width):
+    # (n, width) ASCII digits of non-negative values below 10**width, right
+    # aligned, with a 0 byte in place of each leading zero
+    places = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    digits = (values[:, None] // places % 10 + 48).astype(np.uint8)
+    digits[(values[:, None] < places) & (places > 1)] = 0
+    return digits
+
+
+# write_sequence formats and writes this many tokens at a time
+_WRITE_BLOCK = 1 << 16
+
+
 def write_sequence(path, seq: SymbolSequence | PairedSequence, per_line: int = 40):
+    """Write a header line, then per_line space-separated tokens a line: a
+    symbol, or an ``x,y`` pair. Tokens are formatted as bytes a block at a
+    time, by numpy, never one ``str`` each."""
     _check_int(per_line, "per_line")
     if per_line < 1:
         raise InputError(f"per_line must be >= 1, got {per_line}")
-    path = Path(path)
-    lines = []
     if isinstance(seq, PairedSequence):
-        lines.append(f"alphabet={seq.x_alphabet.size},{seq.y_alphabet.size}")
-        tokens = [f"{x},{y}" for x, y in zip(seq.xs, seq.ys)]
+        header = f"alphabet={seq.x_alphabet.size},{seq.y_alphabet.size}"
+        fields = [(seq.xs, seq.x_alphabet.size), (seq.ys, seq.y_alphabet.size)]
     else:
-        lines.append(f"alphabet={seq.alphabet.size}")
-        tokens = [str(v) for v in seq.items]
-    for i in range(0, len(tokens), per_line):
-        lines.append(" ".join(tokens[i:i + per_line]))
-    path.write_text("\n".join(lines) + "\n")
+        header = f"alphabet={seq.alphabet.size}"
+        fields = [(seq.items, seq.alphabet.size)]
+    n = len(seq)
+    with open(path, "w") as handle:
+        handle.write(header + "\n")
+        for lo in range(0, n, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, n)
+            # each token's fields joined by ",", then " ", or "\n" after every
+            # per_line-th token and the last
+            count = np.arange(lo + 1, hi + 1)
+            ends = np.where((count % per_line == 0) | (count == n),
+                            ord("\n"), ord(" ")).astype(np.uint8)
+            columns = []
+            for values, size in fields:
+                columns += [_decimal_bytes(values[lo:hi], len(str(size - 1))),
+                            np.full((hi - lo, 1), ord(","), dtype=np.uint8)]
+            columns[-1] = ends[:, None]
+            block = np.concatenate(columns, axis=1)
+            handle.write(block[block != 0].tobytes().decode("ascii"))

@@ -130,31 +130,30 @@ class CrossEntropyEstimate:
 def sample_fsmx(source: FsmxSource, n: int, seed: int, stream: int = 0) -> SymbolSequence:
     """Draw y_t from the current state's distribution, then step the map."""
     _check_length(n, "sample length")
-    u = rng_stream(seed, stream).random(n)
-    items = _kernels.sample_walk(np.cumsum(source.emit, axis=1).tolist(),
-                                 source.fmap.step_table.tolist(),
-                                 source.fmap.start_state, u)
+    u = rng_stream(seed, stream).random((1, n))
+    [items] = _kernels.sample_walk([np.cumsum(source.emit, axis=1).tolist()],
+                                   [source.fmap.step_table.tolist()], source.fmap.start_state, u)
     return SymbolSequence(source.alphabet, items)
 
 
 def sample_hmm(hmm: Hmm, n: int, seed: int, stream: int = 0) -> SymbolSequence:
     """Draw a state chain from the transition matrix and emit one symbol per state.
 
-    One walk alternates two phases: hidden state s < S draws the next hidden
-    state k and moves to S + k, which draws the symbol and moves back to k.
-    The uniforms interleave the two phases' draws.
+    One walk steps the hidden states, one event a step in two phases: hidden
+    state s draws the next hidden state k from the first row of uniforms,
+    then k draws the symbol from the second.
     """
     _check_length(n, "sample length")
     rng = rng_stream(seed, stream)
     start = int(np.searchsorted(np.cumsum(hmm.initial), rng.random(), side="right"))
     start = min(start, hmm.state_count - 1)
     s_count = hmm.state_count
-    cdf_rows = (np.cumsum(hmm.transition, axis=1).tolist()
-                + np.cumsum(hmm.emission, axis=1).tolist())
-    step_rows = ([list(range(s_count, 2 * s_count))] * s_count
-                 + [[k] * hmm.emission_size for k in range(s_count)])
-    draws = _kernels.sample_walk(cdf_rows, step_rows, start, rng.random((2, n)).T.ravel())
-    return SymbolSequence(Alphabet(hmm.emission_size), draws[1::2])
+    cdf_rows = [np.cumsum(hmm.transition, axis=1).tolist(),
+                np.cumsum(hmm.emission, axis=1).tolist()]
+    step_rows = [[list(range(s_count))] * s_count,
+                 [[k] * hmm.emission_size for k in range(s_count)]]
+    _, items = _kernels.sample_walk(cdf_rows, step_rows, start, rng.random((2, n)))
+    return SymbolSequence(Alphabet(hmm.emission_size), items)
 
 
 # ---------------------------------------------------------------------------

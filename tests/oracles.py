@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from phimp.fmaps import (ClosureReport, FeatureMap, enumerate_closed_suffix_maps
 from phimp.selection import (PruningLogEntry, SelectionResult, SelectionTrajectory,
                              _check_class, _check_run, _pick, _stabilization_index,
                              score_map, select, with_baseline)
-from phimp.sequences import Alphabet, PairedSequence, SymbolSequence, _read_text
+from phimp.sequences import (Alphabet, PairedSequence, SymbolSequence, _check_int,
+                             _read_text)
 from phimp.sources import (cross_entropy_exact_markov, cross_entropy_mc,
                            induced_hmm, sample_fsmx)
 
@@ -290,6 +292,86 @@ def forward_nll_steps_loop(transition, emission, initial, symbols):
     return out
 
 
+# The blocked forward kernel before its sweeps stepped k-grams, as it was
+# apart from its names; where k = 1 the kernel must equal it bit for bit.
+
+
+def _step_blocks_before(alpha, transition, columns, symbols, norms):
+    # steps alpha, one row (S,) or k rows (k, S), in lockstep along the last
+    # axis of symbols, writing each step's normalizer to norms; returns the
+    # end alpha. A zero normalizer leaves NaN in its row from then on.
+    if not alpha.size:
+        return alpha
+    for j in range(symbols.shape[-1]):
+        alpha = alpha @ transition
+        alpha *= columns.take(symbols[..., j], axis=0)
+        sums = alpha.sum(axis=-1, keepdims=True)
+        norms[..., j] = sums[..., 0]
+        alpha /= sums
+    return alpha
+
+
+def forward_nll_steps_before(transition, emission, initial, symbols):
+    """Per-step negative log normalizers of the forward recursion.
+
+    out[t] = -log of the step-t normalizer and sum(out) = -log likelihood; the
+    first step whose normalizer is zero and every later step are +inf.
+
+    The n steps are cut into B = ceil(n / L) blocks of L steps, L = isqrt(n)
+    (longer when B * S would pass _BLOCK_FLOATS). Two sweeps step all blocks
+    in lockstep, by alpha = (alpha @ T) * E[:, y] with each step's sum kept,
+    so each Python loop runs over the L offsets within a block:
+
+    1. Block 0 starts from ``initial`` and every later block but the last
+       from the uniform law; the end each block reaches is a guess at the
+       next block's start.
+    2. Block 0 again from ``initial`` and every later block from the guess
+       sweep 1 left in the block before; these sums are the output. The last
+       block, which may be shorter, is stepped on its own.
+
+    Sweep 2 steps each block the way the per-symbol loop does, from the true
+    alpha as long as the filter forgets its start within one block. Where a
+    block's sweep-2 end and its sweep-1 guess differ by more than rounding (an
+    entry off by 1e-13 relative, or zero against nonzero), the steps after
+    that block are redone as one block from the sweep-2 end, which is the loop
+    itself. So the result follows the loop, +inf and subnormal rounding
+    included, and costs at most two sweeps plus the loop. Extra memory is a
+    few arrays of B * S floats; no per-step matrix or column is stored.
+    """
+    n = symbols.shape[0]
+    n_states = transition.shape[0]
+    max_blocks = max(1, _kernels._BLOCK_FLOATS // n_states)
+    length = max(math.isqrt(n), -(-n // max_blocks), 1)
+    full = max(-(-n // length) - 1, 0)  # blocks followed by another, each `length` steps
+    grid = symbols[:full * length].reshape(full, length)
+    norms = np.zeros(n)  # step normalizers; zero where never reached
+    block_norms = norms[:full * length].reshape(full, length)
+    columns = np.ascontiguousarray(emission.T, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        starts = np.full((full, n_states), 1.0 / n_states)
+        starts[:1] = initial
+        guesses = _step_blocks_before(starts, transition, columns, grid, block_norms)
+        starts[1:] = guesses[:-1]
+        ends = _step_blocks_before(starts, transition, columns, grid, block_norms)
+        del starts  # B * S floats fewer at the check's peak
+        _step_blocks_before(guesses[-1] if full else initial, transition, columns,
+                            symbols[full * length:], norms[full * length:])
+        # each block's end must match the guess the next block started from up
+        # to rounding; from the first that does not, unless the loop died by
+        # then, step the rest as one block
+        differs = ~np.isclose(ends, guesses, rtol=1e-13, atol=0.0).all(axis=1)
+        if differs.any():
+            b = int(differs.argmax())
+            cut = (b + 1) * length
+            if (norms[:cut] > 0.0).all():
+                _step_blocks_before(ends[b], transition, columns, symbols[cut:], norms[cut:])
+        dead = ~(norms > 0.0)  # a zero normalizer, or NaN after one
+        out = np.negative(np.log(norms, out=norms), out=norms)
+    if dead.any():
+        out[int(dead.argmax()):] = np.inf
+    return out
+
+
 def first_zero_probability_step(transition, emission, initial, symbols) -> int:
     """First step at which no hidden path has positive probability (n when
     none), from the zero patterns alone, so no rounding enters."""
@@ -496,12 +578,15 @@ def countable_search_loop(alphabet: Alphabet, data, criterion: str, scheme: Pena
 # same bit for bit.
 
 def xent_via_induced_hmm(true_model, model, mode: str, n: int = 100_000, seed: int = 0):
-    """``phimp xent`` on an fsmx model file as it was, for both modes."""
+    """``phimp xent`` on an fsmx model file as it was, for both modes: the
+    Monte-Carlo mode ran the forward by symbol steps, as
+    ``forward_nll_steps_before`` does."""
     if mode == "exact":
         params = induced_hmm(model)
         return cross_entropy_exact_markov(true_model, model.fmap,
                                           params.transition, params.emission)
-    return cross_entropy_mc(true_model, induced_hmm(model), n, seed)
+    with mock.patch.object(_kernels, "forward_nll_steps", forward_nll_steps_before):
+        return cross_entropy_mc(true_model, induced_hmm(model), n, seed)
 
 
 # How a map was scored while two paths existed: ``score_map_before`` (once
@@ -818,3 +903,24 @@ def read_sequence_tokens_before(path) -> SymbolSequence | PairedSequence:
     if kind == "paired":
         return PairedSequence(*alphabets, items[0::2], items[1::2])
     return SymbolSequence(*alphabets, items)
+
+
+# The sequence writer before it wrote blocks of bytes, as it was apart from
+# its name.
+
+
+def write_sequence_before(path, seq: SymbolSequence | PairedSequence, per_line: int = 40):
+    _check_int(per_line, "per_line")
+    if per_line < 1:
+        raise InputError(f"per_line must be >= 1, got {per_line}")
+    path = Path(path)
+    lines = []
+    if isinstance(seq, PairedSequence):
+        lines.append(f"alphabet={seq.x_alphabet.size},{seq.y_alphabet.size}")
+        tokens = [f"{x},{y}" for x, y in zip(seq.xs, seq.ys)]
+    else:
+        lines.append(f"alphabet={seq.alphabet.size}")
+        tokens = [str(v) for v in seq.items]
+    for i in range(0, len(tokens), per_line):
+        lines.append(" ".join(tokens[i:i + per_line]))
+    path.write_text("\n".join(lines) + "\n")

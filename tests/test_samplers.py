@@ -93,20 +93,65 @@ def random_environment(rng, trial, u_action, u_pair):
     return env, Policy(stochastic_rows(rng, (n_states, actions), first=u_action))
 
 
+def assert_rollout_matches_loop(env, policy, n, seed):
+    draws = rng_stream(seed)
+    u_action, u_pair = draws.random(n), draws.random(n)
+    want = oracles.rollout_steps(
+        env.event_map.step_table, env.event_map.start_state,
+        np.cumsum(policy.probs, axis=1), np.cumsum(env.emissions, axis=2),
+        u_action, u_pair, env.action_count, env.reward_count)
+    got = rollout(env, policy, n, seed=seed)
+    for have, expected in zip((got.actions, got.observations, got.rewards), want):
+        assert np.array_equal(have, expected)
+
+
+def many_action_environment(rng, n_states, actions, observations, rewards, u_action, u_pair):
+    """A random environment whose per-state policy rows differ, so the union
+    of the action cuts holds more than one cut."""
+    events = observations * actions * rewards
+    event_map = FeatureMap(kind="general-fsm", alphabet_size=events, state_count=n_states,
+                           start_state=0, step_table=np.tile(rng.integers(0, n_states, events),
+                                                             (n_states, 1)))
+    env = Environment(actions, observations, rewards, event_map,
+                      stochastic_rows(rng, (n_states, actions, observations * rewards),
+                                      first=u_pair))
+    probs = rng.dirichlet(np.ones(actions), n_states)
+    probs[0, 0] = u_action  # the first action draw ties with a cut
+    probs[0, 1:] *= (1.0 - u_action) / probs[0, 1:].sum()
+    assert np.unique(np.cumsum(probs, axis=1)[:, :-1]).size > 1
+    return env, Policy(probs)
+
+
 def test_rollout_matches_loop():
     rng = rng_stream(33)
     for trial in range(150):
         n = LENGTHS[trial % len(LENGTHS)]
         draws = rng_stream(trial)
-        u_action, u_pair = draws.random(n), draws.random(n)
-        env, policy = random_environment(rng, trial, u_action[0], u_pair[0])
-        want = oracles.rollout_steps(
-            env.event_map.step_table, env.event_map.start_state,
-            np.cumsum(policy.probs, axis=1), np.cumsum(env.emissions, axis=2),
-            u_action, u_pair, env.action_count, env.reward_count)
-        got = rollout(env, policy, n, seed=trial)
-        for have, expected in zip((got.actions, got.observations, got.rewards), want):
-            assert np.array_equal(have, expected)
+        env, policy = random_environment(rng, trial, *draws.random((2, n))[:, 0])
+        assert_rollout_matches_loop(env, policy, n, seed=trial)
+    walks = []
+    walk_blocks = _kernels._walk_blocks
+
+    def recording(*args):
+        walks.append(args[2])
+        return walk_blocks(*args)
+
+    # 3 states, 3 actions and 4 outcomes: at most 3 * 7 * 28 event cells.
+    # One to three events pass that table, so they are binary searches; two
+    # chunks and five events walk the table
+    for n in (1, 2, 3, 2 * _CHUNK + 5):
+        draws = rng_stream(n)
+        env, policy = many_action_environment(rng, 3, 3, 2, 2, *draws.random((2, n))[:, 0])
+        del walks[:]
+        with mock.patch.object(_kernels, "_walk_blocks", recording):
+            assert_rollout_matches_loop(env, policy, n, seed=n)
+        assert walks == ([n] if n > 3 * 7 * 28 else [])
+    # 40 states with their own action and outcome cuts: the table would pass
+    # _GRAM_CELLS, so every draw past a chunk is a binary search
+    draws = rng_stream(40)
+    env, policy = many_action_environment(rng, 40, 3, 2, 3, *draws.random((2, 2 * _CHUNK + 5))[:, 0])
+    with mock.patch.object(_kernels, "_walk_blocks", side_effect=AssertionError):
+        assert_rollout_matches_loop(env, policy, 2 * _CHUNK + 5, seed=40)
 
 
 def test_policy_induced_chain_matches_loop():
@@ -130,7 +175,7 @@ def test_walk_picks_as_the_loop_at_ties_and_past_a_short_cdf():
     u = np.concatenate([cdf.ravel(), [np.nextafter(1.0, 0.0), 0.0, cdf[0, -1]],
                         rng_stream(35).random(200)])
     want = oracles.sample_symbols(step_table, 0, cdf, u)
-    got = sample_walk(cdf.tolist(), step_table.tolist(), 0, u)
+    [got] = sample_walk([cdf.tolist()], [step_table.tolist()], 0, u[None])
     assert np.array_equal(got, want)
     assert got[20] == got[22] == 9
 
@@ -250,6 +295,39 @@ def test_sample_hmm_matches_loop_past_a_chunk():
                                           np.cumsum(hmm.emission, axis=1),
                                           start, u_state, u_emit)
         assert np.array_equal(sample_hmm(hmm, 40_000, seed=trial).items, want)
+
+
+def test_wide_hmm_samples_by_its_two_phase_chain():
+    # 12 hidden states with distinct rows: the (state, event) table would hold
+    # 12 * 133 * 13 entries, past the cap, but the two phases as one chain of
+    # 24 states over 145 cells fit it, so that chain is block-walked, one
+    # uniform a phase a step
+    rng = rng_stream(43)
+    n_states, n = 12, 40_000
+    draws = rng_stream(0)
+    start_u = draws.random()
+    u_state, u_emit = draws.random(n), draws.random(n)
+    hmm = Hmm(transition=rng.dirichlet(np.ones(n_states), n_states),
+              emission=rng.dirichlet(np.ones(2), n_states),
+              initial=np.full(n_states, 1.0 / n_states))
+    cells = [np.unique(np.cumsum(rows, axis=1)[:, :-1]).size + 1
+             for rows in (hmm.transition, hmm.emission)]
+    assert n_states * cells[0] * cells[1] > _GRAM_CELLS
+    start = min(int(np.searchsorted(np.cumsum(hmm.initial), start_u, side="right")),
+                n_states - 1)
+    want = oracles.sample_hmm_symbols(np.cumsum(hmm.transition, axis=1),
+                                      np.cumsum(hmm.emission, axis=1),
+                                      start, u_state, u_emit)
+    walks = []
+    walk_blocks = _kernels._walk_blocks
+
+    def recording(*args):
+        walks.append((args[0].shape[0], args[2]))
+        return walk_blocks(*args)
+
+    with mock.patch.object(_kernels, "_walk_blocks", recording):
+        assert np.array_equal(sample_hmm(hmm, n, seed=0).items, want)
+    assert walks == [(2 * n_states, 2 * n)]
 
 
 def test_rollout_matches_loop_past_a_chunk():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import count_substring_naive, read_sequence_before, read_sequence_tokens_before
+from oracles import (count_substring_naive, read_sequence_before, read_sequence_tokens_before,
+                     write_sequence_before)
 from phimp import (Alphabet, InputError, PairedSequence, PenaltyScheme,
                    SuffixSet, SymbolSequence, compile_suffix_map, countable_search,
                    default_grid, enumerate_closed_suffix_maps,
@@ -197,6 +198,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             data.items[0] = 1
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int32])
+    def test_items_never_alias_the_callers_array(self, dtype):
+        items = np.array([0, 1, 1], dtype=dtype)
+        data = SymbolSequence(Alphabet(2), items)
+        pairs = PairedSequence(Alphabet(2), Alphabet(2), items, items)
+        items[0] = 1
+        for got in (data.items, pairs.xs, pairs.ys):
+            assert got.dtype == np.int64 and got.tolist() == [0, 1, 1]
+            assert not np.shares_memory(got, items)
+
 
 def _integer_argument_calls(tmp_path):
     data = seq([0, 1, 1, 0, 1, 0])
@@ -324,6 +335,25 @@ class TestSequenceFiles:
         assert isinstance(back, PairedSequence)
         assert np.array_equal(back.xs, data.xs)
         assert np.array_equal(back.ys, data.ys)
+
+    @pytest.mark.parametrize("sizes", [(1,), (2,), (10,), (11,), (1001,), (3, 2), (12, 10), (1, 101)],
+                             ids=str)
+    def test_files_are_written_as_the_token_writer_wrote_them(self, tmp_path, monkeypatch, sizes):
+        # plain and paired data, one- to four-digit symbols, every line width
+        # from 1 past the length, and lengths around the block of tokens the
+        # writer formats at a time, here 64
+        monkeypatch.setattr(sequences, "_WRITE_BLOCK", 64)
+        rng = rng_stream(sum(sizes))
+        for n in (0, 1, 63, 64, 65, 300):
+            columns = [rng.integers(0, size, n) for size in sizes]
+            columns[0][:1] = sizes[0] - 1
+            data = (SymbolSequence(Alphabet(sizes[0]), columns[0]) if len(sizes) == 1 else
+                    PairedSequence(Alphabet(sizes[0]), Alphabet(sizes[1]), *columns))
+            for per_line in (*range(1, 12), 40, 63, 64, 65, n + 1):
+                write_sequence(tmp_path / "got.txt", data, per_line)
+                write_sequence_before(tmp_path / "want.txt", data, per_line)
+                assert ((tmp_path / "got.txt").read_bytes()
+                        == (tmp_path / "want.txt").read_bytes()), (n, per_line)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.txt"

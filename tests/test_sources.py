@@ -1,13 +1,15 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from oracles import (binary_entropy, block_bootstrap_se_gather,
                      cross_entropy_from_flows, first_zero_probability_step,
-                     forward_nll_steps_loop, limiting_parameters_from_flows,
+                     forward_nll_steps_before, forward_nll_steps_loop,
+                     limiting_parameters_from_flows,
                      product_chain_flows, xent_via_induced_hmm)
 from phimp import (Alphabet, FeatureMap, FsmxSource, Hmm, InputError,
                    ResourceError, SuffixSet, SymbolSequence, brute_force_loglik,
@@ -18,6 +20,7 @@ from phimp import (Alphabet, FeatureMap, FsmxSource, Hmm, InputError,
                    is_ergodic_chain, limiting_parameters, model_from_json,
                    model_to_json, read_model, sample_fsmx, sample_hmm,
                    stationary, substring_frequency, trivial_map, write_model)
+from phimp import _kernels
 from phimp._kernels import forward_nll_steps
 from phimp.sources import _block_bootstrap_se, _state_reduction, rng_stream
 
@@ -199,15 +202,44 @@ FORWARD_LENGTHS = (0, 1, 2, 3, 4, 5, 15, 16, 17, 99, 100, 101, 2303, 2304, 2305,
                    7, 211, 997, 2999)
 
 
+def forward_with_k(transition, emission, initial, symbols):
+    """``forward_nll_steps``' result and the gram length k it stepped with;
+    where k = 1 the result must be the blocked kernel's before grams, bit for
+    bit."""
+    used = []
+    gram_length = _kernels._gram_length
+
+    def recording(*args):
+        used.append(gram_length(*args))
+        return used[-1]
+
+    with mock.patch.object(_kernels, "_gram_length", recording):
+        got = forward_nll_steps(transition, emission, initial, symbols)
+    [k] = used
+    if k == 1:
+        assert np.array_equal(got, forward_nll_steps_before(transition, emission, initial, symbols))
+    return got, k
+
+
+def no_double_ones(rng, n):
+    """Binary data in which no 1 follows a 1."""
+    symbols = rng.integers(0, 2, n)
+    for t in range(1, n):
+        symbols[t] &= 1 - symbols[t - 1]
+    return symbols
+
+
 class TestBlockedForwardKernel:
     def test_matches_loop_oracle_on_degenerate_hmms(self):
         rng = rng_stream(2024)
         dead_cases = 0
+        lengths = set()
         for trial in range(400):
             transition, emission, initial, n_symbols = degenerate_hmm_arrays(rng)
             n = FORWARD_LENGTHS[trial % len(FORWARD_LENGTHS)]
             symbols = rng.integers(0, n_symbols, n)
-            got = forward_nll_steps(transition, emission, initial, symbols)
+            got, k = forward_with_k(transition, emission, initial, symbols)
+            lengths.add(k)
             want = forward_nll_steps_loop(transition, emission, initial, symbols)
             assert got.shape == (n,) and not np.isnan(got).any()
             stop = first_inf(want)
@@ -221,6 +253,8 @@ class TestBlockedForwardKernel:
                 total = want.sum()
                 assert abs(got.sum() - total) <= 1e-12 * max(1.0, abs(total))
         assert dead_cases >= 25
+        # both the symbol steps and gram steps of several lengths ran
+        assert 1 in lengths and len(lengths) > 5
 
     def test_start_row_far_below_the_others_stays_finite(self):
         # state 0 emits the data with probability 1e-20 a step and state 1
@@ -232,7 +266,7 @@ class TestBlockedForwardKernel:
         initial = np.array([1.0, 0.0])
         symbols = np.zeros(1024, dtype=np.int64)
         want = forward_nll_steps_loop(transition, emission, initial, symbols)
-        got = forward_nll_steps(transition, emission, initial, symbols)
+        got, _ = forward_with_k(transition, emission, initial, symbols)
         assert np.isfinite(want).all() and np.isfinite(got).all()
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -245,7 +279,7 @@ class TestBlockedForwardKernel:
         initial = np.array([0.5, 0.5])
         symbols = np.array([0, 0] + [1] * 14)
         want = forward_nll_steps_loop(transition, emission, initial, symbols)
-        got = forward_nll_steps(transition, emission, initial, symbols)
+        got, _ = forward_with_k(transition, emission, initial, symbols)
         assert first_zero_probability_step(transition, emission, initial, symbols) == 16
         assert first_inf(want) == first_inf(got) == 2
         assert np.isinf(got[2:]).all()
@@ -273,7 +307,7 @@ class TestBlockedForwardKernel:
         initial = np.array([0.5, 0.5])
         symbols = np.array([0, 0, 1, 1] + tail)
         want = forward_nll_steps_loop(transition, emission, initial, symbols)
-        got = forward_nll_steps(transition, emission, initial, symbols)
+        got, _ = forward_with_k(transition, emission, initial, symbols)
         assert np.array_equal(np.isinf(got), np.isinf(want))
         finite = np.isfinite(want)
         assert got[finite] == pytest.approx(want[finite], rel=1e-12)
@@ -288,8 +322,54 @@ class TestBlockedForwardKernel:
         initial = rng.dirichlet(np.ones(n_states))
         symbols = rng.integers(0, 3, 2000)
         want = forward_nll_steps_loop(transition, emission, initial, symbols)
-        got = forward_nll_steps(transition, emission, initial, symbols)
+        got, _ = forward_with_k(transition, emission, initial, symbols)
         assert np.isfinite(want).all()
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_gram_steps_match_the_loop_around_block_boundaries(self):
+        # an 8-state model like the active_icost estimate: each state emits
+        # one symbol, and no odd state reaches an odd state, so two 1s in a
+        # row have probability zero. Blocks of L = 8m - 1, 8m and 8m + 1
+        # steps hold grams of k = 8, then seven, no or one symbol step; the
+        # last block holds L, 1, k - 1, k or k + 1 steps
+        rng = rng_stream(26)
+        transition = rng.dirichlet(np.ones(8), 8)
+        transition[1::2, 1::2] = 0.0
+        transition /= transition.sum(axis=1, keepdims=True)
+        emission = np.eye(2)[np.arange(8) % 2]
+        initial = np.eye(8)[0]
+        for case, (length, tail) in enumerate(itertools.product(
+                (15, 16, 17, 39, 40, 41), (0, 1, 7, 8, 9))):
+            n = length * length + tail
+            symbols = no_double_ones(rng, n)
+            # every other case dies at a step next to a gram or block edge
+            death = None
+            if case % 2:
+                death = [length - 1, length, length + 1, 8 * length - 8, 8 * length + 9,
+                         n - tail - 1, n - 1][case // 2 % 7]
+                symbols[death - 2:death + 1] = [0, 1, 1]
+            want = forward_nll_steps_loop(transition, emission, initial, symbols)
+            got, k = forward_with_k(transition, emission, initial, symbols)
+            assert k == 8
+            assert first_inf(want) == (n if death is None else death)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            finite = np.isfinite(want)
+            assert got[finite] == pytest.approx(want[finite], rel=1e-12)
+
+    def test_alpha_near_underflow_steps_by_symbols(self):
+        # state 1 starts at 1e-300 of state 0 and falls by 2e-4 a step, to a
+        # subnormal after three steps; only it can emit symbol 2, so step 4's
+        # loss carries the loop's subnormal rounding. Block 0 starts from this
+        # alpha in both sweeps, so no guess check catches a composed product's
+        # other rounding (off by 3e-7 relative): its gram steps must be
+        # symbol steps
+        transition = np.eye(2)
+        emission = np.array([[0.5, 0.5, 0.0], [1e-4, 0.4999, 0.5]])
+        initial = np.array([1.0, 1e-300])
+        symbols = np.concatenate([[0] * 4, [2], rng_stream(27).integers(0, 2, 395)])
+        want = forward_nll_steps_loop(transition, emission, initial, symbols)
+        got, k = forward_with_k(transition, emission, initial, symbols)
+        assert k > 1 and np.isfinite(want).all()
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n_states,n,bound", [
@@ -591,6 +671,20 @@ class TestOneLawPerModel:
                 got = cross_entropy_mc(source, model, n, seed=k)
                 want = xent_via_induced_hmm(source, model, "mc", n, seed=k)
                 assert (got.value, got.std_error) == (want.value, want.std_error)
+
+    def test_suffix_models_score_as_their_induced_hmm_by_gram_steps(self, reference_source):
+        # the forward steps the induced HMM's point-mass alphas k symbols at a
+        # time, so its per-step losses are the path's factors up to rounding,
+        # at every length the test above checks
+        models = random_suffix_models(reference_source)
+        assert len(models) >= 60
+        for k, (source, model) in enumerate(models):
+            chain = induced_hmm(model)
+            for n in (1000, 4099, 100_000):
+                got = cross_entropy_mc(source, chain, n, seed=k)
+                want = cross_entropy_mc(source, model, n, seed=k)
+                assert got.value == pytest.approx(want.value, rel=1e-12)
+                assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
 
     def test_parity_model_scored_by_its_own_law(self, reference_source):
         flows, _ = product_chain_flows(
