@@ -3,9 +3,10 @@
 All kernels take plain int64/float64 arrays or lists of rows; wrapping,
 validation and RNG live in the calling modules.
 
-A state walk is a block walk (``_walk_blocks``): one Python step per block
-of L symbols through a table of every L-gram's composed step, then L - 1
-vector gathers fill in the states inside the blocks, a chunk at a time.
+A state walk is a block walk: one Python step per block of L symbols
+through a table of every L-gram's composed step (``_block_starts``), then
+L - 1 vector gathers fill in the states inside the blocks, a chunk at a time
+(``_walk_blocks``).
 
 Every sampler is one walk, ``sample_walk``, one event a step. An event is
 one draw a phase (the symbol; the hidden state then the symbol; the action
@@ -16,11 +17,17 @@ event symbol, the event symbols are block-walked over the first phase's
 states, and each draw is read from a (state, event symbol) table, so the
 draws equal a binary search per draw. A seed fixes every draw.
 
-Counting has two forms with identical integer results: ``count_path`` counts
-along the walked state path, and ``count_table`` folds a bounded-memory map's
-steps from the counts of the data's (L-gram, next symbol, emitted symbol)
+Counting forms no state path. A step is a pair (state, drive symbol a); it
+enters the state the step table names and emits a mod |emit|
+(``pair_steps``). ``count_pairs`` counts how often any map's walk makes each
+pair from the block walk's cells, (L-gram, state the block starts in): one
+bincount a chunk, then each cell that occurs is folded through its L steps
+(where L = 1, every symbol is stepped by hand); ``step_counts`` turns the
+pair counts into transitions and emissions.
+``count_table`` counts a bounded-memory map from the data's (span + 1)-gram
 cells, which ``cell_counts`` takes once for every prefix length asked for and
-``cell_index`` maps to one map's transitions and emissions.
+``cell_index`` maps to the step that each cell's last symbol makes. Both
+folds step grams through ``_gram_pairs``.
 
 The forward recursion steps about sqrt(n) blocks of sqrt(n) symbols in
 lockstep, in two sweeps: one guesses each block's start by stepping the block
@@ -73,36 +80,51 @@ def _gram_steps(step_table, length):
     return grams.ravel().tolist()
 
 
+def _block_starts(step_table, start, n, symbols_at):
+    # the block walk's one Python loop: walks n symbols, read a chunk at a time
+    # as symbols_at(lo, hi), one step per block of L symbols through the
+    # L-gram table, and yields (lo, symbols, blocks, keys, starts) per chunk:
+    # blocks views the chunk's full blocks as rows, keys[b] is block b's
+    # L-gram code times S, and starts[b] the state block b starts in, a list
+    # that ends with the state after the last full block. The last n mod L
+    # symbols are the caller's to step.
+    n_states, n_symbols = step_table.shape
+    length = _block_length(n_symbols, n_states, n)
+    grams = _gram_steps(step_table, length)
+    weights = n_symbols ** np.arange(length - 1, -1, -1) * n_states
+    chunk = _CHUNK // length * length
+    s = start
+    for lo in range(0, n, chunk):
+        symbols = symbols_at(lo, min(lo + chunk, n))
+        blocks = symbols[:symbols.shape[0] // length * length].reshape(-1, length)
+        keys = blocks @ weights
+        starts = [s]
+        append = starts.append
+        for key in keys.tolist():
+            s = grams[key + s]
+            append(s)
+        yield lo, symbols, blocks, keys, starts
+
+
 def _walk_blocks(step_table, start, n, symbols_at):
     # walks n symbols, read a chunk at a time as symbols_at(lo, hi), and
     # yields (lo, symbols, path) per chunk with path[t] the state before
     # symbols[t] and path[-1] the state after the chunk; path is reused.
-    # Each block of L symbols is one Python step through the L-gram table,
-    # then L - 1 gathers over the chunk's blocks fill in the states inside;
-    # the last n mod L symbols are stepped one by one.
-    n_states, n_symbols = step_table.shape
-    length = _block_length(n_symbols, n_states, n)
-    grams = _gram_steps(step_table, length)
+    # Each block's start comes from _block_starts, then L - 1 gathers over
+    # the chunk's blocks fill in the states inside; the last n mod L symbols
+    # are stepped one by one.
+    n_symbols = step_table.shape[1]
     steps = step_table.ravel()
-    weights = n_symbols ** np.arange(length - 1, -1, -1) * n_states
-    chunk = _CHUNK // length * length
-    buffer = np.empty(chunk + 1, dtype=np.int64)
-    s = start
-    for lo in range(0, n, chunk):
-        symbols = symbols_at(lo, min(lo + chunk, n))
+    buffer = np.empty(_CHUNK + 1, dtype=np.int64)
+    for lo, symbols, blocks, _, starts in _block_starts(step_table, start, n, symbols_at):
         path = buffer[:symbols.shape[0] + 1]
-        full = symbols.shape[0] // length
-        blocks = symbols[:full * length].reshape(full, length)
-        starts = [s]
-        append = starts.append
-        for key in (blocks @ weights).tolist():
-            s = grams[key + s]
-            append(s)
-        path[:full * length + 1:length] = starts
-        inner = path[:full * length].reshape(full, length)
+        full, length = blocks.shape
+        path[:blocks.size + 1:length] = starts
+        inner = path[:blocks.size].reshape(full, length)
         for j in range(1, length):
             inner[:, j] = steps.take(inner[:, j - 1] * n_symbols + blocks[:, j - 1])
-        for t in range(full * length, symbols.shape[0]):
+        s = starts[-1]
+        for t in range(blocks.size, symbols.shape[0]):
             s = int(steps[s * n_symbols + symbols[t]])
             path[t + 1] = s
         yield lo, symbols, path
@@ -119,14 +141,74 @@ def walk_states(step_table, start, symbols):
     return states
 
 
-def count_path(step_table, start, drive, emit, n_states, n_emit):
-    # transition counts over consecutive states, emission counts over the
-    # state entered at t paired with emit[t]; drive and emit have equal length
-    states = walk_states(step_table, start, drive)
-    trans = np.bincount(states[:-1] * n_states + states[1:],
-                        minlength=n_states * n_states)
-    emis = np.bincount(states[1:] * n_emit + emit, minlength=n_states * n_emit)
-    return trans.reshape(n_states, n_states), emis.reshape(n_states, n_emit)
+def _gram_pairs(step_table, states, grams, length):
+    # yields, for each of the `length` steps that every state takes through
+    # its gram's symbols (codes, oldest symbol most significant), the pair
+    # index state * |A| + symbol of that step, which indexes the next state in
+    # the raveled step table
+    n_symbols = step_table.shape[1]
+    index = states * n_symbols + grams // n_symbols ** (length - 1) % n_symbols
+    yield index
+    for j in range(length - 2, -1, -1):
+        index = step_table.take(index) * n_symbols + grams // n_symbols ** j % n_symbols
+        yield index
+
+
+def count_pairs(step_table, start, drive):
+    # how often the walk of drive from start steps from each state on each
+    # symbol, pair index state * |A| + symbol. Each block's cell, its L-gram
+    # and the state it starts in, is counted by one bincount a chunk, then L
+    # weighted bincounts over the cells that occur fold the cells into pairs;
+    # at most n / L cells occur, so the fold takes at most n gathers. The last
+    # n mod L symbols are stepped one by one, and so is every symbol where
+    # L = 1, since a block of one symbol saves no Python step.
+    n_states, n_symbols = step_table.shape
+    n = drive.shape[0]
+    length = _block_length(n_symbols, n_states, n)
+    pairs = np.zeros(step_table.size)
+    s, blocked = start, 0
+    if length > 1:
+        counts = np.zeros(n_symbols ** length * n_states, dtype=np.int64)
+        for _, _, _, keys, starts in _block_starts(step_table, start, n,
+                                                   lambda lo, hi: drive[lo:hi]):
+            # each block's cell: its L-gram code * S + the state it starts in
+            keys += np.array(starts[:-1], dtype=np.int64)
+            counts += np.bincount(keys, minlength=counts.size)
+            s = starts[-1]
+        used = np.flatnonzero(counts)
+        grams, states = np.divmod(used, n_states)
+        weights = counts[used]
+        for index in _gram_pairs(step_table, states, grams, length):
+            pairs += np.bincount(index, weights=weights, minlength=pairs.size)
+        blocked = n - n % length
+    rows = step_table.tolist()
+    stepped = [0] * step_table.size
+    for symbol in drive[blocked:].tolist():
+        stepped[s * n_symbols + symbol] += 1
+        s = rows[s][symbol]
+    return (pairs + stepped).astype(np.int64)
+
+
+def pair_steps(step_table, pairs, n_emit):
+    # the transition (s * S + next) and emission (next * n_emit + emitted)
+    # indices of the steps with pair index `pairs` (s * |A| + a): such a step
+    # enters step_table[s, a] and emits a mod n_emit, which is the drive
+    # symbol itself on plain data and under the joint criteria, and y on pairs
+    # driven by x * |Y| + y
+    n_states, n_drive = step_table.shape
+    nxt = step_table.take(pairs)
+    return pairs // n_drive * n_states + nxt, nxt * n_emit + pairs % n_drive % n_emit
+
+
+def step_counts(step_table, pairs, n_emit):
+    # the (S, S) transition and (S, n_emit) emission counts of the steps that
+    # `pairs` counts, one count a pair index
+    n_states = step_table.shape[0]
+    trans, emis = pair_steps(step_table, np.arange(step_table.size), n_emit)
+    return (np.bincount(trans, weights=pairs, minlength=n_states * n_states)
+            .astype(np.int64).reshape(n_states, n_states),
+            np.bincount(emis, weights=pairs, minlength=n_states * n_emit)
+            .astype(np.int64).reshape(n_states, n_emit))
 
 
 def gram_codes(symbols, m, base):
@@ -141,15 +223,13 @@ def gram_codes(symbols, m, base):
     return codes
 
 
-def cell_counts(drive, emit, n_drive, n_emit, span, ends):
-    # the cells (span-gram, next drive symbol, emitted symbol) that the steps
-    # after the first `span` fall in, and how many of the first n steps fell
-    # in each, for every n in `ends` (increasing, each past span): one
+def cell_counts(drive, n_drive, span, ends):
+    # the cells ((span + 1)-gram ending at the step's drive symbol) that the
+    # steps after the first `span` fall in, and how many of the first n steps
+    # fell in each, for every n in `ends` (increasing, each past span): one
     # bincount a stretch between two ends, cumulated
-    size = n_drive ** (span + 1) * n_emit
+    size = n_drive ** (span + 1)
     cells = gram_codes(drive[:ends[-1]], span + 1, n_drive)
-    cells *= n_emit
-    cells += emit[span:ends[-1]]
     used = np.flatnonzero(np.bincount(cells, minlength=size))
     counts = np.zeros(used.size, dtype=np.int64)
     cumulative = []
@@ -159,24 +239,18 @@ def cell_counts(drive, emit, n_drive, n_emit, span, ends):
     return used, cumulative
 
 
-def cell_index(step_table, cells, n_drive, n_emit, span):
+def cell_index(step_table, cells, n_emit, span):
     # for a map whose state after any `span` symbols depends only on them, the
-    # transition (prev * S + next) and the emission (next * n_emit + emitted)
-    # that a step in each cell makes
-    n_states = step_table.shape[0]
-    grams, symbol = np.divmod(cells // n_emit, n_drive)
-    # the state a gram leads to from any state, here from state 0
-    prev = np.zeros(cells.size, dtype=np.int64)
-    for j in range(span - 1, -1, -1):
-        prev = step_table[prev, grams // n_drive ** j % n_drive]
-    nxt = step_table[prev, symbol]
-    return prev * n_states + nxt, nxt * n_emit + cells % n_emit
+    # transition and emission indices of the step that each cell's last symbol
+    # makes: its gram walked from any state, here from state 0
+    *_, pairs = _gram_pairs(step_table, np.zeros(cells.size, dtype=np.int64), cells, span + 1)
+    return pair_steps(step_table, pairs, n_emit)
 
 
 def count_table(head, index, counts):
-    # count_path's counts, as the (transition, emission) counts `head` of the
-    # steps walked plus each cell's count `counts` added where `index` maps
-    # it; the float sums of integer counts are exact below 2**53
+    # step_counts' counts, as the (transition, emission) counts `head` of the
+    # steps counted from the start plus each cell's count `counts` added where
+    # `index` maps it; the float sums of integer counts are exact below 2**53
     return tuple(h + np.bincount(i, weights=counts, minlength=h.size)
                  .astype(np.int64).reshape(h.shape) for h, i in zip(head, index))
 

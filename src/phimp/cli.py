@@ -372,7 +372,10 @@ def _add_pen_criterion(parser):
                         help="additive smoothing for cross-evaluation")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once a process; parsing leaves it as it
+    was, so every call of ``main`` shares it."""
     parser = argparse.ArgumentParser(
         prog="phimp",
         description="Select compact finite-state representations for sequence "

@@ -24,16 +24,19 @@ criterion codes. ``score_map`` is the only function that scores a map, and
 criterion.
 
 Counts come from one of two forms with identical integers, so every total is
-the same either way. A map with memory bound kappa (``memory_bound``) is in a
-state after any L >= kappa + 1 symbols that those symbols alone fix, so its
-steps after the first L are folded from the counts of the data's (L-gram,
-next drive symbol, emitted symbol) cells; the first L steps are walked from
-the start state. One ``_ContextTable`` holds those cell counts for every
-candidate of a call and every prefix length it scores: L is the largest
-kappa + 1 among the maps whose own table has at most ``_TABLE_CELLS`` cells
-(|drive|^(kappa+2) * |emit|), so the shared table has at most that many too.
-Each of those maps is folded at L; maps without bounded memory, larger ones
-and prefixes of n <= L keep the symbol-by-symbol walk.
+the same either way. Both count how often the map steps from each state on
+each drive symbol; such a step emits the drive symbol mod |emit|, which is
+the symbol itself on plain data and under ``cost`` and ``ml``, and y on pairs
+under ``icost`` and ``ocost``. A map with memory bound kappa
+(``memory_bound``) is in a state after any L >= kappa + 1 symbols that those
+symbols alone fix, so its steps after the first L are folded from the counts
+of the data's (L + 1)-gram cells; the first L steps are counted from the start
+state. One ``_ContextTable`` holds those cell counts for every candidate of a
+call and every prefix length it scores: L is the largest kappa + 1 among the
+maps with |drive|^(kappa+2) * |emit| <= ``_TABLE_CELLS``, so the shared table
+has at most that many cells. Each of those maps is folded at L; maps without
+bounded memory, larger ones and prefixes of n <= L are counted from the block
+walk's cells (``_kernels.count_pairs``), which forms no state path.
 """
 
 from __future__ import annotations
@@ -186,9 +189,10 @@ class _ContextTable:
 
     The cell counts at span ``span`` are taken once, over the first n symbols
     for every n in ``ends`` (increasing; by default the whole data), and each
-    map that fits is folded from them; ``counts`` walks every other map and
-    prefix length. A map's walked head and its cell index are worked out the
-    first time it is folded.
+    map that fits is folded from them; ``counts`` counts every other map and
+    prefix length from the block walk's cells. A map's head (its first
+    ``span`` steps) and its cell index are worked out the first time it is
+    folded.
     """
 
     def __init__(self, maps: list[FeatureMap], data, criterion: str, ends=None):
@@ -198,7 +202,6 @@ class _ContextTable:
             _check_reads(fmap, read, paired)
         self.data = data
         self.criterion = criterion
-        self.read = read
         # the maps whose own table fits, each folded at the widest of their spans
         spans = {fmap: bound.kappa + 1 for fmap, bound in zip(maps, map(memory_bound, maps))
                  if bound.bounded and read ** (bound.kappa + 2) * self.n_emit <= _TABLE_CELLS}
@@ -208,8 +211,8 @@ class _ContextTable:
         # the cells that occur, and their counts at each end
         self._cells, self._counts = None, {}
         if spans and ends:
-            self._cells, counts = _kernels.cell_counts(*self._symbols(ends[-1]), read,
-                                                       self.n_emit, self.span, ends)
+            self._cells, counts = _kernels.cell_counts(self._drive(ends[-1]), read,
+                                                       self.span, ends)
             self._counts = dict(zip(ends, counts))
 
     def counts(self, fmap: FeatureMap, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,24 +221,23 @@ class _ContextTable:
             if self._folds[fmap] is None:
                 head = self._walk(fmap, self.span)
                 self._folds[fmap] = head, _kernels.cell_index(
-                    fmap.step_table, self._cells, fmap.alphabet_size, self.n_emit, self.span)
+                    fmap.step_table, self._cells, self.n_emit, self.span)
             return _kernels.count_table(*self._folds[fmap], self._counts[n])
         return self._walk(fmap, n)
 
-    def _symbols(self, n):
-        # the first n drive and emitted symbols, formed per call so that no
-        # joint array outlives its count
+    def _drive(self, n):
+        # the first n drive symbols, formed per call so that no joint array
+        # outlives its count
         data = self.data
         if not isinstance(data, PairedSequence):
-            return data.items[:n], data.items[:n]
+            return data.items[:n]
         # the joint symbols fit in int64, since a map's table has that many
         # columns; with |X| = 1 the joint symbol is y itself
-        drive = data.xs[:n] * data.y_alphabet.size + data.ys[:n]
-        return drive, drive if self.n_emit == self.read else data.ys[:n]
+        return data.xs[:n] * data.y_alphabet.size + data.ys[:n]
 
     def _walk(self, fmap, n):
-        return _kernels.count_path(fmap.step_table, fmap.start_state, *self._symbols(n),
-                                   fmap.state_count, self.n_emit)
+        pairs = _kernels.count_pairs(fmap.step_table, fmap.start_state, self._drive(n))
+        return _kernels.step_counts(fmap.step_table, pairs, self.n_emit)
 
     def score(self, fmap: FeatureMap, n: int, scheme: PenaltyScheme | None,
               smoothing: float) -> CostBreakdown:

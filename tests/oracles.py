@@ -15,6 +15,7 @@ from unittest import mock
 import numpy as np
 
 from phimp import _kernels
+from phimp._kernels import walk_states
 from phimp.errors import InputError
 from phimp.estimation import (CRITERIA, CostBreakdown, EmpiricalHmm, PenaltyScheme,
                               _check_smoothing, _estimate_from_counts, counts_nll)
@@ -659,6 +660,22 @@ def estimate_before(fmap: FeatureMap, data: SymbolSequence | PairedSequence,
     return _estimate_from_counts(trans, emis, len(data), smoothing)
 
 
+# How a map's steps were counted along its walked state path before they
+# were counted from the block walk's cells: ``count_path`` (once
+# ``_kernels.count_path``) walks every state, then takes two bincounts over n.
+# Kept as written, so the cell count can be compared with it exactly.
+
+
+def count_path(step_table, start, drive, emit, n_states, n_emit):
+    # transition counts over consecutive states, emission counts over the
+    # state entered at t paired with emit[t]; drive and emit have equal length
+    states = walk_states(step_table, start, drive)
+    trans = np.bincount(states[:-1] * n_states + states[1:],
+                        minlength=n_states * n_states)
+    emis = np.bincount(states[1:] * n_emit + emit, minlength=n_states * n_emit)
+    return trans.reshape(n_states, n_states), emis.reshape(n_states, n_emit)
+
+
 # How every candidate and every prefix was counted before one context-count
 # table served a whole call: ``count_before`` (once ``estimation._count``)
 # chose per call between the walk and a table of its own, which
@@ -683,8 +700,8 @@ def count_before(fmap: FeatureMap, drive: np.ndarray, emit: np.ndarray,
                 and fmap.alphabet_size ** (span + 1) * n_emit <= _TABLE_CELLS):
             return count_table_before(fmap.step_table, fmap.start_state, drive,
                                       emit, fmap.state_count, n_emit, span)
-    return _kernels.count_path(fmap.step_table, fmap.start_state, drive, emit,
-                               fmap.state_count, n_emit)
+    return count_path(fmap.step_table, fmap.start_state, drive, emit,
+                      fmap.state_count, n_emit)
 
 
 def count_table_before(step_table, start, drive, emit, n_states, n_emit, span):
@@ -692,8 +709,8 @@ def count_table_before(step_table, start, drive, emit, n_states, n_emit, span):
     # depends only on them, with len(drive) > span: the first `span` steps
     # are walked, every later step is a cell (span-gram before it, its drive
     # symbol, its emit symbol) of one bincount, folded through the map
-    trans, emis = _kernels.count_path(step_table, start, drive[:span], emit[:span],
-                                      n_states, n_emit)
+    trans, emis = count_path(step_table, start, drive[:span], emit[:span],
+                             n_states, n_emit)
     n_drive = step_table.shape[1]
     cells = _kernels.gram_codes(drive, span + 1, n_drive) * n_emit + emit[span:]
     table = np.bincount(cells)

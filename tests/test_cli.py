@@ -19,7 +19,7 @@ from phimp import (Alphabet, Environment, PairedSequence, PenaltyScheme, SuffixS
                    compile_suffix_map, embed_reward_map, read_maps, select,
                    with_baseline, write_environment, write_maps, write_model,
                    write_sequence)
-from phimp.cli import _score_record, main
+from phimp.cli import _score_record, build_parser, main
 
 
 @pytest.fixture()
@@ -291,6 +291,43 @@ class TestDeterminism:
                 workdir / "data_a.txt", "--out", workdir / f"scores_{suffix}.jsonl")
         assert nontimestamp_bytes(workdir / "scores_a.jsonl") == \
             nontimestamp_bytes(workdir / "scores_b.jsonl")
+
+    def test_calls_in_one_process_match_fresh_parsers(self, workdir, capsys):
+        # one parser serves every call of a process; each call, a parse error
+        # (exit 2) and an InputError (exit 2) among them, must end as it does
+        # on a parser of its own
+        maps, data = workdir / "maps.json", workdir / "seq.txt"
+        calls = [
+            (["maps", "enumerate", "--alphabet", 2, "--max-depth", 2, "--out", maps], maps),
+            (["sample", "--source", workdir / "source.json", "--n", 500, "--seed", 3,
+              "--out", data], data),
+            (["select", "--maps", maps, "--seq", data, "--no-such-option"], None),
+            (["select", "--maps", maps, "--seq", data, "--out", workdir / "select.json"],
+             workdir / "select.json"),
+            (["sample", "--source", workdir / "source.json", "--n", 10, "--seed", -1,
+              "--out", workdir / "refused.txt"], None),
+            (["score", "--maps", maps, "--seq", data, "--criterion", "ml",
+              "--out", workdir / "score.jsonl"], workdir / "score.jsonl"),
+            (["maps", "check", maps], None),
+        ]
+
+        def outcome(argv, out):
+            try:
+                code = run(*argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, out and nontimestamp_bytes(out)
+
+        fresh = []
+        for argv, out in calls:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv, out))
+        assert [code for code, *_ in fresh] == [0, 0, 2, 0, 2, 0, 0]
+        build_parser.cache_clear()
+        shared = [outcome(argv, out) for argv, out in calls]
+        assert shared == fresh
+        assert build_parser.cache_info().misses == 1
 
 
 class TestDiagnose:

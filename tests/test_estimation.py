@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hand_counts, path_product_nll, path_sum_likelihood
+from oracles import count_path, hand_counts, path_product_nll, path_sum_likelihood
 from phimp import (Alphabet, FeatureMap, InputError, PairedSequence,
                    PenaltyScheme, SuffixSet, SymbolSequence, compile_suffix_map,
                    cost, enumerate_closed_suffix_maps, estimate, estimate_paired,
@@ -515,3 +516,66 @@ class TestContextTable:
                         folded = fmap in fitting and n in table_ends
                         assert table.call_count == calls + folded
             assert shared.span == (span if cells else 0)
+
+
+class TestCellCount:
+    """Maps the context-count table does not serve are counted from the block
+    walk's cells; the counts equal those along the walked state path
+    (``oracles.count_path``) with ==, and no state path is formed."""
+
+    @staticmethod
+    def maps(rng):
+        """The counters of 1s mod 2 and mod 3, and random tables of 3 x 4,
+        9 x 19 and 40 x 3 (states x symbols); no block of two symbols fits
+        the gram table of 60 x 20, so its every symbol is stepped by hand."""
+        tables = [np.array([[s, (s + 1) % k] for s in range(k)]) for k in (2, 3)]
+        tables += [rng.integers(0, n_states, (n_states, n_symbols))
+                   for n_states, n_symbols in ((3, 4), (9, 19), (40, 3), (60, 20))]
+        return tables
+
+    @staticmethod
+    def lengths(n_states, n_symbols):
+        """1, L - 1, L, L + 1, the chunk boundary +-1 and 2e5 + 3, for the
+        block length L of a walk long enough to fill the gram table."""
+        length = _kernels._block_length(n_symbols, n_states, _kernels._GRAM_CELLS)
+        chunk = _kernels._CHUNK // length * length
+        return sorted({1, max(length - 1, 1), length, length + 1,
+                       chunk - 1, chunk, chunk + 1, 200_003})
+
+    def test_counts_equal_the_state_path(self):
+        rng = rng_stream(44)
+        for table in self.maps(rng):
+            n_states, n_symbols = table.shape
+            pairs = divisor_pairs(n_symbols)
+            for i, n in enumerate(self.lengths(n_states, n_symbols)):
+                fmap = general_fsm(table, start=(i + 1) % n_states)
+                plain = SymbolSequence(Alphabet(n_symbols), rng.integers(0, n_symbols, n))
+                paired = random_paired(rng, n, *pairs[i % len(pairs)])
+                drive = paired.joint_sequence().items
+                cases = [(plain, "cost", plain.items, plain.items, n_symbols)]
+                cases += [(paired, criterion, drive, drive, n_symbols) for criterion in ("cost", "ml")]
+                cases += [(paired, criterion, drive, paired.ys, paired.y_alphabet.size)
+                          for criterion in ("icost", "ocost")]
+                for data, criterion, drive_items, emit, n_emit in cases:
+                    with mock.patch.object(estimation, "_TABLE_CELLS", 0):
+                        got = estimation._ContextTable([fmap], data, criterion).counts(fmap, n)
+                    want = count_path(table, fmap.start_state, drive_items, emit, n_states, n_emit)
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_counting_forms_no_state_path(self):
+        # the walked path alone would be n + 1 int64 states
+        rng = rng_stream(45)
+        n = 200_000
+        data = seq(rng.integers(0, 2, n))
+        fmap = general_fsm([[0, 1], [1, 2], [2, 0]])
+        assert not memory_bound(fmap).bounded
+        with mock.patch.object(_kernels, "walk_states", side_effect=AssertionError):
+            tracemalloc.start()
+            try:
+                got = estimation._ContextTable([fmap], data, "cost").counts(fmap, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < n * 8
+        want = count_path(fmap.step_table, 0, data.items, data.items, 3, 2)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -14,8 +14,8 @@ import oracles
 from phimp import (Environment, FeatureMap, FsmxSource, Hmm, Policy,
                    policy_induced_chain, rollout, sample_fsmx, sample_hmm)
 from phimp import _kernels
-from phimp._kernels import (_CHUNK, _GRAM_CELLS, _block_length, count_path,
-                            sample_walk, walk_states)
+from phimp._kernels import (_CHUNK, _GRAM_CELLS, _block_length, count_pairs,
+                            sample_walk, step_counts, walk_states)
 from phimp.sources import rng_stream
 
 LENGTHS = (1, 2, 3, 17, 300, 3000)
@@ -226,7 +226,7 @@ def test_feature_map_walk_and_counts_match_loop_past_a_chunk():
     symbols = rng.integers(0, 3, 40_000)
     states = oracles.walk_states_before(fmap.step_table, 2, symbols)
     assert np.array_equal(fmap.walk(symbols), states)
-    trans, emis = count_path(fmap.step_table, 2, symbols, symbols, 5, 3)
+    trans, emis = step_counts(fmap.step_table, count_pairs(fmap.step_table, 2, symbols), 3)
     want_trans = np.zeros((5, 5), dtype=np.int64)
     np.add.at(want_trans, (states[:-1], states[1:]), 1)
     want_emis = np.zeros((5, 3), dtype=np.int64)
