@@ -23,9 +23,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .estimation import PenaltyScheme, _alphabets
+from .estimation import PenaltyScheme
 from .fmaps import FeatureMap, load_fsm_map, memory_bound
-from .selection import SelectionResult, select, with_baseline
+from .selection import SelectionResult, _sized, select
 from .sequences import (Alphabet, PairedSequence, _fields, _number_table,
                         _read_json, _write_json)
 from .sources import _check_length, _check_stochastic, rng_stream
@@ -167,7 +167,7 @@ def active_select(events: Rollout | PairedSequence, maps: list[FeatureMap],
     result is identical to scoring that paired sequence directly.
     """
     paired = events.to_paired() if isinstance(events, Rollout) else events
-    candidates = with_baseline(maps, _alphabets(paired, criterion)[0], include_baseline)
+    candidates, _ = _sized(maps, paired, criterion, include_baseline)
     return select(candidates, paired, criterion, scheme, smoothing)
 
 

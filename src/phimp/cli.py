@@ -18,13 +18,12 @@ from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .active import (Policy, active_select, environment_from_json,
-                     read_environment, rollout)
+from .active import Policy, environment_from_json, read_environment, rollout
 from .errors import InputError, ResourceError
-from .estimation import CRITERIA, PenaltyScheme, _alphabets
+from .estimation import CRITERIA, PenaltyScheme
 from .fmaps import (_suffix_text, enumerate_closed_suffix_maps, maps_from_json,
                     memory_bound, read_maps, write_maps)
-from .selection import _check_run, consistency_run, select, with_baseline
+from .selection import _check_run, _sized, _trajectory, select
 from .sequences import (Alphabet, PairedSequence, _fields, _read_json, _read_text,
                         _write_json, ergodicity_diagnostic, read_sequence,
                         write_sequence)
@@ -112,8 +111,8 @@ def _cmd_maps_check(args) -> int:
 
 def _cmd_score(args) -> int:
     data = read_sequence(args.seq)
-    maps = read_maps(args.maps)
-    scheme = PenaltyScheme.from_string(args.pen, _alphabets(data, args.criterion)[1])
+    maps, scheme = _sized(read_maps(args.maps), data, args.criterion,
+                          include_baseline=False, pen=args.pen)
     result = select(maps, data, args.criterion, scheme, args.smoothing)
     rows = [_score_row(b) for b in result.costs]
     _write_lines(args.out, rows)
@@ -124,11 +123,9 @@ def _cmd_score(args) -> int:
 
 def _cmd_select(args) -> int:
     data = read_sequence(args.seq)
-    maps = read_maps(args.maps)
-    read, coded = _alphabets(data, args.criterion)
-    candidates = with_baseline(maps, read, include_baseline=not args.no_baseline)
-    scheme = PenaltyScheme.from_string(args.pen, coded)
-    result = select(candidates, data, args.criterion, scheme, args.smoothing)
+    maps, scheme = _sized(read_maps(args.maps), data, args.criterion, not args.no_baseline,
+                          args.pen)
+    result = select(maps, data, args.criterion, scheme, args.smoothing)
     chosen = result.total_of(result.chosen_map_id)
     if args.out:
         _write_json(args.out, {
@@ -167,7 +164,8 @@ def _cmd_xent(args) -> int:
 
 def _experiment(path: Path):
     """The consistency run a config describes, checked whole before any
-    sampling: a function of a list of seeds, and the config's seeds.
+    sampling: a function of one seed that returns its trajectory, and the
+    config's seeds.
 
     ``experiment`` runs it and ``diagnose --check-file`` passes it, so a
     config passes the check exactly when the run would start sampling.
@@ -199,9 +197,8 @@ def _experiment(path: Path):
     candidates, n_grid, seeds = _check_run(source, maps, config["criterion"],
                                            config["n_grid"], config["seeds"],
                                            include_baseline, smoothing)
-    return functools.partial(consistency_run, source, candidates, config["criterion"],
-                             scheme, n_grid, include_baseline=False,
-                             smoothing=smoothing), seeds
+    return functools.partial(_trajectory, source, candidates, config["criterion"], scheme,
+                             n_grid, smoothing), seeds
 
 
 def _trajectory_rows(trajectory) -> list[str]:
@@ -219,15 +216,13 @@ def _cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     run, seeds = _experiment(Path(args.config))
-    # one run per seed, serially or one seed per worker
-    seeds = [[seed] for seed in seeds]
+    # one trajectory per seed, serially or one seed per worker
     if args.jobs > 1:
         # a fork-started pool forks all its workers at once; a seed needs one
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds))) as pool:
-            runs = list(pool.map(run, seeds))
+            trajectories = list(pool.map(run, seeds))
     else:
-        runs = list(map(run, seeds))
-    trajectories = [trajectory for [trajectory] in runs]
+        trajectories = list(map(run, seeds))
 
     rows = [TRAJECTORY_HEADER]
     for trajectory in trajectories:
@@ -249,11 +244,9 @@ def _cmd_active(args) -> int:
     else:
         policy = Policy(_read_json(args.policy, "policy"))
     paired = rollout(env, policy, args.n, args.seed).to_paired()
-    maps = read_maps(args.maps)
-    scheme = PenaltyScheme.from_string(args.pen, _alphabets(paired, args.criterion)[1])
-    result = active_select(paired, maps, scheme, criterion=args.criterion,
-                           include_baseline=not args.no_baseline,
-                           smoothing=args.smoothing)
+    maps, scheme = _sized(read_maps(args.maps), paired, args.criterion, not args.no_baseline,
+                          args.pen)
+    result = select(maps, paired, args.criterion, scheme, args.smoothing)
     if args.out:
         _write_lines(args.out, [_score_row(b) for b in result.costs])
     print(f"active: rolled out {args.n} events (seed {args.seed}); "

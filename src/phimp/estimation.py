@@ -36,7 +36,10 @@ call and every prefix length it scores: L is the largest kappa + 1 among the
 maps with |drive|^(kappa+2) * |emit| <= ``_TABLE_CELLS``, so the shared table
 has at most that many cells. Each of those maps is folded at L; maps without
 bounded memory, larger ones and prefixes of n <= L are counted from the block
-walk's cells (``_kernels.count_pairs``), which forms no state path.
+walk's cells (``_kernels.count_pairs``), which forms no state path. The
+context-count table has the block walk's budget, 2^14 cells
+(``_kernels._GRAM_CELLS``): past it a fold is no faster than counting from
+the block walk's cells, so binary ``cost`` folds spans up to 12.
 """
 
 from __future__ import annotations
@@ -147,8 +150,9 @@ def _check_smoothing(smoothing: float):
         raise InputError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
 
 
-# the most cells a context-count table may hold (512 kB of int64 counts)
-_TABLE_CELLS = 1 << 16
+# the most cells a context-count table may hold: the block walk's budget, since
+# a fold at a wider span is no faster than counting from the block walk's cells
+_TABLE_CELLS = _kernels._GRAM_CELLS
 
 
 def _estimate_from_counts(trans_counts, emis_counts, n, smoothing) -> EmpiricalHmm:

@@ -269,13 +269,6 @@ class FeatureMap:
     def _memory_bound(self) -> "MemoryBoundReport":
         return _synchronizing_window(self)
 
-    def step(self, state: int, symbol: int) -> int:
-        if not 0 <= state < self.state_count:
-            raise InputError(f"state {state} out of range")
-        if not 0 <= symbol < self.alphabet_size:
-            raise InputError(f"symbol {symbol} out of range")
-        return int(self.step_table[state, symbol])
-
     def walk(self, seq) -> np.ndarray:
         """States s_0..s_n induced by a sequence (s_0 is the start state)."""
         if isinstance(seq, SymbolSequence):
@@ -287,11 +280,6 @@ class FeatureMap:
         else:
             symbols = _as_symbols(seq, self.alphabet_size, "sequence")
         return _kernels.walk_states(self.step_table, self.start_state, symbols)
-
-    def state_label(self, state: int) -> str:
-        if self.kind == "suffix-tree":
-            return _suffix_text(self.suffixes[state], self.alphabet_size)
-        return str(state)
 
     def to_json(self) -> dict:
         data = {

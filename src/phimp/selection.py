@@ -8,13 +8,21 @@ and ``ml``. The named criteria
 ``cost``, ``icost``, ``ocost`` and ``ml_cost`` equal it.
 
 Ties break toward fewer states and then the canonical map order, so the
-result does not depend on how the candidate list was arranged. A call counts
-the data once for all of its candidates (``estimation._ContextTable``). A
-consistency run counts each seed's sample once for every candidate and every
-prefix length of its grid, and records when the choice stops changing. The
-countable-class search walks maps in canonical order (ascending state count)
-and skips any map whose penalty alone already exceeds the best total seen,
-which is lossless because data costs are nonnegative.
+result does not depend on how the candidate list was arranged. One path goes
+from a class and its data to a choice at each prefix length: it makes every
+check a selection makes, sorts the class canonically, counts the data once
+for every candidate and every requested prefix length
+(``estimation._ContextTable``), then picks the minimizer at each length.
+``select`` is its one-point case on the whole data. Each seed of a
+consistency run is its grid case on that seed's sample, and records when the
+choice stops changing; the run itself is checked once, before any seed is
+sampled. ``_sized`` sizes the injected baseline map from the alphabet the
+data's maps read and the penalty from the alphabet the criterion codes, for
+``phimp score``, ``select`` and ``active`` and for ``active_select``. The
+countable-class search takes its checked, ordered class and table from the
+same path, walks the maps in canonical order (ascending state count) and
+skips any map whose penalty alone already exceeds the best total seen, which
+is lossless because data costs are nonnegative.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimation import (CostBreakdown, PenaltyScheme, _check_criterion, _check_reads,
-                         _check_smoothing, _penalty, _table, score_map)
+from .estimation import (CostBreakdown, PenaltyScheme, _alphabets, _check_criterion,
+                         _check_reads, _check_smoothing, _penalty, _table, score_map)
 from .fmaps import FeatureMap, enumerate_closed_suffix_maps, memory_bound, trivial_map
 from .sequences import Alphabet, _as_list, _check_grid, _check_int
 from .sources import (FsmxSource, _check_length, _check_seed, is_ergodic_chain,
@@ -69,6 +77,26 @@ def _check_class(maps):
         seen.add(fmap.map_id)
 
 
+def _ordered_table(maps: list[FeatureMap], data, criterion: str, smoothing: float,
+                   ends=None):
+    # the checks every selection makes, then the class in canonical order and
+    # its one table over the prefix lengths ``ends`` (by default the whole data)
+    _check_class(maps)
+    if len(data) < 1:
+        raise InputError("data must be non-empty")
+    _check_criterion(criterion)
+    ordered = sorted(maps, key=lambda m: m.canonical_key)
+    return ordered, _table(ordered, data, criterion, smoothing, ends)
+
+
+def _picks(maps: list[FeatureMap], data, criterion: str, scheme: PenaltyScheme,
+           smoothing: float, ends: list[int]) -> list[SelectionResult]:
+    # the choice on the first n symbols, for each n in ``ends``
+    ordered, table = _ordered_table(maps, data, criterion, smoothing, ends)
+    return [_pick([(table.score(m, n, scheme, smoothing), m) for m in ordered])
+            for n in ends]
+
+
 def select(maps: list[FeatureMap], data, criterion: str,
            scheme: PenaltyScheme, smoothing: float = 0.0) -> SelectionResult:
     """Score every candidate and return the minimizer.
@@ -76,13 +104,7 @@ def select(maps: list[FeatureMap], data, criterion: str,
     Candidates with infinite data cost rank last rather than erroring. The
     chosen map is invariant under permutations of ``maps``.
     """
-    _check_class(maps)
-    if len(data) < 1:
-        raise InputError("data must be non-empty")
-    _check_criterion(criterion)
-    ordered = sorted(maps, key=lambda m: m.canonical_key)
-    table = _table(ordered, data, criterion, smoothing)
-    return _pick([(table.score(m, len(data), scheme, smoothing), m) for m in ordered])
+    return _picks(maps, data, criterion, scheme, smoothing, [len(data)])[0]
 
 
 def _pick(scored: list[tuple[CostBreakdown, FeatureMap]]) -> SelectionResult:
@@ -103,6 +125,15 @@ def with_baseline(maps: list[FeatureMap], alphabet_size: int,
     if include_baseline and not any(m.state_count == 1 for m in result):
         result.append(trivial_map(alphabet_size))
     return result
+
+
+def _sized(maps: list[FeatureMap], data, criterion: str, include_baseline: bool,
+           pen: str | None = None) -> tuple[list[FeatureMap], PenaltyScheme | None]:
+    # the class with the baseline sized from the alphabet the data's maps
+    # read, and the penalty ``pen`` sized from the alphabet the criterion codes
+    read, coded = _alphabets(data, criterion)
+    maps = with_baseline(maps, read, include_baseline)
+    return maps, None if pen is None else PenaltyScheme.from_string(pen, coded)
 
 
 def _stabilization_index(chosen_ids: list[str]) -> int:
@@ -147,6 +178,20 @@ def _check_run(source: FsmxSource, maps: list[FeatureMap], criterion: str, n_gri
     return candidates, np.asarray(n_grid, dtype=np.int64), seeds
 
 
+def _trajectory(source: FsmxSource, candidates: list[FeatureMap], criterion: str,
+                scheme: PenaltyScheme, n_grid: np.ndarray, smoothing: float,
+                seed: int) -> SelectionTrajectory:
+    # one seed of a run that ``_check_run`` passed: one table over the sample
+    # serves every prefix, as ``select`` on each prefix would
+    grid = n_grid.tolist()
+    results = _picks(candidates, sample_fsmx(source, grid[-1], seed), criterion, scheme,
+                     smoothing, grid)
+    chosen_ids = [result.chosen_map_id for result in results]
+    return SelectionTrajectory(seed=seed, n_grid=n_grid.copy(), chosen_ids=chosen_ids,
+                               costs_per_n=[result.costs for result in results],
+                               stabilization_index=_stabilization_index(chosen_ids))
+
+
 def consistency_run(source: FsmxSource, maps: list[FeatureMap], criterion: str,
                     scheme: PenaltyScheme, n_grid, seeds,
                     include_baseline: bool = True,
@@ -160,24 +205,8 @@ def consistency_run(source: FsmxSource, maps: list[FeatureMap], criterion: str,
     """
     candidates, n_grid, seeds = _check_run(source, maps, criterion, n_grid, seeds,
                                            include_baseline, smoothing)
-    ordered = sorted(candidates, key=lambda m: m.canonical_key)
-    grid = n_grid.tolist()
-    trajectories = []
-    for seed in seeds:
-        # one table over the sample counts every prefix, as ``select`` on it would
-        table = _table(ordered, sample_fsmx(source, grid[-1], seed), criterion, smoothing, grid)
-        results = [_pick([(table.score(m, n, scheme, smoothing), m) for m in ordered])
-                   for n in grid]
-        chosen_ids = [result.chosen_map_id for result in results]
-        costs_per_n = [result.costs for result in results]
-        trajectories.append(SelectionTrajectory(
-            seed=seed,
-            n_grid=n_grid.copy(),
-            chosen_ids=chosen_ids,
-            costs_per_n=costs_per_n,
-            stabilization_index=_stabilization_index(chosen_ids),
-        ))
-    return trajectories
+    return [_trajectory(source, candidates, criterion, scheme, n_grid, smoothing, seed)
+            for seed in seeds]
 
 
 @dataclass(eq=False)
@@ -209,20 +238,12 @@ def countable_search(alphabet: Alphabet, data, criterion: str, scheme: PenaltySc
     if state_budget < 1 or depth_budget < 1:
         raise InputError("state and depth budgets must be >= 1")
     candidates = enumerate_closed_suffix_maps(alphabet, depth_budget)
-    candidates = [m for m in candidates if m.state_count <= state_budget]
-    if include_baseline:
-        candidates = with_baseline(candidates, alphabet.size)
-    candidates.sort(key=lambda m: m.canonical_key)
+    candidates = with_baseline([m for m in candidates if m.state_count <= state_budget],
+                               alphabet.size, include_baseline)
     if not candidates:
         raise InputError("budgets exclude every candidate map")
-    _check_class(candidates)
-
+    candidates, table = _ordered_table(candidates, data, criterion, smoothing)
     n = len(data)
-    if n < 1:
-        raise InputError("data must be non-empty")
-    _check_criterion(criterion)
-    table = _table(candidates, data, criterion, smoothing)
-
     best_total = math.inf
     scored: list[tuple[CostBreakdown, FeatureMap]] = []
     pruned: list[PruningLogEntry] = []

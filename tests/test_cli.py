@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phimp
-from phimp import (Alphabet, Environment, PairedSequence, PenaltyScheme, SuffixSet,
-                   compile_suffix_map, embed_reward_map, read_maps, select,
-                   with_baseline, write_environment, write_maps, write_model,
-                   write_sequence)
+from phimp import (Alphabet, Environment, PairedSequence, PenaltyScheme, Policy, SuffixSet,
+                   active_select, compile_suffix_map, embed_reward_map, read_environment,
+                   read_maps, rollout, select, with_baseline, write_environment,
+                   write_maps, write_model, write_sequence)
 from phimp.cli import _score_record, build_parser, main
 
 
@@ -233,6 +233,24 @@ class TestExperiment:
                    workdir / "serial.csv") == 0
         assert nontimestamp_bytes(workdir / "serial.csv") == \
             nontimestamp_bytes(workdir / "pooled.csv")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_is_checked_once_whatever_the_seed_count(self, workdir, monkeypatch, jobs):
+        # each check appends a line to a file, so a check in a worker counts too
+        checks = workdir / "checks.txt"
+        check_run = phimp.selection._check_run
+
+        def counted(*args, **kwargs):
+            with checks.open("a") as out:
+                out.write("check\n")
+            return check_run(*args, **kwargs)
+
+        monkeypatch.setattr("phimp.cli._check_run", counted)
+        monkeypatch.setattr("phimp.selection._check_run", counted)
+        config = self.make_config(workdir, seeds=[0, 1, 2])
+        assert run("experiment", "--config", config, "--out", workdir / "traj.csv",
+                   "--jobs", jobs) == 0
+        assert checks.read_text() == "check\n"
 
     def test_faulty_config_fails_before_any_worker_starts(self, workdir, monkeypatch,
                                                           capsys):
@@ -692,6 +710,24 @@ class TestActiveCommand:
                 (workdir / "active.jsonl").read_text().splitlines()
                 if not line.startswith("#")]
         assert {row["map_id"] for row in rows} == {"trivial", event_map.map_id}
+
+    @pytest.mark.parametrize("no_baseline", [False, True])
+    def test_writes_what_active_select_chooses(self, workdir, capsys, no_baseline):
+        # the command sizes the baseline and the penalty as active_select does
+        _active_inputs(workdir)
+        out = workdir / "active.jsonl"
+        assert run("active", "--env", workdir / "env.json", "--n", 3000, "--seed", 4,
+                   "--maps", workdir / "emaps.json", "--out", out,
+                   *(["--no-baseline"] if no_baseline else [])) == 0
+        env = read_environment(workdir / "env.json")
+        events = rollout(env, Policy.uniform(env.state_count, env.action_count), 3000, 4)
+        result = active_select(events, read_maps(workdir / "emaps.json"),
+                               PenaltyScheme("bic:markov", 2),
+                               include_baseline=not no_baseline)
+        rows = [json.loads(line) for line in nontimestamp_bytes(out).splitlines()]
+        assert rows == [_score_record(b) for b in result.costs]
+        assert len(rows) == (1 if no_baseline else 2)
+        assert f"chose {result.chosen_map_id} by icost" in capsys.readouterr().out
 
 
 class TestPenaltyAlphabet:

@@ -484,22 +484,22 @@ class TestContextTable:
         parity = general_fsm([[0, 1], [1, 0]])
         assert not memory_bound(parity).bounded
         assert not self.check(parity, data, 0.0)
-        # 2^15 * 2 cells fill the table exactly; 2^16 * 2 are over the cap,
-        # and so are 2^16 drive cells times two emitted symbols, not one
-        assert self.check(run_length_map(14), data, 0.5)
-        assert not self.check(run_length_map(15), data, 0.0)
-        assert self.check(run_length_map(15), random_paired(rng, 3000, 2, 1), 0.5)
-        assert not self.check(run_length_map(15), random_paired(rng, 3000, 1, 2), 0.0)
+        # 2^13 * 2 cells fill the table exactly; 2^14 * 2 are over the cap,
+        # and so are 2^14 drive cells times two emitted symbols, not one
+        assert self.check(run_length_map(12), data, 0.5)
+        assert not self.check(run_length_map(13), data, 0.0)
+        assert self.check(run_length_map(13), random_paired(rng, 3000, 2, 1), 0.5)
+        assert not self.check(run_length_map(13), random_paired(rng, 3000, 1, 2), 0.0)
 
     def test_one_table_serves_every_map_and_prefix(self):
         # maps of different spans share the widest fitting span; each fitting
         # map is folded at every end past it, and everything else is walked
         rng = rng_stream(43)
         data = seq(rng.integers(0, 2, 2000))
-        fitting = [trivial_map(2), depth_one_map(), run_length_map(5), run_length_map(14)]
-        walked = [general_fsm([[0, 1], [1, 0]]), run_length_map(15)]
-        ends = [1, 2, 14, 15, 16, 300, 2000]
-        span = memory_bound(run_length_map(14)).kappa + 1
+        fitting = [trivial_map(2), depth_one_map(), run_length_map(5), run_length_map(12)]
+        walked = [general_fsm([[0, 1], [1, 0]]), run_length_map(13)]
+        ends = [1, 2, 12, 13, 14, 300, 2000]
+        span = memory_bound(run_length_map(12)).kappa + 1
         for cells, table_ends in ((estimation._TABLE_CELLS, [n for n in ends if n > span]),
                                   (0, [])):
             with mock.patch.object(estimation, "_TABLE_CELLS", cells), \

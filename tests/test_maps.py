@@ -16,7 +16,7 @@ from phimp import (Alphabet, FeatureMap, InputError, ResourceError, SuffixSet,
                    maps_from_json, maps_to_json, memory_bound, read_maps,
                    trivial_map, validate_suffix_set, write_maps)
 from phimp.cli import main
-from phimp.fmaps import MemoryBoundReport, _closure, _suffix_map
+from phimp.fmaps import MemoryBoundReport, _closure, _suffix_map, _suffix_text
 
 BINARY = Alphabet(2)
 
@@ -245,7 +245,7 @@ class TestCompileAndStep:
         # 1..10; with a digit per symbol, (1, 0) and (10,) would both read "10"
         members = [(a, 0) for a in range(11)] + [(k,) for k in range(1, 11)]
         fmap = compile_suffix_map(SuffixSet(Alphabet(11), tuple(members)))
-        labels = [fmap.state_label(s) for s in range(fmap.state_count)]
+        labels = [_suffix_text(s, 11) for s in fmap.suffixes]
         assert len(set(labels)) == fmap.state_count == 21
         assert labels[fmap.suffixes.index((1, 0))] == "1-0"
         assert labels[fmap.suffixes.index((10,))] == "10"
@@ -253,20 +253,14 @@ class TestCompileAndStep:
 
     def test_step_follows_suffix_semantics(self, reference_map):
         by_suffix = {s: i for i, s in enumerate(reference_map.suffixes)}
-        assert reference_map.step(by_suffix[(0, 1)], 1) == by_suffix[(1, 1)]
-        assert reference_map.step(by_suffix[(1, 1)], 0) == by_suffix[(0,)]
-
-    def test_step_out_of_range(self, reference_map):
-        with pytest.raises(InputError):
-            reference_map.step(5, 0)
-        with pytest.raises(InputError):
-            reference_map.step(0, 2)
+        assert reference_map.step_table[by_suffix[(0, 1)], 1] == by_suffix[(1, 1)]
+        assert reference_map.step_table[by_suffix[(1, 1)], 0] == by_suffix[(0,)]
 
     def test_depth_one_step_is_identity_on_symbol(self):
         fmap = compile_suffix_map(sset((0,), (1,)))
         for state in range(2):
             for symbol in range(2):
-                assert fmap.step(state, symbol) == symbol
+                assert fmap.step_table[state, symbol] == symbol
 
 
 class TestMapHistory:
