@@ -3,10 +3,18 @@
 All kernels take plain int64/float64 arrays or lists of rows; wrapping,
 validation and RNG live in the calling modules.
 
-A state walk is a block walk: one Python step per block of L symbols
-through a table of every L-gram's composed step (``_block_starts``), then
-L - 1 vector gathers fill in the states inside the blocks, a chunk at a time
-(``_walk_blocks``).
+A walk skips what its symbols already decide. Where the state after any w
+symbols depends on those symbols alone (w = kappa + 1 for memory bound
+kappa, read off the gram tables by ``_sync_window`` while they fit the block
+walk's budget), ``walk_states`` steps the first w - 1 symbols by hand and
+gathers every later state from its w-gram, with no Python step per block.
+Every other walk is a block walk: one step per block of L symbols through a
+table of every L-gram's composed step (``_block_starts``), then L - 1 vector
+gathers fill in the states inside the blocks, a chunk at a time
+(``_walk_blocks``). A block whose L-gram leads every state to one state (a
+marked gram, ``_fixed_ends``) ends there from any start, so its end is one
+vector gather, and the Python loop steps only the other blocks; a table with
+no marked gram keeps the loop over every block.
 
 Every sampler is one walk, ``sample_walk``, one event a step. An event is
 one draw a phase (the symbol; the hidden state then the symbol; the action
@@ -15,7 +23,10 @@ of uniforms, through its current state's CDF row. Each uniform is cut to its
 cell among the sorted union of its phase's cuts, an event's cells make one
 event symbol, the event symbols are block-walked over the first phase's
 states, and each draw is read from a (state, event symbol) table, so the
-draws equal a binary search per draw. A seed fixes every draw.
+draws equal a binary search per draw. A uniform finds its cell through a
+guide table of 2^12 equal buckets of [0, 1) (``_guide``): one lookup where
+its bucket holds no cut, a binary search where it does (at most one bucket a
+cut) or where the uniform lies outside [0, 1). A seed fixes every draw.
 
 Counting forms no state path. A step is a pair (state, drive symbol a); it
 enters the state the step table names and emits a mod |emit|
@@ -57,6 +68,9 @@ NUMBA_ENABLED = False
 # chunk's temporaries stay at 64 kB an array.
 _GRAM_CELLS = 1 << 14
 _CHUNK = 1 << 13
+# A sampler finds each uniform's cell through a guide table of _GUIDE equal
+# buckets of [0, 1) a phase (``_guide``).
+_GUIDE = 1 << 12
 
 
 def _block_length(n_symbols, n_states, n):
@@ -77,7 +91,14 @@ def _gram_steps(step_table, length):
     grams = step_table.T
     for _ in range(length - 1):
         grams = step_table[grams].transpose(0, 2, 1).reshape(-1, n_states)
-    return grams.ravel().tolist()
+    return grams.ravel()
+
+
+def _fixed_ends(grams, n_states):
+    # per gram code of a gram table: the one state the gram leads every state
+    # to, or -1 where it leads two states apart
+    columns = np.ascontiguousarray(grams.reshape(-1, n_states).T)
+    return np.where((columns == columns[0]).all(axis=0), columns[0], -1)
 
 
 def _block_starts(step_table, start, n, symbols_at):
@@ -85,12 +106,20 @@ def _block_starts(step_table, start, n, symbols_at):
     # as symbols_at(lo, hi), one step per block of L symbols through the
     # L-gram table, and yields (lo, symbols, blocks, keys, starts) per chunk:
     # blocks views the chunk's full blocks as rows, keys[b] is block b's
-    # L-gram code times S, and starts[b] the state block b starts in, a list
-    # that ends with the state after the last full block. The last n mod L
-    # symbols are the caller's to step.
+    # L-gram code times S, and starts[b] the state block b starts in, an int64
+    # array that ends with the state after the last full block. The last
+    # n mod L symbols are the caller's to step.
+    #
+    # A block whose gram leads every state to one state (a marked gram) ends
+    # there whatever state it starts in, so every such block's end is one
+    # gather, and the loop steps only the other blocks, in order. A table
+    # with no marked gram keeps the loop over every block.
     n_states, n_symbols = step_table.shape
     length = _block_length(n_symbols, n_states, n)
-    grams = _gram_steps(step_table, length)
+    table = _gram_steps(step_table, length)
+    grams = table.tolist()
+    fixed = _fixed_ends(table, n_states)
+    marked = fixed.max() >= 0
     weights = n_symbols ** np.arange(length - 1, -1, -1) * n_states
     chunk = _CHUNK // length * length
     s = start
@@ -98,11 +127,28 @@ def _block_starts(step_table, start, n, symbols_at):
         symbols = symbols_at(lo, min(lo + chunk, n))
         blocks = symbols[:symbols.shape[0] // length * length].reshape(-1, length)
         keys = blocks @ weights
-        starts = [s]
-        append = starts.append
-        for key in keys.tolist():
-            s = grams[key + s]
-            append(s)
+        starts = np.empty(keys.shape[0] + 1, dtype=np.int64)
+        starts[0] = s
+        if marked:
+            ends = fixed.take(keys // n_states)
+            starts[1:] = ends
+            rest = np.flatnonzero(ends < 0)
+            # an unmarked block starts where the block before it ended: the
+            # loop's last state, or a marked block's end (-1 marks neither)
+            stepped = []
+            append = stepped.append
+            for key, entry in zip(keys.take(rest).tolist(), starts.take(rest).tolist()):
+                s = grams[key + (s if entry < 0 else entry)]
+                append(s)
+            starts[rest + 1] = stepped
+        else:
+            stepped = [s]
+            append = stepped.append
+            for key in keys.tolist():
+                s = grams[key + s]
+                append(s)
+            starts[:] = stepped
+        s = int(starts[-1])
         yield lo, symbols, blocks, keys, starts
 
 
@@ -123,18 +169,48 @@ def _walk_blocks(step_table, start, n, symbols_at):
         inner = path[:blocks.size].reshape(full, length)
         for j in range(1, length):
             inner[:, j] = steps.take(inner[:, j - 1] * n_symbols + blocks[:, j - 1])
-        s = starts[-1]
+        s = int(starts[-1])
         for t in range(blocks.size, symbols.shape[0]):
             s = int(steps[s * n_symbols + symbols[t]])
             path[t + 1] = s
         yield lo, symbols, path
 
 
+def _sync_window(step_table, n):
+    # (w, ends) for the smallest w whose every w-gram leads every state to one
+    # state, with ends[g] that state for gram code g; w = kappa + 1 for a map
+    # of memory bound kappa. Searched while the w-gram table fits the block
+    # walk's budget; None where no such w does. A gram that leads every state
+    # to one state still does with symbols added, so past w = 1 the search
+    # runs only where the L-gram table, the largest, has the property.
+    n_states, n_symbols = step_table.shape
+    length = _block_length(n_symbols, n_states, n)
+    for window in range(1, length + 1):
+        ends = _fixed_ends(_gram_steps(step_table, window), n_states)
+        if ends.min() >= 0:
+            return window, ends
+        if window == 1 and _fixed_ends(_gram_steps(step_table, length), n_states).min() < 0:
+            return None
+    return None
+
+
 def walk_states(step_table, start, symbols):
-    # states[t] = state after consuming symbols[:t]; length n+1
+    # states[t] = state after consuming symbols[:t]; length n+1. Where the
+    # state after any w symbols depends on them alone (_sync_window), the
+    # first w - 1 symbols are stepped by hand and every later state is its
+    # last w symbols' gram end, one gather; any other map is block-walked.
     n = symbols.shape[0]
     states = np.empty(n + 1, dtype=np.int64)
     states[0] = start
+    synced = _sync_window(step_table, n)
+    if synced:
+        window, ends = synced
+        rows, s = step_table.tolist(), start
+        for t, symbol in enumerate(symbols[:window - 1].tolist(), 1):
+            s = rows[s][symbol]
+            states[t] = s
+        ends.take(gram_codes(symbols, window, step_table.shape[1]), out=states[window:])
+        return states
     for lo, chunk, path in _walk_blocks(step_table, start, n,
                                         lambda lo, hi: symbols[lo:hi]):
         states[lo + 1:lo + chunk.shape[0] + 1] = path[1:]
@@ -172,9 +248,9 @@ def count_pairs(step_table, start, drive):
         for _, _, _, keys, starts in _block_starts(step_table, start, n,
                                                    lambda lo, hi: drive[lo:hi]):
             # each block's cell: its L-gram code * S + the state it starts in
-            keys += np.array(starts[:-1], dtype=np.int64)
+            keys += starts[:-1]
             counts += np.bincount(keys, minlength=counts.size)
-            s = starts[-1]
+            s = int(starts[-1])
         used = np.flatnonzero(counts)
         grams, states = np.divmod(used, n_states)
         weights = counts[used]
@@ -483,17 +559,46 @@ def sample_walk(cdf_rows, step_rows, start, u):
         draw = np.array([np.searchsorted(row, lower, side="right") for row in phase])
         tables.append(draw[state, cell].ravel())
         state = np.array([np.asarray(t)[k] for t, k in zip(to, draw)])[state, cell]
+    guides = [_guide(cut) for cut in cuts]
 
     def symbols_at(lo, hi):
-        symbols = np.searchsorted(cuts[0], u[0, lo:hi], side="right")
-        for cut, size, uniforms in zip(cuts[1:], cells[1:], u[1:]):
+        symbols = _cells(cuts[0], guides[0], u[0, lo:hi])
+        for cut, guide, size, uniforms in zip(cuts[1:], guides[1:], cells[1:], u[1:]):
             symbols *= size
-            symbols += np.searchsorted(cut, uniforms[lo:hi], side="right")
+            symbols += _cells(cut, guide, uniforms[lo:hi])
         return symbols
 
     draws = [np.empty(n, dtype=np.int64) for _ in rows]
     for lo, symbols, path in _walk_blocks(state, start, n, symbols_at):
         index = path[:-1] * state.shape[1] + symbols
         for out, table in zip(draws, tables):
-            out[lo:lo + symbols.shape[0]] = table.take(index)
+            table.take(index, out=out[lo:lo + symbols.shape[0]])
     return draws
+
+
+def _guide(cut):
+    # the guide table over _GUIDE equal buckets of [0, 1) (Chen and Asau's
+    # method for inverting a discrete CDF): entry i is the cell, the number of
+    # cuts at or below, of bucket i's lower edge i / _GUIDE, or -1 where a cut
+    # falls strictly inside the bucket; a last -1 entry guards the uniforms
+    # outside [0, 1)
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    lower = np.searchsorted(cut, edges[:-1], side="right")
+    inside = np.searchsorted(cut, edges[1:], side="left") > lower
+    return np.append(np.where(inside, -1, lower), -1)
+
+
+def _cells(cut, guide, u):
+    # np.searchsorted(cut, u, side="right"). u * _GUIDE is exact, so its floor
+    # is u's bucket, and every uniform in a bucket that holds no cut is in its
+    # lower edge's cell. The uniforms of the other buckets are searched, and
+    # so is any u outside [0, 1), NaN included, which the clip sends to the
+    # guard entry.
+    scaled = np.floor(u * _GUIDE)
+    np.fmax(scaled, -1.0, out=scaled)
+    np.fmin(scaled, _GUIDE, out=scaled)
+    found = guide.take(scaled.astype(np.int64))
+    missed = np.flatnonzero(found < 0)
+    if missed.size:
+        found[missed] = np.searchsorted(cut, u.take(missed), side="right")
+    return found

@@ -247,10 +247,12 @@ def _cmd_active(args) -> int:
     maps, scheme = _sized(read_maps(args.maps), paired, args.criterion, not args.no_baseline,
                           args.pen)
     result = select(maps, paired, args.criterion, scheme, args.smoothing)
+    tie = str(result.tie_broken).lower()
     if args.out:
-        _write_lines(args.out, [_score_row(b) for b in result.costs])
+        _write_lines(args.out, [f"# chosen={result.chosen_map_id} tie_broken={tie}",
+                                *(_score_row(b) for b in result.costs)])
     print(f"active: rolled out {args.n} events (seed {args.seed}); "
-          f"chose {result.chosen_map_id} by {args.criterion}")
+          f"chose {result.chosen_map_id} by {args.criterion} tie_broken={tie}")
     return 0
 
 

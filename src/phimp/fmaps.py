@@ -270,7 +270,14 @@ class FeatureMap:
         return _synchronizing_window(self)
 
     def walk(self, seq) -> np.ndarray:
-        """States s_0..s_n induced by a sequence (s_0 is the start state)."""
+        """States s_0..s_n induced by a sequence (s_0 is the start state).
+
+        Where every string of some w symbols leads every state to one state,
+        found on the walk's gram tables within their 2^14-entry budget, the
+        first w - 1 states are stepped and each later state is gathered from
+        the w symbols before it. Any other map is block-walked, and a block
+        whose symbols lead every state to one state skips the Python step.
+        """
         if isinstance(seq, SymbolSequence):
             if seq.alphabet.size != self.alphabet_size:
                 raise InputError(

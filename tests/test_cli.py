@@ -727,7 +727,13 @@ class TestActiveCommand:
         rows = [json.loads(line) for line in nontimestamp_bytes(out).splitlines()]
         assert rows == [_score_record(b) for b in result.costs]
         assert len(rows) == (1 if no_baseline else 2)
-        assert f"chose {result.chosen_map_id} by icost" in capsys.readouterr().out
+        tie = str(result.tie_broken).lower()
+        # the timestamp line, then the choice and its tie flag
+        assert out.read_text().splitlines()[1] == (
+            f"# chosen={result.chosen_map_id} tie_broken={tie}")
+        assert (f"chose {result.chosen_map_id} by icost tie_broken={tie}\n"
+                in capsys.readouterr().out)
+        assert run("diagnose", "--check-file", out) == 0
 
 
 class TestPenaltyAlphabet:

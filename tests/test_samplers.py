@@ -6,15 +6,17 @@ included; each case also pins one uniform to a CDF entry, where the pick rule
 ``u < cdf[k]`` decides a tie.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
 
 import oracles
-from phimp import (Environment, FeatureMap, FsmxSource, Hmm, Policy,
-                   policy_induced_chain, rollout, sample_fsmx, sample_hmm)
-from phimp import _kernels
-from phimp._kernels import (_CHUNK, _GRAM_CELLS, _block_length, count_pairs,
+from phimp import (Alphabet, Environment, FeatureMap, FsmxSource, Hmm, Policy, SuffixSet,
+                   compile_suffix_map, enumerate_closed_suffix_maps, policy_induced_chain,
+                   rollout, sample_fsmx, sample_hmm)
+from phimp import _kernels, active
+from phimp._kernels import (_CHUNK, _GRAM_CELLS, _GUIDE, _block_length, count_pairs,
                             sample_walk, step_counts, walk_states)
 from phimp.sources import rng_stream
 
@@ -261,9 +263,12 @@ def test_walks_build_no_table_past_the_cap():
             for n in (3, 100, 40_000):
                 del built[:]
                 walk_states(step_table, 0, rng.integers(0, n_symbols, n))
-                [(length, size, one_step)] = built
-                # a length-1 table is the step table itself
-                assert size <= min(_GRAM_CELLS, n) or (length == 1 and size == one_step)
+                # the synchronizing-window search's tables, then the block
+                # walk's, if the search finds no window
+                assert built
+                for length, size, one_step in built:
+                    # a length-1 table is the step table itself
+                    assert size <= min(_GRAM_CELLS, n) or (length == 1 and size == one_step)
 
 
 def test_sample_fsmx_matches_loop_past_a_chunk():
@@ -359,3 +364,206 @@ def test_deep_source_samples_by_the_loop():
     want = oracles.sample_symbols(fmap.step_table, 0, np.cumsum(source.emit, axis=1), u)
     with mock.patch.object(_kernels, "_gram_steps", side_effect=AssertionError):
         assert np.array_equal(sample_fsmx(source, 40_000, seed=0).items, want)
+
+
+# Walks that skip what the symbols decide. Where the state after any w
+# symbols depends on them alone (``_kernels._sync_window``), a walk is one
+# gather past its first w - 1 symbols; a block whose gram leads every state to
+# one state ends there without a Python step (``_kernels._fixed_ends``).
+
+def suffix_table(size, members):
+    return compile_suffix_map(SuffixSet(Alphabet(size), tuple(members))).step_table
+
+
+def synchronizing_cases(rng):
+    """(step table, start state) pairs: suffix maps of depth 1-4 over 2 and 3
+    symbols; random tables with a merging column (one symbol leads every
+    state to one state) and without one; permutation tables; and tables
+    started in a transient state that no symbol leads back to."""
+    cases = []
+    for size in (2, 3):
+        for depth in range(1, 5):
+            table = suffix_table(size, itertools.product(range(size), repeat=depth))
+            cases.append((table, int(rng.integers(table.shape[0]))))
+    for size, depth in ((2, 3), (2, 4), (3, 2), (3, 3)):
+        maps = [m for m in enumerate_closed_suffix_maps(Alphabet(size), depth)
+                if max(map(len, m.suffixes)) == depth]
+        for i in rng.choice(len(maps), 2, replace=False):
+            cases.append((maps[i].step_table, int(rng.integers(maps[i].state_count))))
+    while len(cases) < 24:
+        n_states, n_symbols = (int(v) for v in rng.integers(2, 6, 2))
+        table = rng.integers(0, n_states, (n_states, n_symbols))
+        merging = (table == table[:1]).all(axis=0).any()
+        if merging == (len(cases) % 2 == 0):
+            cases.append((table, int(rng.integers(n_states))))
+    for n_states, n_symbols in ((2, 2), (3, 2), (5, 3)):
+        table = rng.permuted(np.tile(np.arange(n_states), (n_symbols, 1)), axis=1).T
+        cases.append((table, int(rng.integers(n_states))))
+    # state 3 is never entered: once with a merging column, once with none
+    cases.append((np.vstack([rng.integers(0, 3, (3, 2)), [[0, 1]]]), 3))
+    cases[-1][0][:, 1] = 2
+    cases.append((np.vstack([[[1, 2], [2, 0], [0, 1]], [[2, 2]]]), 3))
+    return cases
+
+
+def test_synchronized_walks_and_counts_match_loop():
+    rng = rng_stream(44)
+    windows = set()
+    for step_table, start in synchronizing_cases(rng):
+        n_states, n_symbols = step_table.shape
+        length = _block_length(n_symbols, n_states, _GRAM_CELLS)
+        bounded, kappa = oracles.memory_oracle(step_table, n_symbols, length - 1)
+        synced = _kernels._sync_window(step_table, _GRAM_CELLS)
+        assert (synced[0] if synced else None) == (kappa + 1 if bounded else None)
+        window = synced[0] if synced else 1
+        windows.add(window)
+        chunk = _CHUNK // length * length
+        for n in sorted({1, window - 1, window, window + 1, length - 1, length, length + 1,
+                         chunk - 1, chunk, chunk + 1}):
+            symbols = rng.integers(0, n_symbols, n)
+            states = oracles.walk_states_before(step_table, start, symbols)
+            assert np.array_equal(walk_states(step_table, start, symbols), states)
+            want = oracles.count_path(step_table, start, symbols, symbols, n_states, n_symbols)
+            got = step_counts(step_table, count_pairs(step_table, start, symbols), n_symbols)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert windows >= {1, 2, 3, 4}
+
+
+def test_walks_take_the_route_their_table_decides():
+    rng = rng_stream(45)
+    codes, marks = [], []
+    gram_codes, fixed_ends = _kernels.gram_codes, _kernels._fixed_ends
+
+    def coding(symbols, m, base):
+        codes.append(m)
+        return gram_codes(symbols, m, base)
+
+    def marking(grams, n_states):
+        marks.append(fixed_ends(grams, n_states))
+        return marks[-1]
+
+    # the depth-1 model map of the Monte-Carlo cross-entropy: a window of 1,
+    # one gather, no block walk
+    model = compile_suffix_map(SuffixSet(Alphabet(2), ((0,), (1,))))
+    symbols = rng.integers(0, 2, 40_000)
+    with mock.patch.object(_kernels, "gram_codes", coding), \
+            mock.patch.object(_kernels, "_walk_blocks", side_effect=AssertionError):
+        assert np.array_equal(model.walk(symbols),
+                              oracles.walk_states_before(model.step_table, 0, symbols))
+    assert codes == [1]
+    # the reference source's sampler marks some of its 6-gram cells, and some
+    # of the sample's blocks fall on them
+    fmap = suffix_table(2, ((0,), (0, 1), (1, 1)))
+    source = FsmxSource(FeatureMap(kind="general-fsm", alphabet_size=2, state_count=3,
+                                   start_state=0, step_table=fmap),
+                        np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]]))
+    u = rng_stream(0).random(40_000)
+    cdf = np.cumsum(source.emit, axis=1)
+    with mock.patch.object(_kernels, "_fixed_ends", marking):
+        assert np.array_equal(sample_fsmx(source, 40_000, seed=0).items,
+                              oracles.sample_symbols(fmap, 0, cdf, u))
+    [ends] = marks
+    length = _block_length(4, 3, 40_000)
+    assert ends.size == 4 ** length and 0 < (ends >= 0).sum() < ends.size
+    cells = np.searchsorted(np.unique(cdf[:, :-1]), u, side="right")
+    blocks = cells[:cells.size // length * length].reshape(-1, length)
+    assert (ends.take(blocks @ 4 ** np.arange(length - 1, -1, -1)) >= 0).any()
+    # ones-mod-2 and ones-mod-3: no window and no marked gram
+    for k in (2, 3):
+        table = np.array([[s, (s + 1) % k] for s in range(k)])
+        del marks[:]
+        with mock.patch.object(_kernels, "_fixed_ends", marking), \
+                mock.patch.object(_kernels, "gram_codes", side_effect=AssertionError):
+            assert np.array_equal(walk_states(table, 1, symbols),
+                                  oracles.walk_states_before(table, 1, symbols))
+            got = step_counts(table, count_pairs(table, 1, symbols), 2)
+        want = oracles.count_path(table, 1, symbols, symbols, k, 2)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert marks and all((m < 0).all() for m in marks)
+
+
+# Guide cells (``_kernels._guide``): a uniform whose bucket of [0, 1) holds
+# no cut reads its cell off the guide; every other uniform is searched.
+
+def edge_uniforms(cdf, rng, n):
+    """Every bucket edge, every cut, the neighbours of each cut, 0.0 and
+    nextafter(1, 0), between random uniforms, n in all."""
+    cuts = np.unique(cdf[..., :-1])
+    pinned = np.concatenate([np.arange(_GUIDE) / _GUIDE, cuts, np.nextafter(cuts, 0.0),
+                             np.nextafter(cuts, 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+    u = rng.random(n)
+    u[rng.choice(n, pinned.size, replace=False)] = pinned
+    return u
+
+
+def test_guide_cells_match_the_loop_at_edges_and_cuts():
+    rng = rng_stream(46)
+    # cuts on bucket edges; three cuts inside one bucket, two of them 1e-9
+    # apart; and a zero mass, so one row repeats a cut
+    emit = np.array([[0.25, 0.25, 0.25, 0.25],
+                     [0.3, 1e-9, 1e-9, 0.7 - 2e-9],
+                     [0.5, 0.0, 0.25, 0.25]])
+    cdf = np.cumsum(emit, axis=1)
+    cuts = np.unique(cdf[:, :-1])
+    guide = _kernels._guide(cuts)
+    lower = np.searchsorted(cuts, np.arange(_GUIDE) / _GUIDE, side="right")
+    inside = np.floor(cuts * _GUIDE)[cuts * _GUIDE % 1 > 0].astype(np.int64)
+    assert np.array_equal(guide[:-1] < 0, np.isin(np.arange(_GUIDE), inside))
+    assert np.array_equal(guide[:-1][guide[:-1] >= 0], lower[guide[:-1] >= 0])
+    assert guide[-1] == -1 and guide[int(0.3 * _GUIDE)] == -1 and guide[_GUIDE // 4] >= 0
+    step_table = rng.integers(0, 3, (3, 4))
+    u = edge_uniforms(cdf, rng, 3 * _GUIDE)
+    want = oracles.sample_symbols(step_table, 1, cdf, u)
+    with mock.patch.object(_kernels, "_cells", wraps=_kernels._cells) as cells:
+        [got] = sample_walk([cdf.tolist()], [step_table.tolist()], 1, u[None])
+    assert cells.called and np.array_equal(got, want)
+
+
+def test_guide_cells_match_the_loop_outside_the_unit_interval():
+    rng = rng_stream(47)
+    emit = np.array([[0.0, 0.25, 0.75], [0.5, 0.5, 0.0]])
+    cdf = np.cumsum(emit, axis=1)
+    step_table = np.array([[1, 0, 1], [0, 1, 0]])
+    u = edge_uniforms(cdf, rng, 2 * _GUIDE)
+    # each value 20 times, so that it is drawn in both states; -1e-300 falls
+    # below the cut at 0.0 and is in the cell below it
+    outside = np.repeat([-0.5, -1e-300, -0.0, 1.0, 1.5, np.inf, -np.inf, np.nan], 20)
+    u[rng.choice(u.size, outside.size, replace=False)] = outside
+    want = oracles.sample_symbols(step_table, 0, cdf, u)
+    [got] = sample_walk([cdf.tolist()], [step_table.tolist()], 0, u[None])
+    assert np.array_equal(got, want)
+
+
+class FixedUniforms:
+    """A stand-in for the rollout's random stream that hands out set uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+def test_guide_cells_match_the_rollout_loop_at_edges_and_cuts():
+    rng = rng_stream(48)
+    actions, observations, rewards = 3, 2, 2
+    events = actions * observations * rewards
+    event_map = FeatureMap(kind="general-fsm", alphabet_size=events, state_count=3,
+                           start_state=2, step_table=np.tile(rng.integers(0, 3, events), (3, 1)))
+    probs = np.array([[0.25, 0.25, 0.5], [0.5, 0.25, 0.25], [0.25, 0.5, 0.25]])
+    emissions = np.array([[[0.25] * 4, [0.3, 1e-9, 1e-9, 0.7 - 2e-9], [0.5, 0.0, 0.25, 0.25]],
+                          [[0.75, 0.0, 0.0, 0.25], [0.25] * 4, [0.1] * 3 + [0.7]],
+                          [[0.5, 0.25, 0.25, 0.0], [0.3, 0.3, 0.2, 0.2], [0.25] * 4]])
+    env = Environment(actions, observations, rewards, event_map, emissions)
+    n = 3 * _GUIDE
+    u = np.stack([edge_uniforms(np.cumsum(probs, axis=1), rng, n),
+                  edge_uniforms(np.cumsum(emissions, axis=2), rng, n)])
+    want = oracles.rollout_steps(event_map.step_table, 2, np.cumsum(probs, axis=1),
+                                 np.cumsum(emissions, axis=2), *u, actions, rewards)
+    with mock.patch.object(active, "rng_stream", lambda seed: FixedUniforms(u)), \
+            mock.patch.object(_kernels, "_cells", wraps=_kernels._cells) as cells:
+        got = rollout(env, Policy(probs), n, seed=0)
+    assert cells.call_count > 0
+    for have, expected in zip((got.actions, got.observations, got.rewards), want):
+        assert np.array_equal(have, expected)
