@@ -400,8 +400,9 @@ def synchronizing_cases(rng):
         table = rng.permuted(np.tile(np.arange(n_states), (n_symbols, 1)), axis=1).T
         cases.append((table, int(rng.integers(n_states))))
     # state 3 is never entered: once with a merging column, once with none
-    cases.append((np.vstack([rng.integers(0, 3, (3, 2)), [[0, 1]]]), 3))
-    cases[-1][0][:, 1] = 2
+    merging = np.vstack([rng.integers(0, 3, (3, 2)), [[0, 1]]])
+    merging[:, 1] = 2
+    cases.append((merging, 3))
     cases.append((np.vstack([[[1, 2], [2, 0], [0, 1]], [[2, 2]]]), 3))
     return cases
 
