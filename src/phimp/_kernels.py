@@ -5,16 +5,17 @@ validation and RNG live in the calling modules.
 
 A walk skips what its symbols already decide. Where the state after any w
 symbols depends on those symbols alone (w = kappa + 1 for memory bound
-kappa, read off the gram tables by ``_sync_window`` while they fit the block
-walk's budget), ``walk_states`` steps the first w - 1 symbols by hand and
-gathers every later state from its w-gram, with no Python step per block.
-Every other walk is a block walk: one step per block of L symbols through a
-table of every L-gram's composed step (``_block_starts``), then L - 1 vector
-gathers fill in the states inside the blocks, a chunk at a time
-(``_walk_blocks``). A block whose L-gram leads every state to one state (a
-marked gram, ``_fixed_ends``) ends there from any start, so its end is one
-vector gather, and the Python loop steps only the other blocks; a table with
-no marked gram keeps the loop over every block.
+kappa, which the caller passes from ``fmaps.memory_bound``) and the w-gram
+table fits the block walk's budget, ``walk_states`` steps the first w - 1
+symbols by hand and gathers every later state from its w-gram, with no
+Python step per block. Every other walk is a block walk: one step per block
+of L symbols through a table of every L-gram's composed step
+(``_block_starts``), then L - 1 vector gathers fill in the states inside the
+blocks, a chunk at a time (``_walk_blocks``). A block whose L-gram leads
+every state to one state (a marked gram, ``_fixed_ends``) ends there from
+any start, so its end is one vector gather, and the Python loop steps only
+the other blocks; a table with no marked gram keeps the loop over every
+block.
 
 Every sampler is one walk, ``sample_walk``, one event a step. An event is
 one draw a phase (the symbol; the hidden state then the symbol; the action
@@ -176,40 +177,24 @@ def _walk_blocks(step_table, start, n, symbols_at):
         yield lo, symbols, path
 
 
-def _sync_window(step_table, n):
-    # (w, ends) for the smallest w whose every w-gram leads every state to one
-    # state, with ends[g] that state for gram code g; w = kappa + 1 for a map
-    # of memory bound kappa. Searched while the w-gram table fits the block
-    # walk's budget; None where no such w does. A gram that leads every state
-    # to one state still does with symbols added, so past w = 1 the search
-    # runs only where the L-gram table, the largest, has the property.
-    n_states, n_symbols = step_table.shape
-    length = _block_length(n_symbols, n_states, n)
-    for window in range(1, length + 1):
-        ends = _fixed_ends(_gram_steps(step_table, window), n_states)
-        if ends.min() >= 0:
-            return window, ends
-        if window == 1 and _fixed_ends(_gram_steps(step_table, length), n_states).min() < 0:
-            return None
-    return None
-
-
-def walk_states(step_table, start, symbols):
+def walk_states(step_table, start, symbols, window=None):
     # states[t] = state after consuming symbols[:t]; length n+1. Where the
-    # state after any w symbols depends on them alone (_sync_window), the
-    # first w - 1 symbols are stepped by hand and every later state is its
-    # last w symbols' gram end, one gather; any other map is block-walked.
+    # state after any `window` symbols depends on them alone (window = kappa
+    # + 1, None where the memory is unbounded) and the window is at most the
+    # block length, the first window - 1 symbols are stepped by hand and every
+    # later state is its last `window` symbols' gram end, one gather; any
+    # other walk is block-walked.
     n = symbols.shape[0]
     states = np.empty(n + 1, dtype=np.int64)
     states[0] = start
-    synced = _sync_window(step_table, n)
-    if synced:
-        window, ends = synced
+    n_states, n_symbols = step_table.shape
+    if window is not None and window <= _block_length(n_symbols, n_states, n):
+        ends = _fixed_ends(_gram_steps(step_table, window), n_states)
         rows, s = step_table.tolist(), start
         for t, symbol in enumerate(symbols[:window - 1].tolist(), 1):
             s = rows[s][symbol]
             states[t] = s
-        ends.take(gram_codes(symbols, window, step_table.shape[1]), out=states[window:])
+        ends.take(gram_codes(symbols, window, n_symbols), out=states[window:])
         return states
     for lo, chunk, path in _walk_blocks(step_table, start, n,
                                         lambda lo, hi: symbols[lo:hi]):

@@ -272,11 +272,12 @@ class FeatureMap:
     def walk(self, seq) -> np.ndarray:
         """States s_0..s_n induced by a sequence (s_0 is the start state).
 
-        Where every string of some w symbols leads every state to one state,
-        found on the walk's gram tables within their 2^14-entry budget, the
-        first w - 1 states are stepped and each later state is gathered from
-        the w symbols before it. Any other map is block-walked, and a block
-        whose symbols lead every state to one state skips the Python step.
+        Where every string of w = kappa + 1 symbols leads every state to one
+        state (``memory_bound``) and the w-gram table fits the walk's
+        2^14-entry budget, the first w - 1 states are stepped and each later
+        state is gathered from the w symbols before it. Any other map is
+        block-walked, and a block whose symbols lead every state to one state
+        skips the Python step.
         """
         if isinstance(seq, SymbolSequence):
             if seq.alphabet.size != self.alphabet_size:
@@ -286,7 +287,9 @@ class FeatureMap:
             symbols = seq.items
         else:
             symbols = _as_symbols(seq, self.alphabet_size, "sequence")
-        return _kernels.walk_states(self.step_table, self.start_state, symbols)
+        bound = memory_bound(self)
+        return _kernels.walk_states(self.step_table, self.start_state, symbols,
+                                    bound.kappa + 1 if bound.bounded else None)
 
     def to_json(self) -> dict:
         data = {
@@ -319,17 +322,26 @@ def compile_suffix_map(suffix_set: SuffixSet, padding_symbol: int = 0) -> Featur
 
 def _suffix_map(suffix_set: SuffixSet, step_table: np.ndarray,
                 padding_symbol: int) -> FeatureMap:
-    # a closed set and its closure table as a map started from the padding
+    # a closed set and its closure table as a map started from the padding.
+    # Its memory bound is read off the members: any `depth` symbols lead every
+    # state to the member they end with, while the last depth - 1 symbols u of
+    # a deepest member a·u lead the states ending with a to it and those
+    # ending with another symbol b to its sibling b·u; one state keeps
+    # nothing, so 0
     if not 0 <= padding_symbol < suffix_set.alphabet.size:
         raise InputError(f"padding symbol {padding_symbol} outside the alphabet")
-    return FeatureMap(
+    depth = suffix_set.depth
+    fmap = FeatureMap(
         kind="suffix-tree",
         alphabet_size=suffix_set.alphabet.size,
         state_count=len(suffix_set.suffixes),
-        start_state=suffix_set._longest(itertools.repeat(padding_symbol, suffix_set.depth)),
+        start_state=suffix_set._longest(itertools.repeat(padding_symbol, depth)),
         step_table=step_table,
         suffixes=suffix_set.suffixes,
     )
+    fmap._memory_bound = MemoryBoundReport(
+        bounded=True, kappa=depth - 1 if fmap.state_count > 1 else 0)
+    return fmap
 
 
 # the most int64 entries one array can hold, and so the widest table row
@@ -361,12 +373,16 @@ class MemoryBoundReport:
 def memory_bound(fmap: FeatureMap) -> MemoryBoundReport:
     """Smallest window length such that recent symbols pin down the state.
 
-    Iterates the set of still-confusable state pairs: P_0 holds all pairs and
+    A suffix map whose table the closure check built (``compile_suffix_map``,
+    ``enumerate_closed_suffix_maps`` and ``load_fsm_map`` once the stored
+    table matched) reads kappa off its members: its depth minus 1, or 0 for
+    a single state. Every other map, suffix maps built by hand included,
+    iterates the set of still-confusable state pairs: P_0 holds all pairs and
     P_k holds the images of P_{k-1} under every symbol. The sequence is
     decreasing, so it either reaches the diagonal (bounded, with kappa one
     less than the number of symbols needed) or stabilizes off it (unbounded)
-    within S^2 iterations, so the verdict is exact. The report is worked out
-    once per map object and kept on it.
+    within S^2 iterations of up to S^2 pairs each, so the verdict is exact.
+    Either way the report is worked out once per map object and kept on it.
     """
     return fmap._memory_bound
 
@@ -477,6 +493,7 @@ def load_fsm_map(description: dict) -> FeatureMap:
         reference = compile_suffix_map(SuffixSet(Alphabet(alphabet_size), fmap.suffixes))
         if not np.array_equal(reference.step_table, fmap.step_table):
             raise InputError("psi disagrees with the suffix semantics of the stored set")
+        fmap._memory_bound = memory_bound(reference)
         # a constant padding p starts the map at the one member made only of p
         start = reference.suffixes[fmap.start_state]
         if len(set(start)) != 1:

@@ -1,5 +1,6 @@
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from phimp import (Alphabet, FeatureMap, InputError, ResourceError, SuffixSet,
                    enumerate_closed_suffix_maps, is_fsm_closed, load_fsm_map,
                    maps_from_json, maps_to_json, memory_bound, read_maps,
                    trivial_map, validate_suffix_set, write_maps)
+from phimp import fmaps
 from phimp.cli import main
 from phimp.fmaps import MemoryBoundReport, _closure, _suffix_map, _suffix_text
 
@@ -312,6 +314,33 @@ class TestMemoryBound:
             depth = max(len(s) for s in fmap.suffixes)
             expected = 0 if fmap.state_count == 1 else depth - 1
             assert memory_bound(fmap) == MemoryBoundReport(bounded=True, kappa=expected)
+
+    def test_closed_maps_read_kappa_off_their_members(self):
+        # compiled, enumerated under every padding and loaded back from JSON,
+        # no closed suffix map runs the pair-set search
+        oracle = {}
+        with mock.patch.object(fmaps, "_synchronizing_window", side_effect=AssertionError):
+            for size, max_depth in ((2, 4), (3, 3), (4, 2)):
+                for padding in range(size):
+                    maps = enumerate_closed_suffix_maps(Alphabet(size), max_depth, padding)
+                    for fmap in maps + maps_from_json(maps_to_json(maps)):
+                        key = (size, fmap.step_table.tobytes())
+                        if key not in oracle:
+                            oracle[key] = memory_oracle(fmap.step_table, size, max_depth)
+                        assert memory_bound(fmap) == MemoryBoundReport(*oracle[key])
+            fmap = compile_suffix_map(run_length(400))
+            assert memory_bound(fmap) == MemoryBoundReport(bounded=True, kappa=399)
+        assert len(oracle) == 390 + 567 + 16
+
+    def test_hand_built_suffix_map_gets_the_pair_set_verdict(self):
+        # the parity table under the suffixes of the depth-1 map: nothing
+        # checks a hand-built table against its suffixes, so the members
+        # must not decide its bound
+        parity = FeatureMap(kind="suffix-tree", alphabet_size=2, state_count=2,
+                            start_state=0, step_table=np.array([[0, 1], [1, 0]]),
+                            suffixes=((0,), (1,)))
+        assert memory_bound(parity) == MemoryBoundReport(bounded=False, kappa=None)
+        assert memory_oracle(parity.step_table, 2, kappa_limit=6) == (False, None)
 
     def test_single_state_map(self):
         report = memory_bound(trivial_map(2))

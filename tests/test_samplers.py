@@ -13,11 +13,12 @@ import numpy as np
 
 import oracles
 from phimp import (Alphabet, Environment, FeatureMap, FsmxSource, Hmm, Policy, SuffixSet,
-                   compile_suffix_map, enumerate_closed_suffix_maps, policy_induced_chain,
-                   rollout, sample_fsmx, sample_hmm)
+                   compile_suffix_map, enumerate_closed_suffix_maps, memory_bound,
+                   policy_induced_chain, rollout, sample_fsmx, sample_hmm)
 from phimp import _kernels, active
 from phimp._kernels import (_CHUNK, _GRAM_CELLS, _GUIDE, _block_length, count_pairs,
                             sample_walk, step_counts, walk_states)
+from phimp.fmaps import MemoryBoundReport
 from phimp.sources import rng_stream
 
 LENGTHS = (1, 2, 3, 17, 300, 3000)
@@ -211,14 +212,21 @@ def test_walk_states_matches_loop_across_blocks_and_chunks():
     for step_table in walked_maps(rng):
         n_states, n_symbols = step_table.shape
         start = int(rng.integers(n_states))
+        bound = memory_bound(FeatureMap(kind="general-fsm", alphabet_size=n_symbols,
+                                        state_count=n_states, start_state=start,
+                                        step_table=step_table))
+        # block-walked, and gathered where the map's window fits
+        windows = {None, bound.kappa + 1 if bound.bounded else None}
         for n in boundary_lengths(n_symbols, n_states):
             symbols = rng.integers(0, n_symbols, n)
             want = oracles.walk_states_before(step_table, start, symbols)
-            assert np.array_equal(walk_states(step_table, start, symbols), want)
+            for window in windows:
+                assert np.array_equal(walk_states(step_table, start, symbols, window), want)
         # a strided view walks as its copy does
         symbols = rng.integers(0, n_symbols, 2 * _CHUNK + 7)[::2]
-        assert np.array_equal(walk_states(step_table, start, symbols),
-                              oracles.walk_states_before(step_table, start, symbols))
+        for window in windows:
+            assert np.array_equal(walk_states(step_table, start, symbols, window),
+                                  oracles.walk_states_before(step_table, start, symbols))
 
 
 def test_feature_map_walk_and_counts_match_loop_past_a_chunk():
@@ -260,15 +268,19 @@ def test_walks_build_no_table_past_the_cap():
     with mock.patch.object(_kernels, "_gram_steps", recording):
         for step_table in walked_maps(rng):
             n_states, n_symbols = step_table.shape
-            for n in (3, 100, 40_000):
+            fmap = FeatureMap(kind="general-fsm", alphabet_size=n_symbols,
+                              state_count=n_states, start_state=0, step_table=step_table)
+            bound = memory_bound(fmap)
+            for n in (3, 100, 40_000, 200_000):
                 del built[:]
-                walk_states(step_table, 0, rng.integers(0, n_symbols, n))
-                # the synchronizing-window search's tables, then the block
-                # walk's, if the search finds no window
-                assert built
-                for length, size, one_step in built:
-                    # a length-1 table is the step table itself
-                    assert size <= min(_GRAM_CELLS, n) or (length == 1 and size == one_step)
+                fmap.walk(rng.integers(0, n_symbols, n))
+                # one table: the window's gram table, or the block walk's, so
+                # an unbounded map builds its L-gram table once
+                [(length, size, one_step)] = built
+                assert length in (bound.kappa + 1 if bound.bounded else None,
+                                  _block_length(n_symbols, n_states, n))
+                # a length-1 table is the step table itself
+                assert size <= min(_GRAM_CELLS, n) or (length == 1 and size == one_step)
 
 
 def test_sample_fsmx_matches_loop_past_a_chunk():
@@ -367,9 +379,10 @@ def test_deep_source_samples_by_the_loop():
 
 
 # Walks that skip what the symbols decide. Where the state after any w
-# symbols depends on them alone (``_kernels._sync_window``), a walk is one
-# gather past its first w - 1 symbols; a block whose gram leads every state to
-# one state ends there without a Python step (``_kernels._fixed_ends``).
+# symbols depends on them alone (w = kappa + 1, ``memory_bound``) and w is at
+# most the block length, a walk is one gather past its first w - 1 symbols; a
+# block whose gram leads every state to one state ends there without a Python
+# step (``_kernels._fixed_ends``).
 
 def suffix_table(size, members):
     return compile_suffix_map(SuffixSet(Alphabet(size), tuple(members))).step_table
@@ -413,17 +426,19 @@ def test_synchronized_walks_and_counts_match_loop():
     for step_table, start in synchronizing_cases(rng):
         n_states, n_symbols = step_table.shape
         length = _block_length(n_symbols, n_states, _GRAM_CELLS)
-        bounded, kappa = oracles.memory_oracle(step_table, n_symbols, length - 1)
-        synced = _kernels._sync_window(step_table, _GRAM_CELLS)
-        assert (synced[0] if synced else None) == (kappa + 1 if bounded else None)
-        window = synced[0] if synced else 1
+        fmap = FeatureMap(kind="general-fsm", alphabet_size=n_symbols, state_count=n_states,
+                          start_state=start, step_table=step_table)
+        bound = memory_bound(fmap)
+        assert bound == MemoryBoundReport(
+            *oracles.memory_oracle(step_table, n_symbols, length - 1))
+        window = bound.kappa + 1 if bound.bounded else 1
         windows.add(window)
         chunk = _CHUNK // length * length
         for n in sorted({1, window - 1, window, window + 1, length - 1, length, length + 1,
                          chunk - 1, chunk, chunk + 1}):
             symbols = rng.integers(0, n_symbols, n)
             states = oracles.walk_states_before(step_table, start, symbols)
-            assert np.array_equal(walk_states(step_table, start, symbols), states)
+            assert np.array_equal(fmap.walk(symbols), states)
             want = oracles.count_path(step_table, start, symbols, symbols, n_states, n_symbols)
             got = step_counts(step_table, count_pairs(step_table, start, symbols), n_symbols)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -481,6 +496,24 @@ def test_walks_take_the_route_their_table_decides():
         want = oracles.count_path(table, 1, symbols, symbols, k, 2)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert marks and all((m < 0).all() for m in marks)
+
+
+def test_windows_past_the_block_length_are_block_walked():
+    # the run-length map of depth 16 has w = 16, more than any block length
+    # its 17 states allow, so no walk gathers from its 16-grams
+    fmap = compile_suffix_map(SuffixSet(Alphabet(2), [(1,) + (0,) * k for k in range(16)]
+                                        + [(0,) * 16]))
+    assert memory_bound(fmap) == MemoryBoundReport(bounded=True, kappa=15)
+    length = _block_length(2, 17, _GRAM_CELLS)
+    assert length < 16
+    rng = rng_stream(46)
+    for n in (15, 16, 17, length, _CHUNK - 1, _CHUNK + 1):
+        # mostly 0s, so runs of 16 and more occur
+        symbols = (rng.random(n) < 0.1).astype(np.int64)
+        with mock.patch.object(_kernels, "gram_codes", side_effect=AssertionError):
+            assert np.array_equal(fmap.walk(symbols),
+                                  oracles.walk_states_before(fmap.step_table,
+                                                             fmap.start_state, symbols))
 
 
 # Guide cells (``_kernels._guide``): a uniform whose bucket of [0, 1) holds
