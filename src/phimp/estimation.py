@@ -40,6 +40,20 @@ walk's cells (``_kernels.count_pairs``), which forms no state path. The
 context-count table has the block walk's budget, 2^14 cells
 (``_kernels._GRAM_CELLS``): past it a fold is no faster than counting from
 the block walk's cells, so binary ``cost`` folds spans up to 12.
+
+Every candidate of one prefix length is coded in one pass
+(``_ContextTable.scores``). The maps' (S, S) transition and (S, |emit|)
+emission counts are laid out flat, in a layout that depends only on the
+state counts and is built once per table; one weighted bincount takes every
+row's smoothed sum c + a, and one NumPy expression the terms c * ln p of
+every entry with c > 0. Each map's transition terms and its emission terms
+are summed exactly rounded (``math.fsum``) and the two sums added, the rule
+that ``counts_nll`` follows too. So a total depends on the multiset of its
+count cells and not on how the map labels its states: equal multisets give
+equal totals wherever the row sums are exact, as they are at smoothing 0
+(with smoothing a > 0 a row adds c + a in column order). No ``EmpiricalHmm``
+is built to code from counts; only ``icost`` on pairs with |X| > 1 builds
+one per map, to decide whether the forward recursion runs and to run it.
 """
 
 from __future__ import annotations
@@ -213,7 +227,7 @@ class _ContextTable:
         self._folds = dict.fromkeys(spans)
         ends = [n for n in (ends or [len(data)]) if n > self.span]
         # the cells that occur, and their counts at each end
-        self._cells, self._counts = None, {}
+        self._cells, self._counts, self._layouts = None, {}, {}
         if spans and ends:
             self._cells, counts = _kernels.cell_counts(self._drive(ends[-1]), read,
                                                        self.span, ends)
@@ -243,21 +257,49 @@ class _ContextTable:
         pairs = _kernels.count_pairs(fmap.step_table, fmap.start_state, self._drive(n))
         return _kernels.step_counts(fmap.step_table, pairs, self.n_emit)
 
-    def score(self, fmap: FeatureMap, n: int, scheme: PenaltyScheme | None,
-              smoothing: float) -> CostBreakdown:
-        """``score_map`` on the first n symbols."""
-        emp = _estimate_from_counts(*self.counts(fmap, n), n, smoothing)
+    def scores(self, maps: list[FeatureMap], n: int, scheme: PenaltyScheme | None,
+               smoothing: float) -> list[CostBreakdown]:
+        """``score_map`` of each map on the first n symbols, in one code-length
+        pass over all their counts."""
+        counts = [self.counts(fmap, n) for fmap in maps]
+        data_costs = self._code_lengths(counts, smoothing)
         data, criterion = self.data, self.criterion
-        if (criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1
-                and ((emp.transition > 0).astype(np.int64) @ (emp.emission > 0)).max() > 1):
-            initial = np.eye(1, fmap.state_count, fmap.start_state)[0]
-            data_cost = float(_kernels.forward_nll_steps(emp.transition, emp.emission,
-                                                         initial, data.ys[:n]).sum())
-        else:
-            data_cost = (counts_nll(emp.transition_counts, emp.transition)
-                         + counts_nll(emp.emission_counts, emp.emission))
-        return CostBreakdown.build(criterion, fmap.map_id, n, data_cost,
-                                   _penalty(criterion, scheme, n, fmap.state_count))
+        if criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1:
+            for i, (fmap, (trans, emis)) in enumerate(zip(maps, counts)):
+                emp = _estimate_from_counts(trans, emis, n, smoothing)
+                if ((emp.transition > 0).astype(np.int64) @ (emp.emission > 0)).max() > 1:
+                    initial = np.eye(1, fmap.state_count, fmap.start_state)[0]
+                    data_costs[i] = float(_kernels.forward_nll_steps(
+                        emp.transition, emp.emission, initial, data.ys[:n]).sum())
+        return [CostBreakdown.build(criterion, fmap.map_id, n, data_cost,
+                                    _penalty(criterion, scheme, n, fmap.state_count))
+                for fmap, data_cost in zip(maps, data_costs)]
+
+    def _code_lengths(self, counts, smoothing) -> list[float]:
+        # every map's counts coded under their own smoothed row frequencies:
+        # the blocks laid out flat, one row sum a row, the terms c * ln p where
+        # c > 0 in one pass, and each block's terms summed by ``math.fsum``
+        rows, bounds = self._layout(tuple(trans.shape[0] for trans, _ in counts))
+        flat = np.concatenate([block.ravel() for pair in counts for block in pair])
+        smoothed = flat.astype(np.float64) + smoothing
+        sums = np.bincount(rows, weights=smoothed)
+        used = np.flatnonzero(flat)
+        with np.errstate(divide="ignore"):
+            terms = (flat[used] * np.log(smoothed[used] / sums[rows[used]])).tolist()
+        cuts = np.searchsorted(used, bounds).tolist()
+        block = [math.fsum(terms[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        return [-trans - emis for trans, emis in zip(block[::2], block[1::2])]
+
+    def _layout(self, state_counts):
+        # the row of each entry of the flat blocks, (S, S) transitions then
+        # (S, |emit|) emissions a map, and where each block starts and ends;
+        # it depends only on the maps' state counts
+        if state_counts not in self._layouts:
+            widths = [w for s in state_counts for w in (s,) * s + (self.n_emit,) * s]
+            sizes = [size for s in state_counts for size in (s * s, s * self.n_emit)]
+            self._layouts[state_counts] = (np.repeat(np.arange(len(widths)), widths),
+                                           np.cumsum([0, *sizes]))
+        return self._layouts[state_counts]
 
 
 def _table(maps: list[FeatureMap], data, criterion: str, smoothing: float,
@@ -288,12 +330,18 @@ def estimate_paired(fmap: FeatureMap, paired: PairedSequence,
 
 def counts_nll(counts: np.ndarray, probs: np.ndarray) -> float:
     """-sum over entries of count * ln(prob); +inf when a used entry has
-    probability zero."""
+    probability zero.
+
+    The terms are summed exactly rounded (``math.fsum``), so equal multisets
+    of (count, prob) entries give equal sums in any order: maps whose count
+    cells hold equal count multisets, such as a map and its states
+    relabelled, tie exactly.
+    """
     mask = counts > 0
     used = probs[mask]
     if np.any(used <= 0.0):
         return math.inf
-    return float(-(counts[mask] * np.log(used)).sum())
+    return -math.fsum((counts[mask] * np.log(used)).tolist())
 
 
 def log_likelihood(fmap: FeatureMap, emp: EmpiricalHmm, seq: SymbolSequence) -> float:
@@ -340,7 +388,8 @@ def score_map(fmap: FeatureMap, data, criterion: str, scheme: PenaltyScheme | No
     coincide. On pairs ``cost`` and ``ml`` code the joint pair symbols.
     """
     _check_criterion(criterion)
-    return _table([fmap], data, criterion, smoothing).score(fmap, len(data), scheme, smoothing)
+    return _table([fmap], data, criterion, smoothing).scores([fmap], len(data), scheme,
+                                                             smoothing)[0]
 
 
 def cost(fmap: FeatureMap, seq: SymbolSequence, scheme: PenaltyScheme,

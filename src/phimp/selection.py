@@ -8,11 +8,15 @@ and ``ml``. The named criteria
 ``cost``, ``icost``, ``ocost`` and ``ml_cost`` equal it.
 
 Ties break toward fewer states and then the canonical map order, so the
-result does not depend on how the candidate list was arranged. One path goes
-from a class and its data to a choice at each prefix length: it makes every
-check a selection makes, sorts the class canonically, counts the data once
-for every candidate and every requested prefix length
-(``estimation._ContextTable``), then picks the minimizer at each length.
+result does not depend on how the candidate list was arranged. Each total is
+summed exactly rounded from its count cells, so candidates whose cells hold
+equal count multisets, such as a map and its states relabelled, tie exactly
+and this rule, not rounding, decides between them. One path goes from a
+class and its data to a choice at each prefix length: it makes every check a
+selection makes, sorts the class canonically, counts the data once for every
+candidate and every requested prefix length (``estimation._ContextTable``),
+codes every candidate of a length in one pass (``_ContextTable.scores``),
+then picks the minimizer at each length.
 ``select`` is its one-point case on the whole data. Each seed of a
 consistency run is its grid case on that seed's sample, and records when the
 choice stops changing; the run itself is checked once, before any seed is
@@ -93,7 +97,7 @@ def _picks(maps: list[FeatureMap], data, criterion: str, scheme: PenaltyScheme,
            smoothing: float, ends: list[int]) -> list[SelectionResult]:
     # the choice on the first n symbols, for each n in ``ends``
     ordered, table = _ordered_table(maps, data, criterion, smoothing, ends)
-    return [_pick([(table.score(m, n, scheme, smoothing), m) for m in ordered])
+    return [_pick(list(zip(table.scores(ordered, n, scheme, smoothing), ordered)))
             for n in ends]
 
 
@@ -254,7 +258,7 @@ def countable_search(alphabet: Alphabet, data, criterion: str, scheme: PenaltySc
                                       best_total=best_total)
                       for m in candidates[idx:]]
             break
-        breakdown = table.score(fmap, n, scheme, smoothing)
+        breakdown, = table.scores([fmap], n, scheme, smoothing)
         scored.append((breakdown, fmap))
         best_total = min(best_total, breakdown.total)
     return _pick(scored), pruned

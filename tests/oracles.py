@@ -18,7 +18,8 @@ from phimp import _kernels
 from phimp._kernels import walk_states
 from phimp.errors import InputError
 from phimp.estimation import (CRITERIA, CostBreakdown, EmpiricalHmm, PenaltyScheme,
-                              _check_smoothing, _estimate_from_counts, counts_nll)
+                              _check_smoothing, _estimate_from_counts, _penalty,
+                              counts_nll)
 from phimp.fmaps import (ClosureReport, FeatureMap, enumerate_closed_suffix_maps,
                          memory_bound)
 from phimp.selection import (PruningLogEntry, SelectionResult, SelectionTrajectory,
@@ -941,3 +942,69 @@ def write_sequence_before(path, seq: SymbolSequence | PairedSequence, per_line: 
     for i in range(0, len(tokens), per_line):
         lines.append(" ".join(tokens[i:i + per_line]))
     path.write_text("\n".join(lines) + "\n")
+
+
+# How each (map, prefix) cell was coded before one code-length pass served
+# every map of a prefix: ``score_cell_before`` (once
+# ``estimation._ContextTable.score``) estimated the cell through
+# ``estimate_from_counts_before`` and ``normalize_rows_before`` (once
+# ``estimation._estimate_from_counts`` and ``estimation._normalize_rows``)
+# and coded it with ``counts_nll_before`` (once ``estimation.counts_nll``),
+# which sums in NumPy's pairwise order, so relabelling a map's states could
+# move its total by an ulp. Kept as written apart from their names; like the
+# search loop above they call the library, here for the table's counts, the
+# forward recursion and the penalty.
+
+def normalize_rows_before(counts: np.ndarray, smoothing: float) -> tuple[np.ndarray, np.ndarray]:
+    counts = counts.astype(np.float64)
+    visited = counts.sum(axis=1) > 0
+    smoothed = counts + smoothing
+    sums = smoothed.sum(axis=1)
+    probs = np.zeros_like(smoothed)
+    rows = sums > 0
+    probs[rows] = smoothed[rows] / sums[rows, None]
+    return probs, visited
+
+
+def estimate_from_counts_before(trans_counts, emis_counts, n, smoothing) -> EmpiricalHmm:
+    transition, trans_visited = normalize_rows_before(trans_counts, smoothing)
+    emission, emis_visited = normalize_rows_before(emis_counts, smoothing)
+    return EmpiricalHmm(
+        state_count=trans_counts.shape[0],
+        emission_size=emis_counts.shape[1],
+        transition_counts=trans_counts,
+        emission_counts=emis_counts,
+        transition=transition,
+        emission=emission,
+        transition_row_visited=trans_visited,
+        emission_row_visited=emis_visited,
+        n=n,
+        smoothing=smoothing,
+    )
+
+
+def counts_nll_before(counts: np.ndarray, probs: np.ndarray) -> float:
+    """-sum over entries of count * ln(prob); +inf when a used entry has
+    probability zero."""
+    mask = counts > 0
+    used = probs[mask]
+    if np.any(used <= 0.0):
+        return math.inf
+    return float(-(counts[mask] * np.log(used)).sum())
+
+
+def score_cell_before(table, fmap: FeatureMap, n: int, scheme: PenaltyScheme | None,
+                      smoothing: float) -> CostBreakdown:
+    """``score_map`` on the first n symbols."""
+    emp = estimate_from_counts_before(*table.counts(fmap, n), n, smoothing)
+    data, criterion = table.data, table.criterion
+    if (criterion == "icost" and isinstance(data, PairedSequence) and data.x_alphabet.size > 1
+            and ((emp.transition > 0).astype(np.int64) @ (emp.emission > 0)).max() > 1):
+        initial = np.eye(1, fmap.state_count, fmap.start_state)[0]
+        data_cost = float(_kernels.forward_nll_steps(emp.transition, emp.emission,
+                                                     initial, data.ys[:n]).sum())
+    else:
+        data_cost = (counts_nll_before(emp.transition_counts, emp.transition)
+                     + counts_nll_before(emp.emission_counts, emp.emission))
+    return CostBreakdown.build(criterion, fmap.map_id, n, data_cost,
+                               _penalty(criterion, scheme, n, fmap.state_count))

@@ -9,6 +9,7 @@ criterion, penalty spec and map kind.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -534,3 +535,64 @@ class TestSharedTableMatchesOracle:
             PenaltyScheme("bic:markov", 2), [100, 1000, 10_000, 100_000], [0, 1])
         assert len(trajectories[0].costs_per_n[-1]) == 22
         assert calls == [100_000, 100_000]
+
+
+class TestCodeLengthPassMatchesOracle:
+    """``_ContextTable.scores`` codes every map of a prefix in one pass and
+    sums each block's terms exactly rounded; ``oracles.score_cell_before``
+    coded each (map, prefix) cell on its own and summed in NumPy's pairwise
+    order."""
+
+    ENDS = [1, 2, 3, 200, 1500]
+
+    @staticmethod
+    def maps(size, rng):
+        """Random closed suffix maps, random general maps of 2, 5 and 9
+        states, the parity of the odd symbols seen (no bounded memory) and
+        the trivial map."""
+        suffix = enumerate_closed_suffix_maps(Alphabet(size), 2 if size <= 3 else 1)
+        picked = rng.choice(len(suffix), min(4, len(suffix)), replace=False)
+        general = [general_map(rng.integers(0, s, (s, size)), int(rng.integers(s)))
+                   for s in (2, 5, 9)]
+        return [*(suffix[i] for i in picked), *general, *candidate_maps(size, rng)[-2:]]
+
+    @pytest.mark.parametrize("x_size,y_size", [(0, 2), (0, 3), (1, 2), (2, 2), (3, 3)])
+    def test_scores(self, x_size, y_size):
+        # x_size 0 is plain data; 3 x 3 pairs drive 9 symbols, so rows of 9
+        # entries sum in NumPy's pairwise order there
+        rng = rng_stream(1208)
+        size = max(x_size, 1) * y_size
+        joint = rng.integers(0, size, self.ENDS[-1])
+        data = (paired(x_size, y_size, joint) if x_size
+                else SymbolSequence(Alphabet(size), joint))
+        maps = self.maps(size, rng)
+        for criterion in CRITERIA:
+            scheme = PenaltyScheme("bic:markov", emit_size(data))
+            for smoothing in (0.0, 0.5, 1e-3, 1e308):
+                # the largest smoothing overflows the row sums, so every
+                # row of two or more entries codes at +inf
+                with np.errstate(over="ignore"):
+                    table = estimation._table(maps, data, criterion, smoothing, self.ENDS)
+                    assert table._folds and set(maps) - set(table._folds)
+                    for n in self.ENDS:
+                        got = table.scores(maps, n, scheme, smoothing)
+                        for fmap, g in zip(maps, got):
+                            self.check(table, fmap, n, scheme, smoothing, g)
+
+    @staticmethod
+    def check(table, fmap, n, scheme, smoothing, got):
+        want = oracles.score_cell_before(table, fmap, n, scheme, smoothing)
+        assert (got.criterion, got.map_id, got.n, got.penalty) == \
+            (want.criterion, want.map_id, want.n, want.penalty)
+        for g, w in ((got.data_cost, want.data_cost), (got.total, want.total)):
+            if math.isinf(w):
+                assert g == w
+            else:
+                assert abs(g - w) <= 1e-14 * max(1.0, abs(w))
+        # rows of fewer than 8 entries, or of integer sums, have the same
+        # row sums as the oracle's, so its terms summed by the one rule give
+        # the same floats
+        if smoothing == 0 or max(fmap.state_count, table.n_emit) < 8:
+            with mock.patch.object(oracles, "counts_nll_before", estimation.counts_nll):
+                exact = oracles.score_cell_before(table, fmap, n, scheme, smoothing)
+            assert (got.data_cost, got.total) == (exact.data_cost, exact.total)

@@ -111,18 +111,17 @@ class TestSelect:
         from phimp.estimation import _ContextTable
 
         maps = [trivial_map(2), depth_one_map()]
-        real = _ContextTable.score
+        real = _ContextTable.scores
 
-        def poisoned(table, fmap, n, scheme, smoothing):
-            breakdown = real(table, fmap, n, scheme, smoothing)
-            if fmap.map_id == "trivial":
-                return breakdown.__class__(
-                    criterion=breakdown.criterion, map_id=breakdown.map_id,
-                    n=breakdown.n, data_cost=math.inf, penalty=breakdown.penalty,
-                    total=math.inf)
-            return breakdown
+        def poisoned(table, fmaps, n, scheme, smoothing):
+            return [breakdown.__class__(
+                        criterion=breakdown.criterion, map_id=breakdown.map_id,
+                        n=breakdown.n, data_cost=math.inf, penalty=breakdown.penalty,
+                        total=math.inf)
+                    if breakdown.map_id == "trivial" else breakdown
+                    for breakdown in real(table, fmaps, n, scheme, smoothing)]
 
-        monkeypatch.setattr(_ContextTable, "score", poisoned)
+        monkeypatch.setattr(_ContextTable, "scores", poisoned)
         rng = rng_stream(45)
         data = seq(rng.integers(0, 2, 100))
         result = selection_module.select(maps, data, "cost", BIC_MARKOV)
@@ -137,6 +136,27 @@ class TestSelect:
         result = select([b, a], data, "cost", BIC_MARKOV)
         assert result.tie_broken
         assert result.chosen_map_id == a.map_id  # canonical order breaks the tie
+
+    @pytest.mark.parametrize("criterion", ["cost", "ml"])
+    def test_relabelled_maps_tie_exactly(self, reference_source, criterion):
+        # a class map with its states relabelled counts the same multiset of
+        # cells, so the two totals are the same float and the tie rule, not
+        # the order the terms were summed in, puts the suffix map first
+        rng = rng_stream(46)
+        maps = [m for m in enumerate_closed_suffix_maps(BINARY, 3) if m.state_count >= 6]
+        for seed in range(3):
+            data = sample_fsmx(reference_source, 5000, seed)
+            for fmap in maps:
+                perm = rng.permutation(fmap.state_count)
+                table = np.empty_like(fmap.step_table)
+                table[perm] = perm[fmap.step_table]
+                twin = FeatureMap(kind="general-fsm", alphabet_size=2,
+                                  state_count=fmap.state_count,
+                                  start_state=int(perm[fmap.start_state]), step_table=table)
+                result = select([twin, fmap], data, criterion, BIC_MARKOV)
+                assert result.total_of(twin.map_id) == result.total_of(fmap.map_id)
+                assert result.tie_broken
+                assert result.chosen_map_id == fmap.map_id
 
 
 class TestWithBaseline:
